@@ -1,0 +1,98 @@
+"""Golden guard: `evaluate` and `report` outputs must not move.
+
+The files under tests/golden/ come from the criterion-11 pipeline
+(simulate seed 99, evaluate seed 7, `--rmst-thresholds 30`), run with
+dense features, with count features, and with count features under a
+`min_per_arm` that skips the cohort, which pins the failed-estimate rows
+and the report of a method without available estimates. A mismatch
+names the method ids whose rows moved.
+
+Regenerate only for an intended output change:
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from test_acceptance import PIPELINE_SCENARIO
+from trialbench.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+OUTPUTS = ("estimates.jsonl", "report.table.tsv", "report.pr_curve.tsv")
+VARIANTS = ("dense", "counts", "skipped")
+
+
+def _simulate(root: Path) -> Path:
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(PIPELINE_SCENARIO))
+    sim = root / "sim"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "99",
+                 "--out-dir", str(sim)]) == 0
+    assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
+                 "--drug-dict", str(sim / "drug_dict.tsv"),
+                 "--outcome-dict", str(sim / "outcome_dict.tsv"),
+                 "--out", str(sim / "refset.jsonl")]) == 0
+    return sim
+
+
+def _evaluate_and_report(sim: Path, variant: str, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    extra = []
+    if variant == "dense":
+        extra = ["--dense-features", str(sim / "dense_features.jsonl")]
+    elif variant == "skipped":
+        config = out_dir / "run.cfg"
+        config.write_text("min_per_arm = 2000\n")
+        extra = ["--config", str(config)]
+    estimates = out_dir / "estimates.jsonl"
+    assert main(["evaluate", "--refset", str(sim / "refset.jsonl"),
+                 "--db", str(sim / "claims.jsonl"), "--vocab", str(sim / "vocab.txt"),
+                 *extra, "--seed", "7", "--out", str(estimates)]) == 0
+    assert main(["report", "--estimates", str(estimates), "--refset", str(sim / "refset.jsonl"),
+                 "--rmst-thresholds", "30", "--out", str(out_dir / "report")]) == 0
+
+
+def _method_of(name: str, line: str) -> str:
+    if name.endswith(".jsonl"):
+        return json.loads(line).get("method_id", "<header>")
+    return line.split("\t", 1)[0]
+
+
+def _moved_methods(name: str, got: str, want: str) -> list[str]:
+    """Method ids whose rows differ between two versions of one output file."""
+    rows_got = Counter((_method_of(name, ln), ln) for ln in got.splitlines())
+    rows_want = Counter((_method_of(name, ln), ln) for ln in want.splitlines())
+    return sorted({method for method, _ in (rows_got - rows_want) + (rows_want - rows_got)})
+
+
+@pytest.fixture(scope="module")
+def sim(tmp_path_factory):
+    return _simulate(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_outputs_match_golden(sim, variant, tmp_path):
+    _evaluate_and_report(sim, variant, tmp_path)
+    moved = {}
+    for name in OUTPUTS:
+        got = (tmp_path / name).read_text(encoding="utf-8")
+        want = (GOLDEN / variant / name).read_text(encoding="utf-8")
+        if got != want:
+            moved[name] = _moved_methods(name, got, want) or ["<row order>"]
+    assert not moved, f"{variant} outputs moved, by file and method_id: {moved}"
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        built = _simulate(Path(tmp))
+        for v in VARIANTS:
+            _evaluate_and_report(built, v, Path(tmp) / v)
+            (GOLDEN / v).mkdir(parents=True, exist_ok=True)
+            for name in OUTPUTS:
+                shutil.copyfile(Path(tmp) / v / name, GOLDEN / v / name)
