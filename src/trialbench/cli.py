@@ -18,8 +18,10 @@ from . import cohort as cohort_mod
 from . import metrics as metrics_mod
 from . import refset as refset_mod
 from . import synth
-from .estimators import EffectEstimate, METHOD_REGISTRY, RunSettings, run_all_methods
-from .formats import dump_json_line, read_jsonl, read_kv_config, sha256_file, write_jsonl
+from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimate,
+                         run_all_methods)
+from .formats import (InputError, dump_json_line, parsing, read_jsonl, read_kv_config,
+                      sha256_file, write_jsonl)
 
 TOOL_VERSION = "0.1.0"
 
@@ -27,10 +29,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PROVENANCE = 3
 EXIT_INTERNAL = 4
-
-
-class InputError(Exception):
-    pass
 
 
 class ProvenanceError(Exception):
@@ -141,12 +139,6 @@ def cmd_evaluate(args) -> int:
         dense_features_path=_require_file(args.dense_features) if args.dense_features else None,
     )
 
-    settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
-    seed = args.seed if args.seed is not None else (
-        int(settings_kv["seed"]) if "seed" in settings_kv else None)
-    if seed is None:
-        raise InputError("an explicit --seed (or seed= in the run config) is required")
-
     methods = tuple(METHOD_REGISTRY)
     if args.ablation_standard_ipw:
         methods = ("cox_ipw_overlap", "cox_ipw_standard")
@@ -154,22 +146,28 @@ def cmd_evaluate(args) -> int:
         requested = tuple(args.methods.split(","))
         unknown = [m for m in requested if m not in METHOD_REGISTRY]
         if unknown:
-            raise InputError(f"unknown methods: {unknown}; registry: {METHOD_REGISTRY}")
+            raise InputError(f"unknown methods: {unknown}; registry: {tuple(METHOD_REGISTRY)}")
         methods = requested
+
+    settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
+    with parsing(args.config):
+        seed = args.seed if args.seed is not None else (
+            int(settings_kv["seed"]) if "seed" in settings_kv else None)
+        settings_base = RunSettings(
+            ridge=float(settings_kv.get("ridge", 1e-6)),
+            caliper_sd_logit=float(settings_kv.get("caliper_sd_logit", 0.2)),
+            weight_cap=float(settings_kv.get("weight_cap", 100.0)),
+            tau_percentile=float(settings_kv.get("tau_percentile", 0.8)),
+            methods=methods,
+        )
+        max_per_arm = int(settings_kv.get("max_per_arm", cohort_mod.MAX_ARM_SIZE))
+        min_per_arm = int(settings_kv.get("min_per_arm", cohort_mod.MIN_ARM_SIZE))
+    if seed is None:
+        raise InputError("an explicit --seed (or seed= in the run config) is required")
 
     expected_vocab = reference.provenance.get("db_vocab_sha256")
     if expected_vocab is not None and expected_vocab != sha256_file(vocab_path):
         raise ProvenanceError("reference set was built against a different db vocabulary")
-
-    settings_base = RunSettings(
-        ridge=float(settings_kv.get("ridge", 1e-6)),
-        caliper_sd_logit=float(settings_kv.get("caliper_sd_logit", 0.2)),
-        weight_cap=float(settings_kv.get("weight_cap", 100.0)),
-        tau_percentile=float(settings_kv.get("tau_percentile", 0.8)),
-        methods=methods,
-    )
-    max_per_arm = int(settings_kv.get("max_per_arm", cohort_mod.MAX_ARM_SIZE))
-    min_per_arm = int(settings_kv.get("min_per_arm", cohort_mod.MIN_ARM_SIZE))
 
     out_path = Path(args.out)
     parts_dir = Path(str(out_path) + ".parts")
@@ -188,19 +186,13 @@ def cmd_evaluate(args) -> int:
         method_seed = int(entry_seeds[2 * i + 1])
         built = cohort_mod.build_cohort(db, entry, seed=cohort_seed,
                                         max_per_arm=max_per_arm, min_per_arm=min_per_arm)
-        entry_records = []
         if isinstance(built, cohort_mod.SkipSignal):
-            for method_id in methods:
-                scale = ("log_hazard_ratio" if method_id.startswith("cox")
-                         else "rmst_difference_days")
-                est = EffectEstimate(method_id=method_id, scale=scale, point=math.nan,
-                                     std_error=math.nan, converged=False, n_used=0,
-                                     note=f"cohort skipped: {built.reason}")
-                entry_records.append(_estimate_record(entry, est))
+            estimates = [failed_estimate(m, METHOD_REGISTRY[m].scale, 0,
+                                         f"cohort skipped: {built.reason}") for m in methods]
         else:
             settings = dataclasses.replace(settings_base, seed=method_seed)
-            for est in run_all_methods(built, settings):
-                entry_records.append(_estimate_record(entry, est))
+            estimates = run_all_methods(built, settings)
+        entry_records = [_estimate_record(entry, est) for est in estimates]
         write_jsonl(part, entry_records)
         records.extend(entry_records)
 
@@ -229,56 +221,37 @@ def cmd_report(args) -> int:
     if header.get("refset_sha256") != sha256_file(refset_path):
         raise ProvenanceError("estimates were produced against a different reference set")
     reference = refset_mod.load(refset_path)
+    with parsing(estimates_path):
+        by_method = metrics_mod.effects_by_method(records)
 
     hr_thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds \
         else list(metrics_mod.FIXED_HR_THRESHOLDS)
     rmst_thresholds = [float(t) for t in args.rmst_thresholds.split(",")] \
         if args.rmst_thresholds else []
 
-    by_method: dict[str, dict] = {}
-    for rec in records:
-        key = (rec["drug_a"], rec["drug_b"], rec["outcome_code"])
-        by_method.setdefault(rec["method_id"], {"scale": rec["scale"], "rows": {}})
-        by_method[rec["method_id"]]["rows"][key] = rec
-
-    table_lines = ["method_id\tscale\tthreshold\tthreshold_magnitude\tprecision\trecall"
-                   "\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"]
-    curve_lines = ["method_id\tscale\tthreshold_magnitude\tprecision\trecall"
-                   "\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"]
+    metric_columns = "precision\trecall\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"
+    table_lines = [f"method_id\tscale\tthreshold\tthreshold_magnitude\t{metric_columns}"]
+    curve_lines = [f"method_id\tscale\tthreshold_magnitude\t{metric_columns}"]
 
     def fmt(value):
         return "" if value is None else f"{value:.6g}"
 
-    for method_id in sorted(by_method):
-        scale = by_method[method_id]["scale"]
-        effects = []
-        for key, rec in by_method[method_id]["rows"].items():
-            available = rec["converged"] and rec["point"] is not None
-            if available:
-                effects.append(metrics_mod.ScoredEffect(
-                    key, method_id, True,
-                    metrics_mod.direction_of(scale, rec["point"]),
-                    metrics_mod.magnitude_of(scale, rec["point"])))
-            else:
-                effects.append(metrics_mod.ScoredEffect(
-                    key, method_id, False, refset_mod.DIRECTION_NONE, math.nan))
+    def line(*lead, row):
+        return "\t".join([*lead, fmt(row.weighted_precision), fmt(row.recall),
+                          fmt(row.recall_evaluable), str(row.tp), str(row.fp), str(row.fn),
+                          str(row.n_evaluable)])
+
+    for method_id, (scale, effects) in sorted(by_method.items()):
         raw_thresholds = hr_thresholds if scale == metrics_mod.SCALE_LOG_HR else rmst_thresholds
         for raw in raw_thresholds:
             mag = metrics_mod.threshold_to_magnitude(scale, raw)
             row = metrics_mod.score(effects, reference, mag, method_id)
-            table_lines.append("\t".join([
-                method_id, scale, fmt(raw), fmt(mag), fmt(row.weighted_precision),
-                fmt(row.recall), fmt(row.recall_evaluable),
-                str(row.tp), str(row.fp), str(row.fn), str(row.n_evaluable)]))
+            table_lines.append(line(method_id, scale, fmt(raw), fmt(mag), row=row))
         try:
             curve = metrics_mod.pr_curve(effects, reference, scale, method_id)
         except ValueError:
             continue
-        for row in curve:
-            curve_lines.append("\t".join([
-                method_id, scale, fmt(row.threshold), fmt(row.weighted_precision),
-                fmt(row.recall), fmt(row.recall_evaluable),
-                str(row.tp), str(row.fp), str(row.fn), str(row.n_evaluable)]))
+        curve_lines += [line(method_id, scale, fmt(row.threshold), row=row) for row in curve]
 
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -323,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation-standard-ipw", action="store_true",
                    help="run only the overlap vs standard IPW comparison arms")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved parallelism degree (entries are independent)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import read_jsonl
+from .formats import InputError, parsing, read_jsonl
 
 MAX_ARM_SIZE = 100_000
 MIN_ARM_SIZE = 100
@@ -73,22 +73,33 @@ class SkipSignal:
 
 
 def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
+    """Load the event streams, vocabulary and optional dense features.
+
+    Malformed content, and a patient without a dense-feature row, raise
+    InputError naming the file.
+    """
     _, records = read_jsonl(db_path)
-    patients = [
-        PatientStream(
-            patient_id=str(rec["patient_id"]),
-            observation_start=int(rec["observation_start"]),
-            observation_end=int(rec["observation_end"]),
-            events=tuple((int(d), str(k), str(c)) for d, k, c in rec["events"]),
-        )
-        for rec in records
-    ]
+    with parsing(db_path):
+        patients = [
+            PatientStream(
+                patient_id=str(rec["patient_id"]),
+                observation_start=int(rec["observation_start"]),
+                observation_end=int(rec["observation_end"]),
+                events=tuple((int(d), str(k), str(c)) for d, k, c in rec["events"]),
+            )
+            for rec in records
+        ]
     with open(vocab_path, encoding="utf-8") as fh:
         vocabulary = [line.strip() for line in fh if line.strip()]
     dense = None
     if dense_features_path is not None:
         _, rows = read_jsonl(dense_features_path)
-        dense = {str(r["patient_id"]): np.asarray(r["features"], dtype=float) for r in rows}
+        with parsing(dense_features_path):
+            dense = {str(r["patient_id"]): np.asarray(r["features"], dtype=float) for r in rows}
+        missing = [p.patient_id for p in patients if p.patient_id not in dense]
+        if missing:
+            raise InputError(f"{dense_features_path}: no dense-feature row for {len(missing)} "
+                             f"patient(s), first {missing[0]}")
     return PatientDB(patients=patients, vocabulary=vocabulary, dense_features=dense)
 
 

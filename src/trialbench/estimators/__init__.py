@@ -18,32 +18,8 @@ from .methods import (
     SCALE_LOG_HR,
     SCALE_RMST_DAYS,
     RunSettings,
+    failed_estimate,
     rmst_regression,
     rmst_aipw,
     run_all_methods,
 )
-
-__all__ = [
-    "PropensityFit",
-    "fit_logistic",
-    "match_pairs",
-    "compute_weights",
-    "MatchingError",
-    "CoxResult",
-    "SurvivalCurve",
-    "AFTModel",
-    "cox_fit",
-    "cox_partial_loglik",
-    "km_curve",
-    "rmst",
-    "event_time_horizon",
-    "aft_fit",
-    "EffectEstimate",
-    "METHOD_REGISTRY",
-    "SCALE_LOG_HR",
-    "SCALE_RMST_DAYS",
-    "RunSettings",
-    "rmst_regression",
-    "rmst_aipw",
-    "run_all_methods",
-]

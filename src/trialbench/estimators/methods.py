@@ -9,6 +9,7 @@ regression, and the augmented-IPW doubly robust estimator.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,18 +26,6 @@ from .survival import aft_fit, cox_fit, event_time_horizon, km_curve, rmst
 
 SCALE_LOG_HR = "log_hazard_ratio"
 SCALE_RMST_DAYS = "rmst_difference_days"
-
-METHOD_REGISTRY = (
-    "cox_unadjusted",
-    "cox_psm",
-    "cox_ipw_overlap",
-    "cox_ipw_standard",
-    "rmst_km_unadjusted",
-    "rmst_km_psm",
-    "rmst_km_ipw_overlap",
-    "rmst_aft_regression",
-    "rmst_aipw",
-)
 
 # IPCW weights are truncated here when the censoring KM hits zero early.
 G_WEIGHT_CAP = 100.0
@@ -60,12 +49,13 @@ class RunSettings:
     caliper_sd_logit: float = DEFAULT_CALIPER
     weight_cap: float = STANDARD_WEIGHT_CAP
     tau_percentile: float = 0.8
-    methods: tuple[str, ...] = field(default_factory=lambda: METHOD_REGISTRY)
+    methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHOD_REGISTRY))
 
 
-def _failed(method_id, scale, n, note):
+def failed_estimate(method_id: str, scale: str, n_used: int, note: str) -> EffectEstimate:
+    """The estimate recorded for a method that could not run; note says why."""
     return EffectEstimate(method_id=method_id, scale=scale, point=math.nan,
-                          std_error=math.nan, converged=False, n_used=n, note=note)
+                          std_error=math.nan, converged=False, n_used=n_used, note=note)
 
 
 def _cox_estimate(method_id, times, events, treated, weights=None) -> EffectEstimate:
@@ -81,30 +71,11 @@ def _km_rmst_arm(times, events, weights, tau):
     value = rmst(curve, tau)
     # Greenwood-style RMST variance; with non-unit weights this uses the
     # weighted counts and is approximate.
-    t = np.asarray(times, dtype=float)
-    d = np.asarray(events, dtype=bool)
-    w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t, d, w = t[order], d[order], w[order]
-    at_risk_after = np.cumsum(w[::-1])[::-1]
-    ev_times, inverse = np.unique(t[d], return_inverse=True)
-    if len(ev_times) == 0:
-        return value, 0.0
-    dw = np.bincount(inverse, weights=w[d], minlength=len(ev_times))
-    yw = at_risk_after[np.searchsorted(t, ev_times, side="left")]
-    # integral of S over [event time, tau] via prefix integrals of the curve
-    knots = np.concatenate([[0.0], curve.times])
-    vals = np.concatenate([[1.0], curve.survival])
-    prefix = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(knots))])
-    cum_tau = value
-
-    def cumint(pts):
-        idx = np.searchsorted(knots, pts, side="right") - 1
-        return prefix[idx] + vals[idx] * (pts - knots[idx])
-
-    in_range = ev_times <= tau
-    areas = np.zeros(len(ev_times))
-    areas[in_range] = cum_tau - cumint(ev_times[in_range])
+    dw, yw = curve.deaths, curve.at_risk
+    in_range = curve.times <= tau
+    # integral of S over [event time, tau]
+    areas = np.zeros(len(curve.times))
+    areas[in_range] = value - curve.integral(curve.times[in_range])
     safe = (yw - dw > 0) & in_range
     var = float(np.sum(areas[safe] ** 2 * dw[safe] / (yw[safe] * (yw[safe] - dw[safe]))))
     return value, var
@@ -125,7 +96,7 @@ def rmst_regression(aft_model, features, tau: float,
     """Mean predicted RMST contrast over all patients at horizon tau."""
     n = len(np.atleast_2d(features))
     if not aft_model.converged:
-        return _failed(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
+        return failed_estimate(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
     ones = np.ones(n)
     diff = aft_model.predicted_rmst(features, ones, tau) - aft_model.predicted_rmst(
         features, np.zeros(n), tau
@@ -150,7 +121,7 @@ def rmst_aipw(times, events, treated, features, propensity, aft_model, tau: floa
     trt = np.asarray(treated, dtype=bool)
     n = len(t)
     if not aft_model.converged:
-        return _failed(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
+        return failed_estimate(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
 
     e = np.asarray(propensity.scores, dtype=float)
     m1 = aft_model.predicted_rmst(features, np.ones(n), tau)
@@ -174,73 +145,111 @@ def rmst_aipw(times, events, treated, features, propensity, aft_model, tau: floa
                           converged=True, n_used=n, note=note)
 
 
+def _fitted_once(fit):
+    """A cached property whose fit runs at most once, even when it raises.
+
+    A fit that raised is re-raised to every method that needs it, so each
+    of them records the same failure.
+    """
+    name = fit.__name__
+
+    def get(self):
+        if name not in self._fits:
+            try:
+                self._fits[name] = fit(self)
+            except Exception as exc:  # noqa: BLE001 -- reported per method
+                self._fits[name] = exc
+        result = self._fits[name]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return property(get, doc=fit.__doc__)
+
+
+class _Nuisance:
+    """One cohort's arrays, horizon tau and lazily fitted nuisance models."""
+
+    def __init__(self, cohort, settings: RunSettings, tau: float):
+        self.time, self.event, self.treated = cohort.time, cohort.event, cohort.treated
+        self.features = cohort.features
+        self.settings = settings
+        self.tau = tau
+        self._fits: dict = {}
+
+    def arms(self, rows=slice(None)):
+        """(time, event, treated), restricted to rows."""
+        return self.time[rows], self.event[rows], self.treated[rows]
+
+    @_fitted_once
+    def propensity(self):
+        return fit_logistic(self.features, self.treated, ridge=self.settings.ridge)
+
+    @_fitted_once
+    def matched(self):
+        """Sorted row indices of every propensity-matched pair."""
+        pairs = match_pairs(self.propensity.scores, self.treated,
+                            caliper_sd_logit=self.settings.caliper_sd_logit,
+                            seed=self.settings.seed)
+        return np.array(sorted({i for pair in pairs for i in pair}), dtype=int)
+
+    @_fitted_once
+    def overlap_weights(self):
+        return compute_weights(self.propensity.scores, self.treated, "overlap")
+
+    @_fitted_once
+    def aft(self):
+        return aft_fit(self.features, self.treated, self.time, self.event)
+
+
+def _aipw(nz: _Nuisance, method_id: str) -> EffectEstimate:
+    model = nz.aft  # first: when both fits fail, the note names the AFT error
+    return rmst_aipw(*nz.arms(), nz.features, nz.propensity, model, nz.tau, method_id)
+
+
+# One row of the method table: the effect scale and estimate(nuisance, method_id).
+Method = namedtuple("Method", "scale estimate")
+
+# The method table, in output order. Estimators look cox_fit, rmst_aipw and
+# the other fitting functions up as module globals at call time, so a
+# replacement installed on this module (a tracing hook) is the one called.
+METHOD_REGISTRY = {
+    "cox_unadjusted": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(m, *nz.arms())),
+    "cox_psm": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(m, *nz.arms(nz.matched))),
+    "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(
+        m, *nz.arms(), nz.overlap_weights)),
+    "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(
+        m, *nz.arms(), compute_weights(nz.propensity.scores, nz.treated, "standard_ipw",
+                                       cap=nz.settings.weight_cap))),
+    "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
+        m, *nz.arms(), nz.tau)),
+    "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
+        m, *nz.arms(nz.matched), nz.tau)),
+    "rmst_km_ipw_overlap": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
+        m, *nz.arms(), nz.tau, nz.overlap_weights)),
+    "rmst_aft_regression": Method(SCALE_RMST_DAYS, lambda nz, m: rmst_regression(
+        nz.aft, nz.features, nz.tau, m)),
+    "rmst_aipw": Method(SCALE_RMST_DAYS, _aipw),
+}
+
+
 def run_all_methods(cohort, settings: RunSettings | None = None) -> list[EffectEstimate]:
     """Run the method registry on one cohort; failures never abort the batch."""
     settings = settings or RunSettings()
-    times, events, treated = cohort.time, cohort.event, cohort.treated
-    features = cohort.features
-    n = len(times)
+    n = len(cohort.time)
     wanted = [m for m in METHOD_REGISTRY if m in settings.methods]
-    out: list[EffectEstimate] = []
-
     try:
-        tau = event_time_horizon(times, events, settings.tau_percentile)
+        tau = event_time_horizon(cohort.time, cohort.event, settings.tau_percentile)
     except ValueError:
-        return [_failed(m, SCALE_LOG_HR if m.startswith("cox") else SCALE_RMST_DAYS,
-                        n, "no observed events") for m in wanted]
-
-    propensity = None
-    matched = None
-
-    def get_propensity():
-        nonlocal propensity
-        if propensity is None:
-            propensity = fit_logistic(features, treated, ridge=settings.ridge)
-        return propensity
-
-    def get_matched():
-        nonlocal matched
-        if matched is None:
-            fit = get_propensity()
-            pairs = match_pairs(fit.scores, treated,
-                                caliper_sd_logit=settings.caliper_sd_logit,
-                                seed=settings.seed)
-            matched = np.array(sorted({i for pair in pairs for i in pair}), dtype=int)
-        return matched
-
+        return [failed_estimate(m, METHOD_REGISTRY[m].scale, n, "no observed events")
+                for m in wanted]
+    nuisance = _Nuisance(cohort, settings, tau)
+    out: list[EffectEstimate] = []
     for method_id in wanted:
-        scale = SCALE_LOG_HR if method_id.startswith("cox") else SCALE_RMST_DAYS
+        method = METHOD_REGISTRY[method_id]
         try:
-            if method_id == "cox_unadjusted":
-                est = _cox_estimate(method_id, times, events, treated)
-            elif method_id == "cox_psm":
-                idx = get_matched()
-                est = _cox_estimate(method_id, times[idx], events[idx], treated[idx])
-            elif method_id == "cox_ipw_overlap":
-                w = compute_weights(get_propensity().scores, treated, "overlap")
-                est = _cox_estimate(method_id, times, events, treated, w)
-            elif method_id == "cox_ipw_standard":
-                w = compute_weights(get_propensity().scores, treated, "standard_ipw",
-                                    cap=settings.weight_cap)
-                est = _cox_estimate(method_id, times, events, treated, w)
-            elif method_id == "rmst_km_unadjusted":
-                est = _km_diff_estimate(method_id, times, events, treated, tau)
-            elif method_id == "rmst_km_psm":
-                idx = get_matched()
-                est = _km_diff_estimate(method_id, times[idx], events[idx], treated[idx], tau)
-            elif method_id == "rmst_km_ipw_overlap":
-                w = compute_weights(get_propensity().scores, treated, "overlap")
-                est = _km_diff_estimate(method_id, times, events, treated, tau, w)
-            elif method_id == "rmst_aft_regression":
-                model = aft_fit(features, treated, times, events)
-                est = rmst_regression(model, features, tau, method_id)
-            elif method_id == "rmst_aipw":
-                model = aft_fit(features, treated, times, events)
-                est = rmst_aipw(times, events, treated, features,
-                                get_propensity(), model, tau, method_id)
-            else:
-                est = _failed(method_id, scale, n, "unknown method")
+            out.append(method.estimate(nuisance, method_id))
         except Exception as exc:  # per-method isolation
-            est = _failed(method_id, scale, n, f"{type(exc).__name__}: {exc}")
-        out.append(est)
+            out.append(failed_estimate(method_id, method.scale, n,
+                                       f"{type(exc).__name__}: {exc}"))
     return out

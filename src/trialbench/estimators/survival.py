@@ -38,12 +38,22 @@ class SurvivalCurve:
     """Right-continuous step function starting at S(0) = 1."""
     times: np.ndarray   # knot locations (ascending, > 0)
     survival: np.ndarray  # value on [times[i], times[i+1])
+    deaths: np.ndarray | None = None   # weighted deaths at each knot (km_curve)
+    at_risk: np.ndarray | None = None  # weight at risk just before each knot (km_curve)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate([[1.0], self.survival])
         return padded[idx]
+
+    def integral(self, t):
+        """Integral of the curve over [0, t]; the last value holds past the last knot."""
+        knots = np.concatenate([[0.0], self.times])
+        vals = np.concatenate([[1.0], self.survival])
+        prefix = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(knots))])
+        idx = np.searchsorted(knots, t, side="right") - 1
+        return prefix[idx] + vals[idx] * (t - knots[idx])
 
     def left_limit(self, t):
         t = np.asarray(t, dtype=float)
@@ -77,6 +87,8 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
 
     # distinct event times and group boundaries (times sorted ascending)
     event_idx = np.nonzero(d)[0]
+    # each death contributes at the first index of its tie group
+    first = np.searchsorted(t, t[event_idx], side="left")
 
     def suffix_sums(beta):
         r = np.exp(beta * x)
@@ -89,8 +101,6 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     iterations = 0
     for iterations in range(1, COX_MAX_ITER + 1):
         _, s0, s1 = suffix_sums(beta)
-        # each death contributes at the first index of its tie group
-        first = np.searchsorted(t, t[event_idx], side="left")
         mbar = s1[first] / s0[first]
         score = float(np.sum(w[event_idx] * (x[event_idx] - mbar)))
         info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))  # x binary: S2 = S1
@@ -104,18 +114,13 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
             break
 
     r, s0, s1 = suffix_sums(beta)
-    first = np.searchsorted(t, t[event_idx], side="left")
     mbar = s1[first] / s0[first]
     info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))
     se_model = math.sqrt(1.0 / info) if info > 0 else math.inf
 
     # Lin-Wei robust variance from weighted score residuals
-    dw_at = {}
-    for j, i in enumerate(event_idx):
-        key = t[i]
-        dw_at[key] = dw_at.get(key, 0.0) + w[i]
-    ev_times = np.array(sorted(dw_at))
-    dws = np.array([dw_at[k] for k in ev_times])
+    ev_times, own = np.unique(t[event_idx], return_inverse=True)
+    dws = np.bincount(own, weights=w[event_idx], minlength=len(ev_times))
     pos = np.searchsorted(t, ev_times, side="left")
     s0e, mbe = s0[pos], s1[pos] / s0[pos]
     c1 = np.cumsum(dws / s0e)          # sum of d_w / S0 over event times
@@ -125,7 +130,6 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     c1_i = np.where(upto >= 0, c1[np.maximum(upto, 0)], 0.0)
     c2_i = np.where(upto >= 0, c2[np.maximum(upto, 0)], 0.0)
     m_at_own = np.zeros(n)
-    own = np.searchsorted(ev_times, t[event_idx], side="left")
     m_at_own[event_idx] = mbe[own]
     resid = d * (x - m_at_own) - r * (x * c1_i - c2_i)
     bread = 1.0 / info if info > 0 else math.inf
@@ -155,14 +159,12 @@ def km_curve(times, events, row_weights=None) -> SurvivalCurve:
     t, d, w = t[order], d[order], w[order]
     at_risk_after = np.cumsum(w[::-1])[::-1]  # total weight with t_j >= t_i
     ev_times, inverse = np.unique(t[d], return_inverse=True)
-    if len(ev_times) == 0:
-        return SurvivalCurve(times=np.empty(0), survival=np.empty(0))
     deaths = np.bincount(inverse, weights=w[d], minlength=len(ev_times))
     pos = np.searchsorted(t, ev_times, side="left")
     at_risk = at_risk_after[pos]
     factors = 1.0 - deaths / at_risk
     surv = np.cumprod(np.clip(factors, 0.0, 1.0))
-    return SurvivalCurve(times=ev_times, survival=surv)
+    return SurvivalCurve(times=ev_times, survival=surv, deaths=deaths, at_risk=at_risk)
 
 
 def rmst(curve: SurvivalCurve, tau: float) -> float:
@@ -173,17 +175,7 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    knots = curve.times
-    vals = curve.survival
-    total = 0.0
-    prev_t, prev_s = 0.0, 1.0
-    for kt, ks in zip(knots, vals):
-        if kt >= tau:
-            break
-        total += prev_s * (kt - prev_t)
-        prev_t, prev_s = kt, ks
-    total += prev_s * (tau - prev_t)
-    return total
+    return float(curve.integral(tau))
 
 
 def event_time_horizon(times, events, percentile: float = 0.8) -> float:

@@ -5,7 +5,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
+
+
+class InputError(ValueError):
+    """A missing or malformed input file; the message names the file."""
+
+
+@contextmanager
+def parsing(path):
+    """Report a parse failure of path inside the block as an InputError naming path."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from exc
 
 
 def sha256_file(path) -> str:
@@ -45,7 +59,10 @@ def read_jsonl(path, expect_header: bool = False):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
             if expect_header and header is None and i == 0:
                 header = obj
             else:
@@ -62,7 +79,7 @@ def read_kv_config(path) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
+                raise InputError(f"{path}: bad config line: {line!r}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out

@@ -13,26 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators.methods import SCALE_LOG_HR, SCALE_RMST_DAYS
 from .refset import DIRECTION_A, DIRECTION_B, DIRECTION_NONE, LABEL_STRONG, LABEL_WEAK
-
-SCALE_LOG_HR = "log_hazard_ratio"
-SCALE_RMST_DAYS = "rmst_difference_days"
 
 # Hazard-ratio thresholds for the fixed summary table.
 FIXED_HR_THRESHOLDS = (2.0, 1.5, 1.25)
-
-PRED_STRONG = "strong"
-PRED_WEAK = "weak"
-PRED_UNAVAILABLE = "unavailable"
-
-
-@dataclass(frozen=True)
-class Prediction:
-    entry_key: tuple[str, str, str]
-    method_id: str
-    predicted_label: str
-    predicted_direction: str
-    effect_magnitude: float
 
 
 @dataclass
@@ -63,10 +48,6 @@ def direction_of(scale: str, point: float) -> str:
     raise ValueError(f"unknown scale {scale!r}")
 
 
-def magnitude_of(scale: str, point: float) -> float:
-    return abs(point)
-
-
 def threshold_to_magnitude(scale: str, threshold: float) -> float:
     """HR thresholds (> 1) compare on the |log HR| scale; RMST in days."""
     if scale == SCALE_LOG_HR:
@@ -76,20 +57,6 @@ def threshold_to_magnitude(scale: str, threshold: float) -> float:
     if threshold <= 0:
         raise ValueError("RMST threshold must be positive (days)")
     return threshold
-
-
-def predict(estimate, threshold: float) -> Prediction:
-    """Classify one effect estimate at a raw-scale threshold."""
-    entry_key = getattr(estimate, "entry_key", ("", "", ""))
-    if not estimate.converged or not math.isfinite(estimate.point):
-        return Prediction(entry_key, estimate.method_id, PRED_UNAVAILABLE,
-                          DIRECTION_NONE, math.nan)
-    mag = magnitude_of(estimate.scale, estimate.point)
-    cut = threshold_to_magnitude(estimate.scale, threshold)
-    label = PRED_STRONG if mag >= cut else PRED_WEAK
-    direction = direction_of(estimate.scale, estimate.point) if label == PRED_STRONG \
-        else DIRECTION_NONE
-    return Prediction(entry_key, estimate.method_id, label, direction, mag)
 
 
 @dataclass(frozen=True)
@@ -102,17 +69,25 @@ class ScoredEffect:
     magnitude: float     # |log HR| or |RMST delta|
 
 
-def scored_effects(estimates_by_key, scale: str, method_id: str) -> list[ScoredEffect]:
-    """Normalize raw estimates into scored effects for sweeping."""
-    out = []
-    for key, est in estimates_by_key.items():
-        if est is None or not est.converged or not math.isfinite(est.point):
-            out.append(ScoredEffect(key, method_id, False, DIRECTION_NONE, math.nan))
+def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
+    """Group estimate records into {method_id: (scale, scored effects)}.
+
+    A method's scale is that of its first record; a later record for the
+    same entry replaces the earlier one. A record is available when it
+    converged with a point estimate.
+    """
+    grouped: dict[str, tuple[str, dict]] = {}
+    for rec in records:
+        key = (rec["drug_a"], rec["drug_b"], rec["outcome_code"])
+        method_id = rec["method_id"]
+        scale, effects = grouped.setdefault(method_id, (rec["scale"], {}))
+        point = rec["point"]
+        if rec["converged"] and point is not None:
+            effects[key] = ScoredEffect(key, method_id, True, direction_of(scale, point),
+                                        abs(point))
         else:
-            out.append(ScoredEffect(key, method_id, True,
-                                    direction_of(scale, est.point),
-                                    magnitude_of(scale, est.point)))
-    return out
+            effects[key] = ScoredEffect(key, method_id, False, DIRECTION_NONE, math.nan)
+    return {m: (scale, list(effects.values())) for m, (scale, effects) in grouped.items()}
 
 
 def score(effects: list[ScoredEffect], reference_set, magnitude_threshold: float,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import exact, ingest
 from .exact import WEAK_OR_LOW, WEAK_OR_HIGH
-from .formats import read_jsonl, sha256_file, write_jsonl
+from .formats import InputError, parsing, read_jsonl, sha256_file, write_jsonl
 
 DEFAULT_ALPHA = 0.05
 
@@ -171,25 +171,26 @@ def load(path) -> ReferenceSet:
     """
     header, records = read_jsonl(path, expect_header=True)
     if header is None or header.get("kind") != "reference_set":
-        raise ValueError(f"{path}: missing reference_set header line")
+        raise InputError(f"{path}: missing reference_set header line")
     entries = []
-    for rec in records:
-        label = rec["label"]
-        if label not in (LABEL_STRONG, LABEL_WEAK):
-            raise ValueError(f"bad label {label!r}")
-        default_dir = DIRECTION_A if label == LABEL_STRONG else DIRECTION_NONE
-        entries.append(
-            ReferenceEntry(
-                drug_a=rec["drug_a"],
-                drug_b=rec["drug_b"],
-                outcome_code=rec["outcome_code"],
-                label=label,
-                direction=rec.get("direction", default_dir),
-                pooled_or=float(rec.get("pooled_or", math.nan)),
-                p_value=float(rec.get("p_value", math.nan)),
-                q_value=float(rec.get("q_value", math.nan)),
+    with parsing(path):
+        for rec in records:
+            label = rec["label"]
+            if label not in (LABEL_STRONG, LABEL_WEAK):
+                raise ValueError(f"bad label {label!r}")
+            default_dir = DIRECTION_A if label == LABEL_STRONG else DIRECTION_NONE
+            entries.append(
+                ReferenceEntry(
+                    drug_a=rec["drug_a"],
+                    drug_b=rec["drug_b"],
+                    outcome_code=rec["outcome_code"],
+                    label=label,
+                    direction=rec.get("direction", default_dir),
+                    pooled_or=float(rec.get("pooled_or", math.nan)),
+                    p_value=float(rec.get("p_value", math.nan)),
+                    q_value=float(rec.get("q_value", math.nan)),
+                )
             )
-        )
     return ReferenceSet(entries=entries, provenance=header.get("provenance", {}))
 
 

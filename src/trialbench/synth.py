@@ -94,15 +94,6 @@ class SurvivalArrays:
     event: np.ndarray
     latent_time: np.ndarray
 
-    # duck-typed Cohort surface for run_all_methods
-    @property
-    def drug_a(self):
-        return "DRUG_A"
-
-    @property
-    def drug_b(self):
-        return "DRUG_B"
-
 
 def gen_survival_arrays(config: ScenarioConfig, rng: np.random.Generator) -> SurvivalArrays:
     """Observational sample as plain arrays (no event-stream plumbing)."""

@@ -165,3 +165,41 @@ def test_report_rejects_non_estimates_file(pipeline, tmp_path):
     write_jsonl(fake, [{"x": 1}], header={"kind": "something_else"})
     assert main(["report", "--estimates", str(fake), "--refset", str(refset_path),
                  "--out", str(tmp_path / "r")]) == 2
+
+
+def _without(key, line=0):
+    """Edit for a JSONL text: drop one field from the record on the given line."""
+    def edit(text):
+        lines = text.splitlines()
+        record = json.loads(lines[line])
+        del record[key]
+        lines[line] = json.dumps(record)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# case -> (evaluate flag whose file is broken, edit of that file's text)
+MALFORMED_INPUTS = {
+    "truncated_claims_line": ("--db", lambda text: text.rstrip("\n")[:-5] + "\n"),
+    "patient_without_observation_start": ("--db", _without("observation_start")),
+    "patient_without_dense_row": ("--dense-features", lambda text: text.split("\n", 1)[1]),
+    "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
+    "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
+    "refset_record_without_label": ("--refset", _without("label", line=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_parsing_exits_2(pipeline, tmp_path, capsys, case):
+    _, sim, refset_path, _, _ = pipeline
+    inputs = {"--refset": refset_path, "--db": sim / "claims.jsonl",
+              "--vocab": sim / "vocab.txt", "--dense-features": sim / "dense_features.jsonl"}
+    flag, edit = MALFORMED_INPUTS[case]
+    broken = tmp_path / "broken_input"
+    broken.write_text(edit(inputs[flag].read_text() if flag in inputs else ""))
+    inputs[flag] = broken
+    argv = ["evaluate", "--seed", "1", "--out", str(tmp_path / "e.jsonl")]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    assert str(broken) in capsys.readouterr().err

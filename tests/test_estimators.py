@@ -23,6 +23,7 @@ from trialbench.estimators import (
     rmst_regression,
     run_all_methods,
 )
+from trialbench.estimators import methods as methods_mod
 from trialbench.synth import ScenarioConfig, gen_survival_arrays
 
 
@@ -249,21 +250,58 @@ def test_rmst_regression_and_aipw_unconfounded():
     assert aipw.std_error > 0
 
 
-def test_run_all_methods_registry():
-    rng = np.random.default_rng(30)
+def _registry_cohort():
     config = ScenarioConfig(n_patients=2000, gamma=[0.5, 0.5, 0.3, 0.3],
                             beta=0.3, eta=[0.4, 0.4, 0.2, 0.2],
                             lambda0=0.002, censoring_rate=0.001)
-    cohort = gen_survival_arrays(config, rng)
-    estimates = run_all_methods(cohort, RunSettings(seed=5))
+    return gen_survival_arrays(config, np.random.default_rng(30))
+
+
+def test_run_all_methods_registry():
+    estimates = run_all_methods(_registry_cohort(), RunSettings(seed=5))
     assert [e.method_id for e in estimates] == list(METHOD_REGISTRY)
     converged = {e.method_id: e for e in estimates if e.converged}
     assert len(converged) >= 8
     for e in estimates:
+        assert e.scale == METHOD_REGISTRY[e.method_id].scale
         if e.method_id.startswith("cox"):
             assert e.scale == "log_hazard_ratio"
         else:
             assert e.scale == "rmst_difference_days"
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(methods_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(methods_mod, name, counted)
+    return calls
+
+
+def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
+    estimates = run_all_methods(_registry_cohort(), RunSettings(seed=5))
+    assert len(estimates) == len(METHOD_REGISTRY)
+    assert calls == {"aft_fit": 1, "fit_logistic": 1, "match_pairs": 1}
+
+
+def test_run_all_methods_shares_a_failed_fit(monkeypatch):
+    calls = []
+
+    def failing_fit(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("singular Hessian")
+
+    monkeypatch.setattr(methods_mod, "fit_logistic", failing_fit)
+    by_id = {e.method_id: e for e in run_all_methods(_registry_cohort(), RunSettings(seed=5))}
+    assert len(calls) == 1
+    for m in ("cox_psm", "cox_ipw_overlap", "cox_ipw_standard", "rmst_km_psm",
+              "rmst_km_ipw_overlap", "rmst_aipw"):
+        assert not by_id[m].converged and by_id[m].note == "LinAlgError: singular Hessian"
+    for m in ("cox_unadjusted", "rmst_km_unadjusted", "rmst_aft_regression"):
+        assert by_id[m].converged and by_id[m].note == ""
 
 
 def test_run_all_methods_no_events():

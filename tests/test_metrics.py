@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from trialbench.estimators import SCALE_LOG_HR, SCALE_RMST_DAYS
 from trialbench.metrics import (
     FIXED_HR_THRESHOLDS,
-    Prediction,
-    SCALE_LOG_HR,
-    SCALE_RMST_DAYS,
     ScoredEffect,
     direction_of,
-    magnitude_of,
+    effects_by_method,
     pr_curve,
-    predict,
     score,
     threshold_to_magnitude,
 )
@@ -53,20 +50,33 @@ def test_threshold_mapping():
         threshold_to_magnitude(SCALE_RMST_DAYS, -1.0)
 
 
-def test_predict_labels():
-    class Est:
-        method_id = "m"
-        scale = SCALE_LOG_HR
-        point = math.log(1.8)
-        converged = True
-        entry_key = ("A", "B", "E1")
+def _record(outcome, method_id, scale, point, converged=True):
+    return {"drug_a": "A", "drug_b": "B", "outcome_code": outcome, "method_id": method_id,
+            "scale": scale, "point": point, "converged": converged}
 
-    strong = predict(Est(), 1.5)
-    assert strong.predicted_label == "strong" and strong.predicted_direction == DIRECTION_A
-    weak = predict(Est(), 2.0)
-    assert weak.predicted_label == "weak" and weak.predicted_direction == DIRECTION_NONE
-    Est.converged = False
-    assert predict(Est(), 1.5).predicted_label == "unavailable"
+
+def test_effects_by_method():
+    records = [
+        _record("E1", "cox", SCALE_LOG_HR, math.log(1.8)),
+        _record("E2", "cox", SCALE_LOG_HR, -0.2),
+        _record("E3", "cox", SCALE_LOG_HR, 0.4, converged=False),   # unavailable
+        _record("E4", "cox", SCALE_LOG_HR, None, converged=True),   # no point
+        _record("E1", "km", SCALE_RMST_DAYS, -12.0),
+        _record("E1", "km", SCALE_RMST_DAYS, 7.0),                  # replaces the first
+    ]
+    grouped = effects_by_method(records)
+    assert list(grouped) == ["cox", "km"]
+    scale, effects = grouped["cox"]
+    assert scale == SCALE_LOG_HR
+    assert effects[0] == ScoredEffect(("A", "B", "E1"), "cox", True, DIRECTION_A,
+                                      math.log(1.8))
+    assert effects[1].direction == DIRECTION_B and effects[1].magnitude == 0.2
+    for unavailable in effects[2:]:
+        assert not unavailable.available and unavailable.direction == DIRECTION_NONE
+        assert math.isnan(unavailable.magnitude)
+    scale, effects = grouped["km"]
+    assert scale == SCALE_RMST_DAYS
+    assert effects == [ScoredEffect(("A", "B", "E1"), "km", True, DIRECTION_B, 7.0)]
 
 
 def _hand_fixture():
