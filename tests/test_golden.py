@@ -1,11 +1,18 @@
-"""Golden guard: `evaluate` and `report` outputs must not move.
+"""Golden guard: `build-refset`, `evaluate` and `report` outputs must not move.
 
-The files under tests/golden/ come from the criterion-11 pipeline
-(simulate seed 99, evaluate seed 7, `--rmst-thresholds 30`), run with
-dense features, with count features, and with count features under a
-`min_per_arm` that skips the cohort, which pins the failed-estimate rows
-and the report of a method without available estimates. A mismatch
-names the method ids whose rows moved.
+The evaluate/report files under tests/golden/ come from the criterion-11
+pipeline (simulate seed 99, evaluate seed 7, `--rmst-thresholds 30`),
+run with dense features, with count features, and with count features
+under a `min_per_arm` that skips the cohort, which pins the
+failed-estimate rows and the report of a method without available
+estimates. A mismatch names the method ids whose rows moved.
+
+The files under tests/golden/refset/ come from `build-refset` on the
+trial dump of REFSET_SCENARIO (simulate seed 5), with and without the
+pre-filter. The scenario has strong comparisons in both directions,
+weak comparisons with large arms, comparisons split over several trials,
+a table the pre-filter keeps but BH does not reject, small tables the
+pre-filter drops from each family, and an arm below the enrollment floor.
 
 Regenerate only for an intended output change:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -23,6 +30,31 @@ from trialbench.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = ("estimates.jsonl", "report.table.tsv", "report.pr_curve.tsv")
 VARIANTS = ("dense", "counts", "skipped")
+REFSET_OUTPUTS = ("refset.jsonl", "refset.jsonl.drops.tsv")
+REFSET_VARIANTS = {"default": [], "no_prefilter": ["--no-prefilter"]}
+
+REFSET_SCENARIO = {"trials": [
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_D", "outcome": "NAUSEA",        # strong, a_higher
+     "p_a": 0.30, "p_b": 0.10, "n_a": 400, "n_b": 400},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_E", "outcome": "RASH",          # strong, b_higher
+     "p_a": 0.04, "p_b": 0.20, "n_a": 500, "n_b": 500},
+    {"drug_a": "DRUG_D", "drug_b": "DRUG_E", "outcome": "HEADACHE",      # strong, 3 trials
+     "p_a": 0.25, "p_b": 0.12, "n_a": 3000, "n_b": 3000, "n_trials": 3},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_D", "outcome": "RASH",          # weak, large n
+     "p_a": 0.10, "p_b": 0.10, "n_a": 8000, "n_b": 8000},
+    {"drug_a": "DRUG_D", "drug_b": "DRUG_E", "outcome": "NAUSEA",        # weak, 2 trials
+     "p_a": 0.20, "p_b": 0.20, "n_a": 6000, "n_b": 6000, "n_trials": 2},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_E", "outcome": "NAUSEA",        # pre-filter, strong
+     "p_a": 0.01, "p_b": 0.0, "n_a": 100, "n_b": 100},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_E", "outcome": "HEADACHE",      # pre-filter, weak
+     "p_a": 0.10, "p_b": 0.10, "n_a": 100, "n_b": 100},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_D", "outcome": "HEADACHE",      # small, certified
+     "p_a": 0.02, "p_b": 0.01, "n_a": 120, "n_b": 120},
+    {"drug_a": "DRUG_D", "drug_b": "DRUG_E", "outcome": "RASH",          # kept, not rejected
+     "p_a": 0.18, "p_b": 0.13, "n_a": 250, "n_b": 250},
+    {"drug_a": "DRUG_C", "drug_b": "DRUG_F", "outcome": "RASH",          # arm below 100
+     "p_a": 0.10, "p_b": 0.10, "n_a": 60, "n_b": 200},
+]}
 
 
 def _simulate(root: Path) -> Path:
@@ -55,6 +87,20 @@ def _evaluate_and_report(sim: Path, variant: str, out_dir: Path) -> None:
                  "--rmst-thresholds", "30", "--out", str(out_dir / "report")]) == 0
 
 
+def _build_refsets(root: Path) -> None:
+    """Simulate REFSET_SCENARIO's dump and build one reference set per variant."""
+    scenario = root / "refset_scenario.json"
+    scenario.write_text(json.dumps(REFSET_SCENARIO))
+    sim = root / "refset_sim"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "5",
+                 "--out-dir", str(sim)]) == 0
+    for variant, extra in REFSET_VARIANTS.items():
+        assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
+                     "--drug-dict", str(sim / "drug_dict.tsv"),
+                     "--outcome-dict", str(sim / "outcome_dict.tsv"),
+                     *extra, "--out", str(root / variant / "refset.jsonl")]) == 0
+
+
 def _method_of(name: str, line: str) -> str:
     if name.endswith(".jsonl"):
         return json.loads(line).get("method_id", "<header>")
@@ -85,6 +131,14 @@ def test_outputs_match_golden(sim, variant, tmp_path):
     assert not moved, f"{variant} outputs moved, by file and method_id: {moved}"
 
 
+def test_refset_matches_golden(tmp_path):
+    _build_refsets(tmp_path)
+    moved = [f"{variant}/{name}" for variant in REFSET_VARIANTS for name in REFSET_OUTPUTS
+             if (tmp_path / variant / name).read_text(encoding="utf-8")
+             != (GOLDEN / "refset" / variant / name).read_text(encoding="utf-8")]
+    assert not moved, f"build-refset outputs moved: {moved}"
+
+
 if __name__ == "__main__":
     import shutil
     import tempfile
@@ -96,3 +150,8 @@ if __name__ == "__main__":
             (GOLDEN / v).mkdir(parents=True, exist_ok=True)
             for name in OUTPUTS:
                 shutil.copyfile(Path(tmp) / v / name, GOLDEN / v / name)
+        _build_refsets(Path(tmp))
+        for v in REFSET_VARIANTS:
+            (GOLDEN / "refset" / v).mkdir(parents=True, exist_ok=True)
+            for name in REFSET_OUTPUTS:
+                shutil.copyfile(Path(tmp) / v / name, GOLDEN / "refset" / v / name)
