@@ -133,15 +133,11 @@ def cmd_evaluate(args) -> int:
     refset_path = _require_file(args.refset)
     db_path = _require_file(args.db)
     vocab_path = _require_file(args.vocab)
+    dense_path = _require_file(args.dense_features) if args.dense_features else None
     reference = refset_mod.load(refset_path)
-    db = cohort_mod.load_patient_db(
-        db_path, vocab_path,
-        dense_features_path=_require_file(args.dense_features) if args.dense_features else None,
-    )
+    db = cohort_mod.load_patient_db(db_path, vocab_path, dense_features_path=dense_path)
 
     methods = tuple(METHOD_REGISTRY)
-    if args.ablation_standard_ipw:
-        methods = ("cox_ipw_overlap", "cox_ipw_standard")
     if args.methods:
         requested = tuple(args.methods.split(","))
         unknown = [m for m in requested if m not in METHOD_REGISTRY]
@@ -169,6 +165,21 @@ def cmd_evaluate(args) -> int:
     if expected_vocab is not None and expected_vocab != sha256_file(vocab_path):
         raise ProvenanceError("reference set was built against a different db vocabulary")
 
+    header = {
+        "kind": "estimates",
+        "tool_version": TOOL_VERSION,
+        "refset_sha256": sha256_file(refset_path),
+        "config_sha256": sha256_file(args.config) if args.config else None,
+        "seed": seed,
+        "methods": list(methods),
+    }
+    # A part is reused on --resume only if it was written under this exact header.
+    part_header = {
+        **header,
+        "db_sha256": sha256_file(db_path),
+        "vocab_sha256": sha256_file(vocab_path),
+        "dense_features_sha256": sha256_file(dense_path) if dense_path else None,
+    }
     out_path = Path(args.out)
     parts_dir = Path(str(out_path) + ".parts")
     parts_dir.mkdir(parents=True, exist_ok=True)
@@ -179,9 +190,10 @@ def cmd_evaluate(args) -> int:
     for i, entry in enumerate(reference.entries):
         part = parts_dir / f"{_entry_id(entry)}.jsonl"
         if args.resume and part.is_file():
-            _, recs = read_jsonl(part)
-            records.extend(recs)
-            continue
+            found, recs = read_jsonl(part, expect_header=True)
+            if found == part_header:
+                records.extend(recs)
+                continue
         cohort_seed = int(entry_seeds[2 * i])
         method_seed = int(entry_seeds[2 * i + 1])
         built = cohort_mod.build_cohort(db, entry, seed=cohort_seed,
@@ -193,24 +205,35 @@ def cmd_evaluate(args) -> int:
             settings = dataclasses.replace(settings_base, seed=method_seed)
             estimates = run_all_methods(built, settings)
         entry_records = [_estimate_record(entry, est) for est in estimates]
-        write_jsonl(part, entry_records)
+        write_jsonl(part, entry_records, header=part_header)
         records.extend(entry_records)
 
     records.sort(key=lambda r: (r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]))
-    header = {
-        "kind": "estimates",
-        "tool_version": TOOL_VERSION,
-        "refset_sha256": sha256_file(refset_path),
-        "config_sha256": sha256_file(args.config) if args.config else None,
-        "seed": seed,
-        "methods": list(methods),
-    }
     write_jsonl(out_path, records, header=header)
     print(f"wrote {len(records)} estimate rows to {out_path}")
     return EXIT_OK
 
 
+def _thresholds(flag: str, text: str | None, scale: str) -> list[float]:
+    """Comma-separated thresholds, each finite and in its scale's range."""
+    if not text:
+        return []
+    try:
+        values = [float(t) for t in text.split(",")]
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError("thresholds must be finite")
+            metrics_mod.threshold_to_magnitude(scale, value)
+    except ValueError as exc:
+        raise InputError(f"{flag} {text!r}: {exc}") from exc
+    return values
+
+
 def cmd_report(args) -> int:
+    hr_thresholds = (_thresholds("--thresholds", args.thresholds, metrics_mod.SCALE_LOG_HR)
+                     or list(metrics_mod.FIXED_HR_THRESHOLDS))
+    rmst_thresholds = _thresholds("--rmst-thresholds", args.rmst_thresholds,
+                                  metrics_mod.SCALE_RMST_DAYS)
     estimates_path = _require_file(args.estimates)
     refset_path = _require_file(args.refset)
     header, records = read_jsonl(estimates_path, expect_header=True)
@@ -223,11 +246,6 @@ def cmd_report(args) -> int:
     reference = refset_mod.load(refset_path)
     with parsing(estimates_path):
         by_method = metrics_mod.effects_by_method(records)
-
-    hr_thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds \
-        else list(metrics_mod.FIXED_HR_THRESHOLDS)
-    rmst_thresholds = [float(t) for t in args.rmst_thresholds.split(",")] \
-        if args.rmst_thresholds else []
 
     metric_columns = "precision\trecall\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"
     table_lines = [f"method_id\tscale\tthreshold\tthreshold_magnitude\t{metric_columns}"]
@@ -293,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value run configuration file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated method ids")
-    p.add_argument("--ablation-standard-ipw", action="store_true",
-                   help="run only the overlap vs standard IPW comparison arms")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

@@ -53,14 +53,6 @@ class OddsRatioNull:
             raise ValueError(f"unknown tail {self.tail!r}")
 
 
-@dataclass(frozen=True)
-class PValuePair:
-    p_weak: float
-    p_strong: float
-    candidate_family: str  # "weak" or "strong"
-    pooled_or: float
-
-
 def support(n1: int, n2: int, m: int) -> tuple[int, int]:
     """Inclusive support bounds of the drug-A cell given fixed margins."""
     return max(0, m - n2), min(m, n1)
@@ -142,37 +134,15 @@ def p_weak(margins: TableMargins) -> float:
     return float(_family_p_all(margins.n1, margins.n2, margins.m, "weak")[margins.k - lo])
 
 
-def p_strong(margins: TableMargins, rule: str = "half_min") -> float:
-    """Strong-effect p: half the minimum of the two one-sided tests.
-
-    rule="double_min" gives the conventional two-sided combination (capped
-    at 1) for sensitivity analysis only; the default follows the pipeline.
-    """
+def p_strong(margins: TableMargins) -> float:
+    """Strong-effect p: half the minimum of the two one-sided tests."""
     lo, _ = support(margins.n1, margins.n2, margins.m)
-    p = float(_family_p_all(margins.n1, margins.n2, margins.m, "strong")[margins.k - lo])
-    if rule == "half_min":
-        return p
-    if rule == "double_min":
-        return min(4.0 * p, 1.0)  # 0.5*min stored; 2*min = 4x that
-    raise ValueError(f"unknown rule {rule!r}")
+    return float(_family_p_all(margins.n1, margins.n2, margins.m, "strong")[margins.k - lo])
 
 
 def min_achievable_p(n1: int, n2: int, m: int, family: str) -> float:
     """Smallest family p-value over every realizable cell for these margins."""
     return float(_family_p_all(n1, n2, m, family).min())
-
-
-def pvalue_pair(a: int, n1: int, b: int, n2: int) -> PValuePair:
-    """Both composite p-values plus the candidate family for one table."""
-    pooled = odds_ratio(a, n1, b, n2)
-    margins = TableMargins(n1=n1, n2=n2, m=a + b, k=a)
-    family = "weak" if WEAK_OR_LOW < pooled < WEAK_OR_HIGH else "strong"
-    return PValuePair(
-        p_weak=p_weak(margins),
-        p_strong=p_strong(margins),
-        candidate_family=family,
-        pooled_or=pooled,
-    )
 
 
 def bh_reject(p_values, alpha: float) -> set[int]:

@@ -1,9 +1,11 @@
 """Reference-set construction.
 
 Orchestrates ingestion and the exact 2x2 statistics into a classified
-strong/weak reference set: odds-ratio bucketing, the minimum-achievable
-p-value pre-filter, per-family Benjamini-Hochberg control, and a
-canonical line-delimited serialization with embedded provenance.
+strong/weak reference set: odds-ratio bucketing, one exact-test pass per
+table that applies the minimum-achievable p-value pre-filter and reads
+the observed p-value off the same composite p-value vector, per-family
+Benjamini-Hochberg control, and a canonical line-delimited serialization
+with embedded provenance.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ class ReferenceSet:
     entries: list[ReferenceEntry]
     provenance: dict = field(default_factory=dict)
 
-    def by_key(self) -> dict[tuple[str, str, str], ReferenceEntry]:
-        return {e.key: e for e in self.entries}
-
 
 def bucket(tables) -> tuple[list, list]:
     """Partition tables into (strong_candidates, weak_candidates) by pooled OR.
@@ -67,34 +66,34 @@ def bucket(tables) -> tuple[list, list]:
     return strong, weak
 
 
-def prefilter(candidates, family: str, alpha: float, drop_report=None):
-    """Keep candidates whose margins can ever reach p < alpha."""
+def prefilter(candidates, family: str, alpha: float, drop_report=None) -> list[tuple]:
+    """Test each candidate once, keeping those whose margins can reach p < alpha.
+
+    One composite p-value vector per table gives both the floor over every
+    realizable cell and the observed cell's p-value. Returns (table,
+    p_value) pairs; alpha=math.inf keeps every table.
+    """
     kept = []
     for table in candidates:
-        floor = exact.min_achievable_p(table.n1, table.n2, table.a + table.b, family)
-        if floor < alpha:
-            kept.append(table)
+        m = table.a + table.b
+        p_all = exact._family_p_all(table.n1, table.n2, m, family)
+        if p_all.min() < alpha:
+            lo, _ = exact.support(table.n1, table.n2, m)
+            kept.append((table, float(p_all[table.a - lo])))
         elif drop_report is not None:
             drop_report.bump(f"prefilter_{family}")
     return kept
 
 
-def _entries_for_family(candidates, family: str, alpha: float) -> list[ReferenceEntry]:
-    pvals = []
-    ors = []
-    for table in candidates:
-        margins = exact.TableMargins(n1=table.n1, n2=table.n2, m=table.a + table.b, k=table.a)
-        if family == LABEL_STRONG:
-            pvals.append(exact.p_strong(margins))
-        else:
-            pvals.append(exact.p_weak(margins))
-        ors.append(exact.odds_ratio(table.a, table.n1, table.b, table.n2))
+def _entries_for_family(tested, family: str, alpha: float) -> list[ReferenceEntry]:
+    """BH-control one family's (table, p_value) pairs into reference entries."""
+    pvals = [p for _, p in tested]
     rejected = exact.bh_reject(pvals, alpha)
     qvals = exact.bh_qvalues(pvals)
     entries = []
     for i in sorted(rejected):
-        table = candidates[i]
-        pooled = ors[i]
+        table = tested[i][0]
+        pooled = exact.odds_ratio(table.a, table.n1, table.b, table.n2)
         if family == LABEL_STRONG:
             direction = DIRECTION_A if pooled > 1 else DIRECTION_B
         else:
@@ -107,7 +106,7 @@ def _entries_for_family(candidates, family: str, alpha: float) -> list[Reference
                 label=family,
                 direction=direction,
                 pooled_or=pooled,
-                p_value=float(pvals[i]),
+                p_value=pvals[i],
                 q_value=float(qvals[i]),
             )
         )
@@ -118,17 +117,17 @@ def build_from_tables(tables, alpha: float = DEFAULT_ALPHA, provenance: dict | N
                       drop_report=None, use_prefilter: bool = True) -> ReferenceSet:
     """Bucket, pre-filter, test, and BH-control pooled tables into a set."""
     strong_cand, weak_cand = bucket(tables)
-    if use_prefilter:
-        strong_cand = prefilter(strong_cand, LABEL_STRONG, alpha, drop_report)
-        weak_cand = prefilter(weak_cand, LABEL_WEAK, alpha, drop_report)
-    entries = _entries_for_family(strong_cand, LABEL_STRONG, alpha)
-    entries += _entries_for_family(weak_cand, LABEL_WEAK, alpha)
+    floor_alpha = alpha if use_prefilter else math.inf
+    strong = prefilter(strong_cand, LABEL_STRONG, floor_alpha, drop_report)
+    weak = prefilter(weak_cand, LABEL_WEAK, floor_alpha, drop_report)
+    entries = _entries_for_family(strong, LABEL_STRONG, alpha)
+    entries += _entries_for_family(weak, LABEL_WEAK, alpha)
     entries.sort(key=lambda e: e.key)
     prov = dict(provenance or {})
     prov.setdefault("alpha", alpha)
     prov.setdefault("or_thresholds", [WEAK_OR_LOW, WEAK_OR_HIGH])
-    prov["n_strong_candidates"] = len(strong_cand)
-    prov["n_weak_candidates"] = len(weak_cand)
+    prov["n_strong_candidates"] = len(strong)
+    prov["n_weak_candidates"] = len(weak)
     return ReferenceSet(entries=entries, provenance=prov)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators.survival import cox_fit
+from .estimators.survival import cox_fit, event_time_horizon
 from .formats import dump_json_line
 
 
@@ -134,8 +134,7 @@ def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
     arms = np.concatenate([np.zeros(n_mc), np.ones(n_mc)])
     res = cox_fit(times, events, arms)
     if tau is None:
-        obs = np.sort(times[events])
-        tau = float(obs[max(1, math.ceil(0.8 * len(obs))) - 1]) if len(obs) else horizon
+        tau = event_time_horizon(times, events) if events.any() else horizon
     rmst_diff = float(np.mean(np.minimum(t1, tau)) - np.mean(np.minimum(t0, tau)))
     return GroundTruth(
         conditional_log_hr=config.beta,
@@ -145,16 +144,6 @@ def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
         marginal_rmst_diff=rmst_diff,
         n_mc=n_mc,
     )
-
-
-def mc_rmst_truth(config: ScenarioConfig, tau: float, rng: np.random.Generator,
-                  n_mc: int = 1_000_000) -> float:
-    """Marginal RMST difference at a caller-chosen horizon."""
-    x = _draw_covariates(config, n_mc, rng)
-    xeta = x @ np.asarray(config.eta)
-    t0 = _event_times(config, xeta, rng)
-    t1 = _event_times(config, config.beta + xeta, rng)
-    return float(np.mean(np.minimum(t1, tau)) - np.mean(np.minimum(t0, tau)))
 
 
 def vocabulary(config: ScenarioConfig) -> list[str]:

@@ -315,7 +315,8 @@ def test_criterion_09_double_robustness():
                             gamma=[0.8], beta=-1.0, eta=[0.8],
                             lambda0=0.002, censoring_rate=0.0005, horizon_days=2000)
     tau = 365.0
-    truth = synth.mc_rmst_truth(config, tau, np.random.default_rng(77), n_mc=1_000_000)
+    truth = synth.ground_truth(config, np.random.default_rng(77), n_mc=1_000_000,
+                               tau=tau).marginal_rmst_diff
     arrays = gen_survival_arrays(config, np.random.default_rng(7))
     n = config.n_patients
     no_features = np.empty((n, 0))

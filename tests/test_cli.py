@@ -103,20 +103,44 @@ def test_evaluate_resume_reuses_parts(pipeline):
     assert estimates.read_bytes() == original
 
 
+def test_evaluate_resume_recomputes_stale_parts(pipeline, tmp_path):
+    _, sim, refset_path, _, _ = pipeline
+    base = ["evaluate", "--refset", str(refset_path), "--db", str(sim / "claims.jsonl"),
+            "--vocab", str(sim / "vocab.txt"),
+            "--dense-features", str(sim / "dense_features.jsonl")]
+    fresh = tmp_path / "fresh.jsonl"
+    assert main(base + ["--seed", "99", "--out", str(fresh)]) == 0
+    resumed = tmp_path / "resumed.jsonl"
+    # parts from a run with another seed and method set must not be reused
+    assert main(base + ["--seed", "3", "--methods", "cox_unadjusted",
+                        "--out", str(resumed)]) == 0
+    assert main(base + ["--seed", "99", "--resume", "--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    # a part without a provenance header is recomputed too
+    for part in (tmp_path / "resumed.jsonl.parts").iterdir():
+        header, records = read_jsonl(part, expect_header=True)
+        assert header["seed"] == 99
+        write_jsonl(part, records[:1])
+    resumed.unlink()
+    assert main(base + ["--seed", "99", "--resume", "--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+
 def test_evaluate_method_filters(pipeline, tmp_path):
     root, sim, refset_path, _, _ = pipeline
-    out = tmp_path / "ablation.jsonl"
+    out = tmp_path / "ipw.jsonl"
     assert main(["evaluate", "--refset", str(refset_path),
                  "--db", str(sim / "claims.jsonl"),
                  "--vocab", str(sim / "vocab.txt"),
                  "--dense-features", str(sim / "dense_features.jsonl"),
-                 "--seed", "23", "--ablation-standard-ipw", "--out", str(out)]) == 0
+                 "--seed", "23", "--methods", "cox_ipw_overlap,cox_ipw_standard",
+                 "--out", str(out)]) == 0
     _, records = read_jsonl(out, expect_header=True)
     assert sorted({r["method_id"] for r in records}) == [
         "cox_ipw_overlap", "cox_ipw_standard"]
 
 
-def test_input_error_exit_codes(tmp_path):
+def test_input_error_exit_codes(pipeline, tmp_path, capsys):
     assert main(["build-refset", "--dump", str(tmp_path / "nope.jsonl"),
                  "--drug-dict", "x", "--outcome-dict", "y",
                  "--out", str(tmp_path / "o")]) == 2
@@ -128,6 +152,13 @@ def test_input_error_exit_codes(tmp_path):
     empty.write_text("{}")
     assert main(["simulate", "--scenario", str(empty), "--seed", "1",
                  "--out-dir", str(tmp_path / "d")]) == 2
+    _, _, refset_path, estimates, _ = pipeline
+    for flag, value in (("--thresholds", "abc"), ("--thresholds", "0.5"),
+                        ("--thresholds", "2,nan"), ("--rmst-thresholds", "0")):
+        capsys.readouterr()
+        assert main(["report", "--estimates", str(estimates), "--refset", str(refset_path),
+                     flag, value, "--out", str(tmp_path / "r")]) == 2, (flag, value)
+        assert flag in capsys.readouterr().err
 
 
 def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from oracles import breslow_loglik, golden_section_max, km_recursive
 from trialbench.estimators import (
@@ -24,7 +25,7 @@ from trialbench.estimators import (
     run_all_methods,
 )
 from trialbench.estimators import methods as methods_mod
-from trialbench.synth import ScenarioConfig, gen_survival_arrays
+from trialbench.synth import ScenarioConfig, gen_survival_arrays, ground_truth
 
 
 def test_logistic_recovers_coefficients():
@@ -223,8 +224,8 @@ def test_aft_predicted_rmst_matches_numeric_integration():
     tau = 500.0
     grid = np.linspace(1.0, tau, 20_000)
     numeric = np.array([
-        1.0 + np.trapezoid(model.predicted_survival(np.tile(f, (len(grid), 1)),
-                                                    np.ones(len(grid)), grid), grid)
+        1.0 + trapezoid(model.predicted_survival(np.tile(f, (len(grid), 1)),
+                                                 np.ones(len(grid)), grid), grid)
         for f in feats
     ])  # survival ~ 1 on [0, 1)
     assert np.allclose(model.predicted_rmst(feats, trt, tau), numeric, rtol=0.01)
@@ -237,8 +238,8 @@ def test_rmst_regression_and_aipw_unconfounded():
                             censoring_rate=0.0005)
     arrays = gen_survival_arrays(config, rng)
     tau = 365.0
-    from trialbench.synth import mc_rmst_truth
-    truth = mc_rmst_truth(config, tau, np.random.default_rng(99), n_mc=200_000)
+    truth = ground_truth(config, np.random.default_rng(99), n_mc=200_000,
+                         tau=tau).marginal_rmst_diff
     model = aft_fit(arrays.features, arrays.treated, arrays.time, arrays.event)
     prop = fit_logistic(arrays.features, arrays.treated)
     reg = rmst_regression(model, arrays.features, tau)

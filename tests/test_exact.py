@@ -16,7 +16,6 @@ from trialbench.exact import (
     odds_ratio,
     p_strong,
     p_weak,
-    pvalue_pair,
     support,
 )
 
@@ -85,15 +84,6 @@ def test_composite_p_against_rational_oracle():
         assert abs(up - float(exact_tail(n1, n2, m, k, 5, 4, "upper"))) < 1e-12
 
 
-def test_p_strong_rules():
-    margins = TableMargins(40, 40, 30, 22)
-    half = p_strong(margins, rule="half_min")
-    double = p_strong(margins, rule="double_min")
-    assert double == pytest.approx(min(4.0 * half, 1.0))
-    with pytest.raises(ValueError):
-        p_strong(margins, rule="bonferroni")
-
-
 def test_min_achievable_hand_value():
     # one pooled event across two 100-patient arms can never certify strength
     assert min_achievable_p(100, 100, 1, "strong") == pytest.approx(0.2777778, abs=1e-6)
@@ -103,16 +93,6 @@ def test_min_achievable_hand_value():
 def test_min_achievable_unknown_family():
     with pytest.raises(ValueError):
         min_achievable_p(10, 10, 5, "moderate")
-
-
-def test_pvalue_pair_families():
-    strong = pvalue_pair(30, 100, 5, 100)
-    assert strong.candidate_family == "strong"
-    weak = pvalue_pair(50, 500, 52, 500)
-    assert weak.candidate_family == "weak"
-    # boundary OR lands in the strong family
-    boundary = pvalue_pair(20, 100, 16, 100)  # OR = 20*84 / (80*16) = 1.3125
-    assert boundary.pooled_or > 1.25 and boundary.candidate_family == "strong"
 
 
 def test_bh_matches_naive_oracle():

@@ -10,8 +10,6 @@ from trialbench.refset import (
     DIRECTION_NONE,
     LABEL_STRONG,
     LABEL_WEAK,
-    ReferenceEntry,
-    ReferenceSet,
     bucket,
     build_from_tables,
     load,
@@ -39,7 +37,8 @@ def test_prefilter_drops_hopeless_margins():
     hopeless = _table(1, 100, 0, 100)        # one pooled event: min p > 0.05
     viable = _table(40, 200, 5, 200)
     kept = prefilter([hopeless, viable], LABEL_STRONG, 0.05, report)
-    assert kept == [viable]
+    assert [table for table, _ in kept] == [viable]
+    assert 0 < kept[0][1] < 0.05
     assert report.counts == {"prefilter_strong": 1}
 
 
@@ -120,8 +119,3 @@ def test_save_drop_report(tmp_path):
     path = tmp_path / "drops.tsv"
     save_drop_report(report, path)
     assert path.read_text() == "rule\tcount\nmin_participants\t2\nplus_sign\t1\n"
-
-
-def test_reference_set_by_key():
-    entry = ReferenceEntry("A", "B", "E1", LABEL_WEAK, DIRECTION_NONE, 1.0, 0.01, 0.02)
-    assert ReferenceSet([entry]).by_key() == {("A", "B", "E1"): entry}

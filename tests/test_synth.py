@@ -54,6 +54,12 @@ def test_ground_truth_null_effect():
     assert truth.tau > 0
 
 
+def test_ground_truth_tau_falls_back_to_horizon():
+    # no event before the horizon, so there is no event-time percentile
+    silent = ScenarioConfig(n_patients=100, lambda0=1e-12, horizon_days=100.0)
+    assert ground_truth(silent, np.random.default_rng(0), n_mc=1_000).tau == 100.0
+
+
 def test_marginal_hr_non_collapsibility():
     # with strong covariate effects the marginal log-HR is attenuated
     # relative to the conditional coefficient
