@@ -85,7 +85,7 @@ def cmd_simulate(args) -> int:
         n_mc = int(scenario.get("mc_samples", 1_000_000))
         truth = synth.ground_truth(config, rng, n_mc=n_mc)
         (out_dir / "ground_truth.json").write_text(
-            dump_json_line(truth.to_dict()) + "\n", encoding="utf-8")
+            dump_json_line(dataclasses.asdict(truth)) + "\n", encoding="utf-8")
         drugs |= {config.drug_a, config.drug_b}
         outcomes.add(config.outcome_code)
     if "trials" in scenario:

@@ -49,22 +49,11 @@ class PatientDB:
 
 @dataclass
 class Cohort:
-    drug_a: str
-    drug_b: str
-    outcome_code: str
     patient_ids: list[str]
     treated: np.ndarray   # True where treatment == drug_a
     features: np.ndarray  # (n, p)
     time: np.ndarray      # days from index to event/censoring
     event: np.ndarray     # True where the outcome occurred
-
-    @property
-    def n_treated(self) -> int:
-        return int(self.treated.sum())
-
-    @property
-    def n_control(self) -> int:
-        return int((~self.treated).sum())
 
 
 @dataclass(frozen=True)
@@ -123,15 +112,14 @@ def _first_day(patient: PatientStream, kind: str, code: str, from_day=None):
 
 
 def build_cohort(db: PatientDB, entry, seed: int,
-                 max_per_arm: int = MAX_ARM_SIZE, min_per_arm: int = MIN_ARM_SIZE,
-                 exclude_prior_outcome: bool = False):
+                 max_per_arm: int = MAX_ARM_SIZE, min_per_arm: int = MIN_ARM_SIZE):
     """Build the two-arm new-user cohort for one reference entry.
 
     Returns a Cohort, or a SkipSignal when codes are unknown to the db
     vocabulary or either arm ends up below the minimum size. Same-day
     dual initiators are excluded; arms above max_per_arm are seeded
-    downsampled. exclude_prior_outcome (off by default, no washout)
-    drops patients with the outcome recorded before index.
+    downsampled. There is no washout: a patient with the outcome
+    recorded before index stays in the cohort.
     """
     drug_a, drug_b, outcome = entry.drug_a, entry.drug_b, entry.outcome_code
     known = db.vocab_index
@@ -151,10 +139,6 @@ def build_cohort(db: PatientDB, entry, seed: int,
             index_day, treated = day_a, True
         else:
             index_day, treated = day_b, False
-        if exclude_prior_outcome:
-            prior = _first_day(patient, KIND_DIAGNOSIS, outcome)
-            if prior is not None and prior < index_day:
-                continue
         event_day = _first_day(patient, KIND_DIAGNOSIS, outcome, from_day=index_day)
         if event_day is not None:
             time, event = event_day - index_day, True
@@ -185,9 +169,6 @@ def build_cohort(db: PatientDB, entry, seed: int,
         else:
             features.append(count_features(patient, index_day, known))
     return Cohort(
-        drug_a=drug_a,
-        drug_b=drug_b,
-        outcome_code=outcome,
         patient_ids=[r[0] for r in rows],
         treated=np.array([r[1] for r in rows], dtype=bool),
         features=np.asarray(features, dtype=float),

@@ -3,7 +3,8 @@
 Weighted Cox regression for a binary treatment (Breslow ties), the
 weighted Kaplan-Meier product-limit curve, restricted mean survival
 time by exact step integration, and Weibull accelerated failure time
-regression by Newton maximum likelihood.
+regression by Newton maximum likelihood in (1/sigma, theta/sigma), where
+the log-likelihood is concave.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.special import gammainc, gammaln
 
 COX_TOL = 1e-8
 COX_MAX_ITER = 50
-AFT_GRAD_TOL = 1e-6
+AFT_TOL = 1e-9  # Newton decrement, twice the expected log-likelihood gain
 AFT_MAX_ITER = 100
 
 # AFT works on log-time; day-0 events get half a day of exposure.
@@ -194,7 +195,6 @@ class AFTModel:
     log_sigma: float
     converged: bool
     iterations: int
-    loglik: float
 
     @property
     def sigma(self) -> float:
@@ -224,90 +224,53 @@ def _aft_design(features, treatment):
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[:, None]
-    if features.shape[1] == 0:
-        return np.column_stack([np.ones(len(treatment)), treatment])
     return np.column_stack([np.ones(len(treatment)), treatment, features])
 
 
-def aft_fit(features, treatment, times, events, max_iter: int = AFT_MAX_ITER) -> AFTModel:
+def aft_fit(features, treatment, times, events) -> AFTModel:
     """Weibull AFT by Newton maximum likelihood over [treatment, features].
 
-    Requires >= 10 events; otherwise (or on non-convergence) the model
-    is flagged and downstream estimates are excluded from metrics.
+    Fits a = 1/sigma and b = theta/sigma, where z = a log t - X b is linear
+    and the log-likelihood sum(d (z + log a) - exp(z)) is concave, so Newton
+    with step halving reaches the maximum. Information-matrix steps use
+    least squares: all-zero feature columns leave their coefficient at 0.
+    Requires >= 10 events; otherwise (or on non-convergence) the model is
+    flagged and downstream estimates are excluded from metrics.
     """
     X = _aft_design(features, treatment)
     d = np.asarray(events, dtype=float)
-    t = np.maximum(np.asarray(times, dtype=float), MIN_AFT_TIME)
-    logt = np.log(t)
-    n, p = X.shape
-    n_events = int(d.sum())
+    logt = np.log(np.maximum(np.asarray(times, dtype=float), MIN_AFT_TIME))
+    W = np.column_stack([logt, -X])  # z = W @ [a, b]
+    n_events = float(d.sum())
 
-    theta = np.zeros(p)
-    theta[0] = float(np.mean(logt))
-    s = 0.0  # log sigma
-    converged = n_events >= 10
-    # the score scales with the event count, so the tolerance must too
-    grad_tol = AFT_GRAD_TOL * max(1.0, n_events)
+    def loglik(params):
+        if params[0] <= 0:
+            return -math.inf, None
+        z = W @ params
+        with np.errstate(over="ignore"):
+            u = np.exp(z)
+        ll = float(d @ z + n_events * math.log(params[0]) - u.sum())
+        return (ll if math.isfinite(ll) else -math.inf), u
 
-    def loglik_parts(theta, s):
-        sigma = math.exp(s)
-        z = (logt - X @ theta) / sigma
-        z = np.clip(z, -700, 30)
-        u = np.exp(z)
-        ll = float(np.sum(d * (z - s)) - np.sum(u))
-        return ll, z, u, sigma
-
-    ll, z, u, sigma = loglik_parts(theta, s)
+    params = np.zeros(W.shape[1])
+    params[0], params[1] = 1.0, float(np.mean(logt))
+    ll, u = loglik(params)
+    converged = False
     iterations = 0
-    if converged:
-        converged = False
-        for iterations in range(1, max_iter + 1):
-            g_theta = X.T @ ((u - d) / sigma)
-            g_s = float(np.sum(-d * (z + 1.0) + u * z))
-            grad = np.concatenate([g_theta, [g_s]])
-            if np.max(np.abs(grad)) < grad_tol:
+    if n_events >= 10:
+        for iterations in range(1, AFT_MAX_ITER + 1):
+            grad = W.T @ (d - u)
+            grad[0] += n_events / params[0]
+            info = (W.T * u) @ W
+            info[0, 0] += n_events / params[0] ** 2
+            step = np.linalg.lstsq(info, grad, rcond=None)[0]
+            if grad @ step < AFT_TOL:
                 converged = True
                 break
-            h_tt = -(X.T * u) @ X / sigma ** 2
-            h_ts = -(X.T @ ((u * z + u - d)[:, None])).ravel() / sigma
-            h_ss = float(np.sum(d * z - u * z ** 2 - u * z))
-            H = np.zeros((p + 1, p + 1))
-            H[:p, :p] = h_tt
-            H[:p, p] = h_ts
-            H[p, :p] = h_ts
-            H[p, p] = h_ss
-            # Levenberg damping: far from the optimum the Hessian can be
-            # indefinite, so shift it until the step is an ascent direction
-            lam = 0.0
-            step = None
-            scale_h = float(np.max(np.abs(H))) or 1.0
-            for _ in range(60):
-                try:
-                    cand = np.linalg.solve(H - lam * np.eye(p + 1), -grad)
-                except np.linalg.LinAlgError:
-                    cand = None
-                if cand is not None and float(grad @ cand) > 0:
-                    step = cand
-                    break
-                lam = max(2.0 * lam, 1e-6 * scale_h)
-            if step is None:
-                break
-            # halve the step until the log-likelihood improves
-            scale = 1.0
-            for _ in range(60):
-                cand_theta = theta + scale * step[:p]
-                cand_s = s + scale * step[p]
-                cand_ll, cz, cu, csig = loglik_parts(cand_theta, cand_s)
-                if cand_ll > ll - 1e-12:
-                    theta, s, ll, z, u, sigma = cand_theta, cand_s, cand_ll, cz, cu, csig
-                    break
-                scale *= 0.5
-            else:
-                break
-        if not converged and n_events >= 10:
-            # stalled line search at a stationary point still counts
-            g_theta = X.T @ ((u - d) / sigma)
-            g_s = float(np.sum(-d * (z + 1.0) + u * z))
-            converged = max(float(np.max(np.abs(g_theta))), abs(g_s)) < grad_tol
-    return AFTModel(theta=theta, log_sigma=s, converged=converged,
-                    iterations=iterations, loglik=ll)
+            cand_ll, cand_u = loglik(params + step)
+            while cand_ll < ll:  # ends: a tiny enough step leaves params as they are
+                step /= 2
+                cand_ll, cand_u = loglik(params + step)
+            params, ll, u = params + step, cand_ll, cand_u
+    return AFTModel(theta=params[1:] / params[0], log_sigma=-math.log(params[0]),
+                    converged=converged, iterations=iterations)

@@ -30,10 +30,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def dump_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -154,10 +154,17 @@ def _read_delimited(path, columns):
     return rows
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # rejects floats, strings and bools
+        raise TypeError(f"count {value!r} is not an integer")
+    return value
+
+
 def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
-    Malformed lines are reported, never silently dropped. A duplicate
+    Malformed lines are reported, never silently dropped; a count that
+    is not a JSON integer is a schema violation. A duplicate
     (trial_id, arm_id) is a hard error.
     """
     arms: list[RawArm] = []
@@ -173,9 +180,9 @@ def parse_dump(lines) -> ParseResult:
             arm_id = str(rec["arm_id"])
             arm_name = str(rec["arm_name"])
             drug_text = str(rec["drug_text"])
-            count = int(rec["participant_count"])
+            count = _json_int(rec["participant_count"])
             events = tuple(
-                (str(ev["term"]), int(ev["count"])) for ev in rec["outcome_events"]
+                (str(ev["term"]), _json_int(ev["count"])) for ev in rec["outcome_events"]
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))
@@ -207,9 +214,6 @@ class DropReport:
 
     def bump(self, rule: str):
         self.counts[rule] = self.counts.get(rule, 0) + 1
-
-
-FILTER_RULES = ("min_participants", "ingredient_count", "plus_sign")
 
 
 def filter_arms(mapped_arms, drop_report: DropReport | None = None) -> list[ArmRecord]:

@@ -166,7 +166,8 @@ def load(path) -> ReferenceSet:
 
     External sets (OMOP/EU-ADR style) only need label strong/weak per
     entry; missing direction defaults to a_higher for strong entries and
-    none for weak, missing statistics to NaN.
+    none for weak, missing statistics to NaN. A strong entry's direction
+    must be a_higher or b_higher and a weak entry's none.
     """
     header, records = read_jsonl(path, expect_header=True)
     if header is None or header.get("kind") != "reference_set":
@@ -177,14 +178,17 @@ def load(path) -> ReferenceSet:
             label = rec["label"]
             if label not in (LABEL_STRONG, LABEL_WEAK):
                 raise ValueError(f"bad label {label!r}")
-            default_dir = DIRECTION_A if label == LABEL_STRONG else DIRECTION_NONE
+            allowed = (DIRECTION_A, DIRECTION_B) if label == LABEL_STRONG else (DIRECTION_NONE,)
+            direction = rec.get("direction", allowed[0])
+            if direction not in allowed:
+                raise ValueError(f"bad direction {direction!r} for a {label} entry")
             entries.append(
                 ReferenceEntry(
                     drug_a=rec["drug_a"],
                     drug_b=rec["drug_b"],
                     outcome_code=rec["outcome_code"],
                     label=label,
-                    direction=rec.get("direction", default_dir),
+                    direction=direction,
                     pooled_or=float(rec.get("pooled_or", math.nan)),
                     p_value=float(rec.get("p_value", math.nan)),
                     q_value=float(rec.get("q_value", math.nan)),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cohort import KIND_DIAGNOSIS, KIND_DRUG, KIND_PROCEDURE
 from .estimators.survival import cox_fit, event_time_horizon
 from .formats import dump_json_line
 
@@ -62,16 +63,6 @@ class GroundTruth:
     tau: float
     marginal_rmst_diff: float
     n_mc: int
-
-    def to_dict(self) -> dict:
-        return {
-            "conditional_log_hr": self.conditional_log_hr,
-            "marginal_log_hr": self.marginal_log_hr,
-            "marginal_log_hr_se": self.marginal_log_hr_se,
-            "tau": self.tau,
-            "marginal_rmst_diff": self.marginal_rmst_diff,
-            "n_mc": self.n_mc,
-        }
 
 
 def _draw_covariates(config: ScenarioConfig, n: int, rng: np.random.Generator):
@@ -175,16 +166,16 @@ def gen_claims(config: ScenarioConfig, rng: np.random.Generator):
         events = []
         for j in range(config.n_code_features):
             if arrays.features[i, codes_start + j] > 0:
-                events.append((5 + j, "diagnosis", f"COV{j}"))
+                events.append((5 + j, KIND_DIAGNOSIS, f"COV{j}"))
         for j in range(config.n_noise_codes):
             if noise[i, j]:
-                events.append((15 + j, "procedure", f"NOISE{j}"))
+                events.append((15 + j, KIND_PROCEDURE, f"NOISE{j}"))
         drug = config.drug_a if arrays.treated[i] else config.drug_b
-        events.append((index_day, "drug_claim", drug))
+        events.append((index_day, KIND_DRUG, drug))
         t_days = int(math.ceil(arrays.time[i]))
         obs_end = index_day + max(t_days, 1)
         if arrays.event[i]:
-            events.append((index_day + t_days, "diagnosis", config.outcome_code))
+            events.append((index_day + t_days, KIND_DIAGNOSIS, config.outcome_code))
         events.sort(key=lambda ev: ev[0])
         patients.append({
             "patient_id": pid,

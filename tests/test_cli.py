@@ -198,15 +198,19 @@ def test_report_rejects_non_estimates_file(pipeline, tmp_path):
                  "--out", str(tmp_path / "r")]) == 2
 
 
-def _without(key, line=0):
-    """Edit for a JSONL text: drop one field from the record on the given line."""
+def _edit_record(change, line=0):
+    """Edit for a JSONL text: apply change(record) to the record on the given line."""
     def edit(text):
         lines = text.splitlines()
         record = json.loads(lines[line])
-        del record[key]
+        change(record)
         lines[line] = json.dumps(record)
         return "\n".join(lines) + "\n"
     return edit
+
+
+def _without(key, line=0):
+    return _edit_record(lambda record: record.pop(key), line)
 
 
 # case -> (evaluate flag whose file is broken, edit of that file's text)
@@ -217,6 +221,8 @@ MALFORMED_INPUTS = {
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
     "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
+    "refset_strong_entry_direction_up": (
+        "--refset", _edit_record(lambda record: record.update(direction="up"), line=1)),
 }
 
 

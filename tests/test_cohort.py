@@ -62,7 +62,7 @@ def _bulk_patients(n_a=120, n_b=130):
 def test_build_cohort_basic():
     cohort = build_cohort(_db(_bulk_patients()), ENTRY, seed=0)
     assert isinstance(cohort, Cohort)
-    assert cohort.n_treated == 120 and cohort.n_control == 130
+    assert cohort.treated.sum() == 120 and (~cohort.treated).sum() == 130
     # treated patient a0000: event at day 70, index 40 -> time 30
     i = cohort.patient_ids.index("a0000")
     assert cohort.treated[i] and cohort.event[i] and cohort.time[i] == 30
@@ -90,14 +90,12 @@ def test_same_day_dual_initiation_excluded():
     assert "zz_dual" not in cohort.patient_ids
 
 
-def test_exclude_prior_outcome_option():
+def test_prior_outcome_is_not_washed_out():
     patients = _bulk_patients()
     patients.append(_patient("zz_prior", [(5, "diagnosis", "OUT"),
                                           (10, "drug_claim", "DRUG_A")]))
     kept = build_cohort(_db(patients), ENTRY, seed=0)
-    assert "zz_prior" in kept.patient_ids  # off by default
-    dropped = build_cohort(_db(patients), ENTRY, seed=0, exclude_prior_outcome=True)
-    assert "zz_prior" not in dropped.patient_ids
+    assert "zz_prior" in kept.patient_ids
 
 
 def test_skip_signals():
@@ -113,7 +111,7 @@ def test_downsampling_is_seeded():
     a = build_cohort(db, ENTRY, seed=7, max_per_arm=110)
     b = build_cohort(db, ENTRY, seed=7, max_per_arm=110)
     c = build_cohort(db, ENTRY, seed=8, max_per_arm=110)
-    assert a.n_treated == a.n_control == 110
+    assert a.treated.sum() == (~a.treated).sum() == 110
     assert a.patient_ids == b.patient_ids
     assert a.patient_ids != c.patient_ids
     assert a.patient_ids == sorted(a.patient_ids)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from oracles import breslow_loglik, golden_section_max, km_recursive
+from test_acceptance import PIPELINE_SCENARIO
 from trialbench.estimators import (
     EffectEstimate,
     MatchingError,
@@ -204,6 +205,36 @@ def test_aft_recovers_weibull_parameters():
     assert model.sigma == pytest.approx(1 / 1.4, rel=0.05)
     assert model.theta[1] == pytest.approx(0.6 / 1.4, abs=0.05)
     assert model.theta[2] == pytest.approx(-0.5 / 1.4, abs=0.05)
+
+
+def _weibull_score(theta, log_sigma, features, treatment, times, events):
+    """Score of the Weibull AFT log-likelihood in (theta, log sigma)."""
+    X = np.column_stack([np.ones(len(treatment)), treatment, features])
+    sigma = math.exp(log_sigma)
+    z = (np.log(np.maximum(times, 0.5)) - X @ theta) / sigma
+    u = np.exp(z)
+    return np.append(X.T @ (u - events) / sigma, np.sum(u * z - events * (z + 1.0)))
+
+
+def test_aft_converges_with_all_zero_count_columns():
+    # count features for codes never seen pre-index are all-zero columns;
+    # on this seed the fit used to stop with log sigma near -1176
+    config = ScenarioConfig(**PIPELINE_SCENARIO["claims"] | {"n_patients": 1000})
+    arrays = gen_survival_arrays(config, np.random.default_rng(14))
+    codes = arrays.features[:, 2:]
+    features = np.column_stack([np.zeros((1000, 3)), codes])
+    times = np.ceil(arrays.time)
+    model = aft_fit(features, arrays.treated, times, arrays.event)
+    assert model.converged
+    assert abs(model.log_sigma) < 1
+    score = _weibull_score(model.theta, model.log_sigma, features, arrays.treated,
+                           times, arrays.event)
+    assert np.abs(score).max() < 1e-6 * arrays.event.sum()
+    assert np.abs(model.theta[2:5]).max() < 1e-12
+    reduced = aft_fit(codes, arrays.treated, times, arrays.event)
+    assert reduced.converged
+    assert np.allclose(model.theta[[0, 1, 5, 6]], reduced.theta, rtol=0, atol=1e-9)
+    assert reduced.log_sigma == pytest.approx(model.log_sigma, abs=1e-9)
 
 
 def test_aft_requires_events():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from trialbench.formats import (
@@ -5,7 +7,6 @@ from trialbench.formats import (
     read_jsonl,
     read_kv_config,
     sha256_file,
-    sha256_text,
     write_jsonl,
 )
 
@@ -13,8 +14,7 @@ from trialbench.formats import (
 def test_sha256_helpers(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("hello\n")
-    assert sha256_file(path) == sha256_text("hello\n")
-    assert len(sha256_text("")) == 64
+    assert sha256_file(path) == hashlib.sha256(b"hello\n").hexdigest()
 
 
 def test_dump_json_line_is_canonical():

@@ -44,11 +44,21 @@ def test_parse_dump_valid_and_diagnostics():
         "",
         json.dumps({"trial_id": "T1", "arm_id": "d", "arm_name": "x",
                     "drug_text": "d", "participant_count": 100}),  # missing key
+        json.dumps({"trial_id": "T1", "arm_id": "e", "arm_name": "x",
+                    "drug_text": "d", "participant_count": 150.9,
+                    "outcome_events": []}),
+        json.dumps({"trial_id": "T1", "arm_id": "f", "arm_name": "x",
+                    "drug_text": "d", "participant_count": 150,
+                    "outcome_events": [{"term": "E1", "count": 2.7}]}),
+        json.dumps({"trial_id": "T1", "arm_id": "g", "arm_name": "x",
+                    "drug_text": "d", "participant_count": "150",
+                    "outcome_events": [{"term": "E1", "count": True}]}),
     ]
     result = parse_dump(lines)
     assert len(result.arms) == 1
     assert result.arms[0].arm_id == "a"
-    assert [d.line_number for d in result.diagnostics] == [2, 3, 4, 6]
+    assert [d.line_number for d in result.diagnostics] == [2, 3, 4, 6, 7, 8, 9]
+    assert all(d.message.startswith("schema violation") for d in result.diagnostics[-3:])
 
 
 def test_parse_dump_duplicate_arm_is_hard_error():

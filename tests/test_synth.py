@@ -85,7 +85,7 @@ def test_gen_claims_round_trips_through_cohort():
     entry = ReferenceEntry(config.drug_a, config.drug_b, config.outcome_code,
                            LABEL_STRONG, DIRECTION_A, 2.0, 0.01, 0.02)
     cohort = build_cohort(db, entry, seed=0)
-    assert cohort.n_treated + cohort.n_control == 800
+    assert len(cohort.treated) == 800
     # cohort reconstruction matches the generating arrays up to day rounding
     order = np.argsort([p["patient_id"] for p in patients])
     assert np.array_equal(cohort.treated, arrays.treated[order])
