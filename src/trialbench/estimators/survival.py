@@ -237,10 +237,10 @@ def aft_fit(features, treatment, times, events) -> AFTModel:
     Requires >= 10 events; otherwise (or on non-convergence) the model is
     flagged and downstream estimates are excluded from metrics.
     """
-    X = _aft_design(features, treatment)
     d = np.asarray(events, dtype=float)
     logt = np.log(np.maximum(np.asarray(times, dtype=float), MIN_AFT_TIME))
-    W = np.column_stack([logt, -X])  # z = W @ [a, b]
+    W = np.column_stack([logt, _aft_design(features, treatment)])
+    W[:, 1:] *= -1.0  # z = W @ [a, b]; negated in place rather than copied
     n_events = float(d.sum())
 
     def loglik(params):
@@ -268,7 +268,7 @@ def aft_fit(features, treatment, times, events) -> AFTModel:
                 converged = True
                 break
             cand_ll, cand_u = loglik(params + step)
-            while cand_ll < ll:  # ends: a tiny enough step leaves params as they are
+            while cand_ll < ll:  # ends: a small enough step leaves params unchanged
                 step /= 2
                 cand_ll, cand_u = loglik(params + step)
             params, ll, u = params + step, cand_ll, cand_u
