@@ -1,4 +1,4 @@
-"""New-user cohort construction from patient event streams.
+"""New-user cohort construction from one columnar claims table.
 
 For one reference entry, indexes each patient at their first claim of
 either study drug, extracts strictly pre-index count features (or an
@@ -8,11 +8,12 @@ and event status for the entry's outcome.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import InputError, parsing, read_jsonl
+from .formats import parsing, read_jsonl
 
 MAX_ARM_SIZE = 100_000
 MIN_ARM_SIZE = 100
@@ -21,30 +22,72 @@ KIND_DRUG = "drug_claim"
 KIND_DIAGNOSIS = "diagnosis"
 KIND_PROCEDURE = "procedure"
 
+NEVER = np.iinfo(np.int64).max  # first day of a claim the patient never had
+
 
 @dataclass(frozen=True)
-class PatientStream:
-    patient_id: str
-    observation_start: int
-    observation_end: int
-    events: tuple[tuple[int, str, str], ...]  # (day, kind, code), day-sorted
-
-    def __post_init__(self):
-        days = [d for d, _, _ in self.events]
-        if days != sorted(days):
-            raise ValueError(f"{self.patient_id}: events not day-sorted")
-        if days and (days[0] < self.observation_start or days[-1] > self.observation_end):
-            raise ValueError(f"{self.patient_id}: event outside observation window")
-
-
-@dataclass
 class PatientDB:
-    patients: list[PatientStream]
-    vocabulary: list[str]  # fixed feature ordering
-    dense_features: dict[str, np.ndarray] | None = None
+    """The claims DB as columns: patients in id order, events by patient then day."""
+    patients: list[str]            # sorted, unique patient ids
+    observation_end: np.ndarray    # per patient
+    owner: np.ndarray              # per event: row in patients
+    day: np.ndarray                # per event
+    key: np.ndarray                # per event: value in keys
+    keys: dict[tuple[str, str], int]  # interned (kind, code) pairs
+    column: np.ndarray             # per key: vocabulary position of its code, or -1
+    vocabulary: list[str]          # fixed feature ordering
+    dense_features: np.ndarray | None = None  # (patients, d)
 
-    def __post_init__(self):
-        self.vocab_index = {code: i for i, code in enumerate(self.vocabulary)}
+    @classmethod
+    def from_records(cls, records, vocabulary) -> PatientDB:
+        """Build the table from claims records in any order. Raises ValueError on a
+        duplicate id, a day or observation bound that is not an integer, a kind or
+        code that is not a string, or an event out of day order or outside its
+        patient's observation window."""
+        records = sorted(records, key=lambda rec: str(rec["patient_id"]))
+        patients = [str(rec["patient_id"]) for rec in records]
+        events = [rec["events"] for rec in records]
+        keys: dict[tuple[str, str], int] = {}
+        key = np.array([keys.setdefault((k, c), len(keys)) for ev in events for _, k, c in ev],
+                       dtype=np.intp)
+        if not all(isinstance(k, str) and isinstance(c, str) for k, c in keys):
+            raise ValueError("event kinds and codes must be strings")
+        day, start, end = (np.array(values) for values in (
+            [e[0] for ev in events for e in ev],
+            [rec["observation_start"] for rec in records],
+            [rec["observation_end"] for rec in records]))
+        if any(a.size and a.dtype.kind != "i" for a in (day, start, end)):  # float, str, huge
+            raise ValueError("event days and observation bounds must be JSON integers")
+        owner = np.repeat(np.arange(len(records)), np.array([len(ev) for ev in events], int))
+        rules = {  # the patient rows that break each rule
+            "duplicate patient_id":
+                np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
+            "events not day-sorted": owner[1:][(owner[1:] == owner[:-1]) & (day[1:] < day[:-1])],
+            "event outside observation window": owner[(day < start[owner]) | (day > end[owner])],
+        }
+        for what, bad in rules.items():
+            if len(bad):
+                raise ValueError(f"{patients[bad[0]]}: {what}")
+        position = {code: i for i, code in enumerate(vocabulary)}
+        column = np.array([position.get(c, -1) for _, c in keys], dtype=np.intp)
+        return cls(patients, end, owner, day, key, keys, column, list(vocabulary))
+
+    def with_dense_features(self, rows) -> PatientDB:
+        """Attach one equal-length feature row per patient from {patient_id, features} records."""
+        by_id = {str(r["patient_id"]): r["features"] for r in rows}
+        missing = [p for p in self.patients if p not in by_id]
+        if missing:
+            raise ValueError(f"no dense-feature row for {len(missing)} patients, "
+                             f"first {missing[0]}")
+        matrix = np.array([by_id[p] for p in self.patients], dtype=float)  # rows of equal length
+        return dataclasses.replace(self, dense_features=matrix)
+
+    def earliest_day(self, kind, code, where=True) -> np.ndarray:
+        """Per patient, the earliest day of a (kind, code) event among where, or NEVER."""
+        mask = (self.key == self.keys.get((kind, code), -1)) & where
+        first = np.full(len(self.patients), NEVER)
+        np.minimum.at(first, self.owner[mask], self.day[mask])
+        return first
 
 
 @dataclass
@@ -62,53 +105,18 @@ class SkipSignal:
 
 
 def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
-    """Load the event streams, vocabulary and optional dense features.
-
-    Malformed content, and a patient without a dense-feature row, raise
-    InputError naming the file.
-    """
+    """Load the claims table, vocabulary and optional dense features; malformed
+    content, and a patient without a dense-feature row, raise InputError naming the file."""
     _, records = read_jsonl(db_path)
-    with parsing(db_path):
-        patients = [
-            PatientStream(
-                patient_id=str(rec["patient_id"]),
-                observation_start=int(rec["observation_start"]),
-                observation_end=int(rec["observation_end"]),
-                events=tuple((int(d), str(k), str(c)) for d, k, c in rec["events"]),
-            )
-            for rec in records
-        ]
     with open(vocab_path, encoding="utf-8") as fh:
         vocabulary = [line.strip() for line in fh if line.strip()]
-    dense = None
+    with parsing(db_path):
+        db = PatientDB.from_records(records, vocabulary)
     if dense_features_path is not None:
         _, rows = read_jsonl(dense_features_path)
         with parsing(dense_features_path):
-            dense = {str(r["patient_id"]): np.asarray(r["features"], dtype=float) for r in rows}
-        missing = [p.patient_id for p in patients if p.patient_id not in dense]
-        if missing:
-            raise InputError(f"{dense_features_path}: no dense-feature row for {len(missing)} "
-                             f"patient(s), first {missing[0]}")
-    return PatientDB(patients=patients, vocabulary=vocabulary, dense_features=dense)
-
-
-def count_features(patient: PatientStream, index_day: int, vocab_index: dict[str, int]) -> np.ndarray:
-    """Per-code event counts strictly before the index day."""
-    vec = np.zeros(len(vocab_index))
-    for day, _, code in patient.events:
-        if day >= index_day:
-            break
-        pos = vocab_index.get(code)
-        if pos is not None:
-            vec[pos] += 1.0
-    return vec
-
-
-def _first_day(patient: PatientStream, kind: str, code: str, from_day=None):
-    for day, k, c in patient.events:
-        if k == kind and c == code and (from_day is None or day >= from_day):
-            return day
-    return None
+            db = db.with_dense_features(rows)
+    return db
 
 
 def build_cohort(db: PatientDB, entry, seed: int,
@@ -122,56 +130,41 @@ def build_cohort(db: PatientDB, entry, seed: int,
     recorded before index stays in the cohort.
     """
     drug_a, drug_b, outcome = entry.drug_a, entry.drug_b, entry.outcome_code
-    known = db.vocab_index
-    missing = [c for c in (drug_a, drug_b, outcome) if c not in known]
+    missing = [c for c in (drug_a, drug_b, outcome) if c not in db.vocabulary]
     if missing:
         return SkipSignal(reason=f"codes not in db vocabulary: {missing}")
 
-    rows = []  # (patient_id, treated, patient, index_day, time, event)
-    for patient in db.patients:
-        day_a = _first_day(patient, KIND_DRUG, drug_a)
-        day_b = _first_day(patient, KIND_DRUG, drug_b)
-        if day_a is None and day_b is None:
-            continue
-        if day_a is not None and day_b is not None and day_a == day_b:
-            continue  # ambiguous dual initiation
-        if day_b is None or (day_a is not None and day_a < day_b):
-            index_day, treated = day_a, True
-        else:
-            index_day, treated = day_b, False
-        event_day = _first_day(patient, KIND_DIAGNOSIS, outcome, from_day=index_day)
-        if event_day is not None:
-            time, event = event_day - index_day, True
-        else:
-            time, event = patient.observation_end - index_day, False
-        rows.append((patient.patient_id, treated, patient, index_day, time, event))
-
-    rows.sort(key=lambda r: r[0])
-    treated_rows = [r for r in rows if r[1]]
-    control_rows = [r for r in rows if not r[1]]
+    day_a = db.earliest_day(KIND_DRUG, drug_a)
+    day_b = db.earliest_day(KIND_DRUG, drug_b)
     rng = np.random.default_rng(seed)
-    if len(treated_rows) > max_per_arm:
-        keep = np.sort(rng.choice(len(treated_rows), size=max_per_arm, replace=False))
-        treated_rows = [treated_rows[i] for i in keep]
-    if len(control_rows) > max_per_arm:
-        keep = np.sort(rng.choice(len(control_rows), size=max_per_arm, replace=False))
-        control_rows = [control_rows[i] for i in keep]
-    if len(treated_rows) < min_per_arm or len(control_rows) < min_per_arm:
-        return SkipSignal(
-            reason=f"arm below minimum size: {len(treated_rows)} vs {len(control_rows)}"
-        )
+    arms = []
+    for arm in (np.flatnonzero(day_a < day_b), np.flatnonzero(day_b < day_a)):
+        if len(arm) > max_per_arm:
+            arm = arm[rng.choice(len(arm), size=max_per_arm, replace=False)]
+        arms.append(arm)
+    if min(map(len, arms)) < min_per_arm:
+        return SkipSignal(reason=f"arm below minimum size: {len(arms[0])} vs {len(arms[1])}")
 
-    rows = sorted(treated_rows + control_rows, key=lambda r: r[0])
-    features = []
-    for patient_id, _, patient, index_day, _, _ in rows:
-        if db.dense_features is not None:
-            features.append(db.dense_features[patient_id])
-        else:
-            features.append(count_features(patient, index_day, known))
+    in_cohort = np.zeros(len(db.patients), dtype=bool)
+    in_cohort[np.concatenate(arms)] = True
+    rows = np.flatnonzero(in_cohort)  # patient-id order
+    index_day = np.where(in_cohort, np.minimum(day_a, day_b), NEVER)
+    after = db.day >= index_day[db.owner]  # per event; never true outside the cohort
+    outcome_day = db.earliest_day(KIND_DIAGNOSIS, outcome, after)[rows]
+    event = outcome_day != NEVER
+    if db.dense_features is not None:
+        features = db.dense_features[rows]
+    else:  # pre-index event counts per code, scattered into (rows, vocabulary)
+        column = db.column[db.key]
+        pre = in_cohort[db.owner] & ~after & (column >= 0)
+        width = len(db.vocabulary)
+        cell = (np.cumsum(in_cohort) - 1)[db.owner[pre]] * width + column[pre]
+        features = np.bincount(cell, minlength=len(rows) * width).reshape(len(rows), width)
     return Cohort(
-        patient_ids=[r[0] for r in rows],
-        treated=np.array([r[1] for r in rows], dtype=bool),
-        features=np.asarray(features, dtype=float),
-        time=np.array([r[4] for r in rows], dtype=float),
-        event=np.array([r[5] for r in rows], dtype=bool),
+        patient_ids=[db.patients[i] for i in rows],
+        treated=day_a[rows] < day_b[rows],
+        features=features.astype(float),
+        time=(np.where(event, outcome_day, db.observation_end[rows])
+              - index_day[rows]).astype(float),
+        event=event,
     )

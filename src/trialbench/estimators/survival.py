@@ -42,12 +42,6 @@ class SurvivalCurve:
     deaths: np.ndarray | None = None   # weighted deaths at each knot (km_curve)
     at_risk: np.ndarray | None = None  # weight at risk just before each knot (km_curve)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate([[1.0], self.survival])
-        return padded[idx]
-
     def integral(self, t):
         """Integral of the curve over [0, t]; the last value holds past the last knot."""
         knots = np.concatenate([[0.0], self.times])
@@ -200,23 +194,14 @@ class AFTModel:
     def sigma(self) -> float:
         return math.exp(self.log_sigma)
 
-    def _mu(self, features, treatment):
-        X = _aft_design(features, treatment)
-        return X @ self.theta
-
     def predicted_rmst(self, features, treatment, tau: float) -> np.ndarray:
         """Exact per-row restricted mean under the fitted Weibull curve."""
-        mu = self._mu(features, treatment)
+        mu = _aft_design(features, treatment) @ self.theta
         k = 1.0 / self.sigma           # Weibull shape
         lam = np.exp(mu)               # Weibull scale
         z = (tau / lam) ** k
         # integral_0^tau exp(-(t/lam)^k) dt via the lower incomplete gamma
         return (lam / k) * np.exp(gammaln(1.0 / k)) * gammainc(1.0 / k, z)
-
-    def predicted_survival(self, features, treatment, t) -> np.ndarray:
-        mu = self._mu(features, treatment)
-        z = (np.log(np.maximum(t, MIN_AFT_TIME)) - mu) / self.sigma
-        return np.exp(-np.exp(z))
 
 
 def _aft_design(features, treatment):

@@ -98,7 +98,10 @@ class DrugDictionary:
     def __init__(self, entries):
         self._by_pattern: dict[str, list[tuple[int, str]]] = {}
         for pattern, ingredient_id, score in entries:
-            score = int(score)
+            try:
+                score = int(score)
+            except ValueError:
+                raise DictionaryError(f"match_score {score!r} is not an integer") from None
             if not 0 <= score <= 100:
                 raise DictionaryError(f"match_score {score} outside [0, 100]")
             key = normalize_text(pattern)

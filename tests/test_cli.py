@@ -213,11 +213,24 @@ def _without(key, line=0):
     return _edit_record(lambda record: record.pop(key), line)
 
 
+def _edit_first_event(change):
+    """Edit for a claims JSONL text: replace the first patient's first event by change(event)."""
+    return _edit_record(lambda record: record["events"].__setitem__(0, change(record["events"][0])))
+
+
 # case -> (evaluate flag whose file is broken, edit of that file's text)
 MALFORMED_INPUTS = {
     "truncated_claims_line": ("--db", lambda text: text.rstrip("\n")[:-5] + "\n"),
     "patient_without_observation_start": ("--db", _without("observation_start")),
     "patient_without_dense_row": ("--dense-features", lambda text: text.split("\n", 1)[1]),
+    "duplicate_patient_id": ("--db", lambda text: text + text.split("\n", 1)[0] + "\n"),
+    "fractional_event_day": ("--db", _edit_first_event(lambda ev: [ev[0] + 0.5, *ev[1:]])),
+    "fractional_observation_end": (
+        "--db", _edit_record(lambda record: record.update(
+            observation_end=record["observation_end"] + 0.5))),
+    "numeric_event_code": ("--db", _edit_first_event(lambda ev: [*ev[:2], 7])),
+    "dense_rows_of_unequal_length": (
+        "--dense-features", _edit_record(lambda record: record["features"].append(0.0))),
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
     "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),

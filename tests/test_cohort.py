@@ -3,15 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trialbench.cohort import (
-    Cohort,
-    PatientDB,
-    PatientStream,
-    SkipSignal,
-    build_cohort,
-    count_features,
-    load_patient_db,
-)
+from trialbench.cohort import Cohort, PatientDB, SkipSignal, build_cohort, load_patient_db
 from trialbench.refset import DIRECTION_A, LABEL_STRONG, ReferenceEntry
 
 ENTRY = ReferenceEntry("DRUG_A", "DRUG_B", "OUT", LABEL_STRONG, DIRECTION_A,
@@ -19,28 +11,36 @@ ENTRY = ReferenceEntry("DRUG_A", "DRUG_B", "OUT", LABEL_STRONG, DIRECTION_A,
 
 
 def _patient(pid, events, start=0, end=400):
-    return PatientStream(pid, start, end, tuple(events))
+    return {"patient_id": pid, "observation_start": start, "observation_end": end,
+            "events": [list(ev) for ev in events]}
 
 
-def _db(patients, vocab=("DRUG_A", "DRUG_B", "OUT", "COV0"), dense=None):
-    return PatientDB(patients=list(patients), vocabulary=list(vocab),
-                     dense_features=dense)
+def _db(patients, vocab=("DRUG_A", "DRUG_B", "OUT", "COV0")):
+    return PatientDB.from_records(list(patients), list(vocab))
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError):
-        _patient("p", [(5, "diagnosis", "X"), (3, "diagnosis", "Y")])
-    with pytest.raises(ValueError):
-        _patient("p", [(500, "diagnosis", "X")], end=400)
+    with pytest.raises(ValueError, match="p: events not day-sorted"):
+        _db([_patient("p", [(5, "diagnosis", "X"), (3, "diagnosis", "Y")])])
+    with pytest.raises(ValueError, match="p: event outside observation window"):
+        _db([_patient("p", [(500, "diagnosis", "X")], end=400)])
+    with pytest.raises(ValueError, match="p: event outside observation window"):
+        _db([_patient("p", [(-1, "diagnosis", "X")], start=0)])
+    # equal days, and days on both window bounds, are allowed
+    _db([_patient("p", [(0, "diagnosis", "X"), (0, "diagnosis", "Y"),
+                        (400, "diagnosis", "X")])])
 
 
 def test_count_features_strictly_pre_index():
-    patient = _patient("p", [(3, "diagnosis", "COV0"), (10, "diagnosis", "COV0"),
-                             (10, "drug_claim", "DRUG_A")])
-    db = _db([patient])
-    vec = count_features(patient, 10, db.vocab_index)
-    assert vec[db.vocab_index["COV0"]] == 1.0  # the day-10 code is not pre-index
-    assert vec.sum() == 1.0
+    patients = _bulk_patients()
+    patients.append(_patient("zz_counts", [(3, "diagnosis", "COV0"), (3, "procedure", "COV0"),
+                                           (10, "diagnosis", "COV0"),
+                                           (10, "drug_claim", "DRUG_A"),
+                                           (12, "diagnosis", "COV0")]))
+    cohort = build_cohort(_db(patients), ENTRY, seed=0)
+    vec = cohort.features[cohort.patient_ids.index("zz_counts")]
+    # both day-3 COV0 events count, whatever their kind; day 10 is not pre-index
+    assert vec.tolist() == [0.0, 0.0, 0.0, 2.0]
 
 
 def _bulk_patients(n_a=120, n_b=130):
@@ -119,23 +119,103 @@ def test_downsampling_is_seeded():
 
 def test_load_patient_db(tmp_path):
     db_path = tmp_path / "claims.jsonl"
-    db_path.write_text(json.dumps({
-        "patient_id": "p1", "observation_start": 0, "observation_end": 100,
-        "events": [[10, "drug_claim", "DRUG_A"]],
-    }) + "\n")
+    db_path.write_text("".join(json.dumps(rec) + "\n" for rec in [
+        _patient("p2", [(3, "diagnosis", "OUT"), (10, "drug_claim", "DRUG_A")], end=100),
+        _patient("p1", [(10, "drug_claim", "DRUG_A"), (11, "procedure", "OTHER")], end=90),
+    ]))
     vocab_path = tmp_path / "vocab.txt"
     vocab_path.write_text("DRUG_A\nDRUG_B\nOUT\n")
     dense_path = tmp_path / "dense.jsonl"
-    dense_path.write_text(json.dumps({"patient_id": "p1", "features": [0.5, -1.0]}) + "\n")
+    dense_path.write_text(json.dumps({"patient_id": "p2", "features": [1.5, 2.0]}) + "\n"
+                          + json.dumps({"patient_id": "p1", "features": [0.5, -1.0]}) + "\n")
     db = load_patient_db(db_path, vocab_path, dense_path)
-    assert db.vocab_index == {"DRUG_A": 0, "DRUG_B": 1, "OUT": 2}
-    assert np.allclose(db.dense_features["p1"], [0.5, -1.0])
-    assert db.patients[0].events == ((10, "drug_claim", "DRUG_A"),)
+    assert db.patients == ["p1", "p2"]  # id order, whatever the line order
+    assert db.vocabulary == ["DRUG_A", "DRUG_B", "OUT"]
+    assert db.observation_end.tolist() == [90, 100]
+    assert db.owner.tolist() == [0, 0, 1, 1]
+    assert db.day.tolist() == [10, 11, 3, 10]
+    assert [list(db.keys)[k] for k in db.key] == [
+        ("drug_claim", "DRUG_A"), ("procedure", "OTHER"),
+        ("diagnosis", "OUT"), ("drug_claim", "DRUG_A")]
+    assert db.column.tolist() == [0, -1, 2]  # per key; OTHER is not in the vocabulary
+    assert db.dense_features.tolist() == [[0.5, -1.0], [1.5, 2.0]]
 
 
 def test_dense_features_used_when_present():
     patients = _bulk_patients()
-    dense = {p.patient_id: np.array([float(len(p.patient_id))]) for p in patients}
-    cohort = build_cohort(_db(patients, dense=dense), ENTRY, seed=0)
+    dense = [{"patient_id": p["patient_id"], "features": [float(len(p["patient_id"]))]}
+             for p in patients]
+    cohort = build_cohort(_db(patients).with_dense_features(dense), ENTRY, seed=0)
     assert cohort.features.shape == (250, 1)
     assert np.all(cohort.features == 5.0)
+
+
+def test_claims_line_order_does_not_change_the_cohort():
+    patients = _bulk_patients(n_a=180, n_b=150)
+    shuffled = [patients[i] for i in np.random.default_rng(4).permutation(len(patients))]
+    assert shuffled != patients
+    a = build_cohort(_db(patients), ENTRY, seed=7, max_per_arm=110)
+    b = build_cohort(_db(shuffled), ENTRY, seed=7, max_per_arm=110)
+    assert a.patient_ids == b.patient_ids
+    for field in ("treated", "features", "time", "event"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _reference_cohort(records, vocab, entry, seed, max_per_arm, min_per_arm):
+    """The per-patient scan that build_cohort replaces, kept as its reference."""
+    def first(events, kind, code, since=-np.inf):
+        return next((d for d, k, c in events if k == kind and c == code and d >= since), None)
+
+    rows = []  # (patient_id, treated, counts, time, event)
+    for rec in sorted(records, key=lambda r: r["patient_id"]):
+        events = rec["events"]
+        day_a = first(events, "drug_claim", entry.drug_a)
+        day_b = first(events, "drug_claim", entry.drug_b)
+        if day_a == day_b:  # neither drug, or same-day dual initiation
+            continue
+        treated = day_b is None or (day_a is not None and day_a < day_b)
+        index = day_a if treated else day_b
+        outcome = first(events, "diagnosis", entry.outcome_code, since=index)
+        counts = [sum(d < index and c == code for d, _, c in events) for code in vocab]
+        end = rec["observation_end"] if outcome is None else outcome
+        rows.append((rec["patient_id"], treated, counts, end - index, outcome is not None))
+    rng = np.random.default_rng(seed)
+    arms = [[r for r in rows if r[1]], [r for r in rows if not r[1]]]
+    for i, arm in enumerate(arms):
+        if len(arm) > max_per_arm:
+            keep = np.sort(rng.choice(len(arm), size=max_per_arm, replace=False))
+            arms[i] = [arm[j] for j in keep]
+    if min(map(len, arms)) < min_per_arm:
+        return None
+    return sorted(arms[0] + arms[1], key=lambda r: r[0])
+
+
+@pytest.mark.parametrize("db_seed", range(4))
+def test_build_cohort_matches_per_patient_reference(db_seed):
+    rng = np.random.default_rng(db_seed)
+    drugs, diagnoses = ["DRUG_A", "DRUG_B", "DRUG_C"], ["OUT", "COV0", "COV1"]
+    records = []
+    for i in range(300):
+        start = int(rng.integers(-5, 5))
+        end = start + int(rng.integers(0, 200))
+        events = sorted((int(rng.integers(start, end + 1)),
+                         str(rng.choice(["drug_claim", "diagnosis", "procedure"])),
+                         str(rng.choice(drugs + diagnoses + ["UNKNOWN"])))
+                        for _ in range(int(rng.integers(0, 8))))
+        records.append(_patient(f"p{i:04d}", events, start=start, end=end))
+    vocab = drugs + diagnoses
+    db = _db(records, vocab)
+    for drug_a, drug_b, outcome in [("DRUG_A", "DRUG_B", "OUT"), ("DRUG_C", "DRUG_A", "COV0"),
+                                    ("DRUG_B", "DRUG_C", "COV1")]:
+        entry = ReferenceEntry(drug_a, drug_b, outcome, LABEL_STRONG, DIRECTION_A,
+                               2.0, 0.01, 0.02)
+        for max_per_arm in (20, 1000):
+            cohort = build_cohort(db, entry, seed=db_seed, max_per_arm=max_per_arm,
+                                  min_per_arm=10)
+            expected = _reference_cohort(records, vocab, entry, db_seed, max_per_arm, 10)
+            assert expected is not None and isinstance(cohort, Cohort)
+            assert cohort.patient_ids == [r[0] for r in expected]
+            assert cohort.treated.tolist() == [r[1] for r in expected]
+            assert cohort.features.tolist() == [r[2] for r in expected]
+            assert cohort.time.tolist() == [r[3] for r in expected]
+            assert cohort.event.tolist() == [r[4] for r in expected]

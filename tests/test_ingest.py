@@ -88,6 +88,12 @@ def test_drug_dictionary_score_range():
         DrugDictionary([("x", "X", 101)])
 
 
+@pytest.mark.parametrize("score", ["abc", "75.5", ""])
+def test_drug_dictionary_rejects_non_integer_score(score):
+    with pytest.raises(DictionaryError, match="match_score"):
+        DrugDictionary([("x", "X", score)])
+
+
 def test_outcome_dictionary():
     d = OutcomeDictionary([("10001", "MI"), ("10002", "MI"), ("10001", "MI")])
     assert d.lookup("10001") == "MI"

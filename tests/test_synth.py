@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trialbench.cohort import PatientDB, PatientStream, build_cohort
+from trialbench.cohort import PatientDB, build_cohort
 from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
 from trialbench.refset import DIRECTION_A, LABEL_STRONG, ReferenceEntry
 from trialbench.synth import (
@@ -76,12 +76,7 @@ def test_gen_claims_round_trips_through_cohort():
                             lambda0=0.003, censoring_rate=0.001, seed=None)
     patients, dense_rows, arrays = gen_claims(config, np.random.default_rng(3))
     assert len(patients) == len(dense_rows) == 800
-    streams = [PatientStream(p["patient_id"], p["observation_start"],
-                             p["observation_end"],
-                             tuple(tuple(e) for e in p["events"]))
-               for p in patients]
-    dense = {r["patient_id"]: np.asarray(r["features"]) for r in dense_rows}
-    db = PatientDB(streams, vocabulary(config), dense_features=dense)
+    db = PatientDB.from_records(patients, vocabulary(config)).with_dense_features(dense_rows)
     entry = ReferenceEntry(config.drug_a, config.drug_b, config.outcome_code,
                            LABEL_STRONG, DIRECTION_A, 2.0, 0.01, 0.02)
     cohort = build_cohort(db, entry, seed=0)
