@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import parsing, read_jsonl
+from .formats import iter_jsonl, parsing, read_jsonl
 
 MAX_ARM_SIZE = 100_000
 MIN_ARM_SIZE = 100
@@ -40,25 +40,35 @@ class PatientDB:
 
     @classmethod
     def from_records(cls, records, vocabulary) -> PatientDB:
-        """Build the table from claims records in any order. Raises ValueError on a
-        duplicate id, a day or observation bound that is not an integer, a kind or
-        code that is not a string, or an event out of day order or outside its
-        patient's observation window."""
-        records = sorted(records, key=lambda rec: str(rec["patient_id"]))
-        patients = [str(rec["patient_id"]) for rec in records]
-        events = [rec["events"] for rec in records]
-        keys: dict[tuple[str, str], int] = {}
-        key = np.array([keys.setdefault((k, c), len(keys)) for ev in events for _, k, c in ev],
-                       dtype=np.intp)
-        if not all(isinstance(k, str) and isinstance(c, str) for k, c in keys):
+        """Build the table in one pass over claims records in any order, keeping only
+        their values in flat columns. Raises ValueError on a duplicate id, a day or
+        observation bound that is not an integer, a kind or code that is not a string,
+        or an event out of day order or outside its patient's observation window."""
+        ids, start, end, count, day, kind, code = [], [], [], [], [], [], []
+        for rec in records:
+            ids.append(str(rec["patient_id"]))
+            start.append(rec["observation_start"])
+            end.append(rec["observation_end"])
+            count.append(len(rec["events"]))
+            for d, k, c in rec["events"]:
+                day.append(d)
+                kind.append(k)
+                code.append(c)
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable, like sorting records
+        patients = [ids[i] for i in order]
+        unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
+        by_patient = np.argsort(unsorted, kind="stable")
+        owner = unsorted[by_patient]
+        day = _integers(day)[by_patient]
+        start, end = _integers(start)[order], _integers(end)[order]
+        (kinds, kind), (codes, code) = _interned(kind), _interned(code)
+        if not all(type(v) is str for v in kinds + codes):
             raise ValueError("event kinds and codes must be strings")
-        day, start, end = (np.array(values) for values in (
-            [e[0] for ev in events for e in ev],
-            [rec["observation_start"] for rec in records],
-            [rec["observation_end"] for rec in records]))
-        if any(a.size and a.dtype.kind != "i" for a in (day, start, end)):  # float, str, huge
-            raise ValueError("event days and observation bounds must be JSON integers")
-        owner = np.repeat(np.arange(len(records)), np.array([len(ev) for ev in events], int))
+        pairs, first, key = np.unique((kind * len(codes) + code)[by_patient],
+                                      return_index=True, return_inverse=True)
+        by_first = np.argsort(first)  # keys are numbered by first appearance in id order
+        keys = {(kinds[p // len(codes)], codes[p % len(codes)]): i
+                for i, p in enumerate(pairs[by_first].tolist())}
         rules = {  # the patient rows that break each rule
             "duplicate patient_id":
                 np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
@@ -70,7 +80,8 @@ class PatientDB:
                 raise ValueError(f"{patients[bad[0]]}: {what}")
         position = {code: i for i, code in enumerate(vocabulary)}
         column = np.array([position.get(c, -1) for _, c in keys], dtype=np.intp)
-        return cls(patients, end, owner, day, key, keys, column, list(vocabulary))
+        return cls(patients, end, owner, day, np.argsort(by_first)[key], keys, column,
+                   list(vocabulary))
 
     def with_dense_features(self, rows) -> PatientDB:
         """Attach one equal-length feature row per patient from {patient_id, features} records."""
@@ -90,6 +101,20 @@ class PatientDB:
         return first
 
 
+def _integers(values) -> np.ndarray:
+    """values as int64; ValueError unless each is a JSON integer (a boolean is not) that fits."""
+    if set(map(type, values)) - {int} or not (-1 << 63 <= min(values, default=0)
+                                              and max(values, default=0) < 1 << 63):
+        raise ValueError("event days and observation bounds must be JSON integers")
+    return np.array(values, dtype=np.int64)
+
+
+def _interned(values) -> tuple[list, np.ndarray]:
+    """The distinct values in first-appearance order, and each value's index among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
 @dataclass
 class Cohort:
     patient_ids: list[str]
@@ -107,11 +132,10 @@ class SkipSignal:
 def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
     """Load the claims table, vocabulary and optional dense features; malformed
     content, and a patient without a dense-feature row, raise InputError naming the file."""
-    _, records = read_jsonl(db_path)
     with open(vocab_path, encoding="utf-8") as fh:
         vocabulary = [line.strip() for line in fh if line.strip()]
-    with parsing(db_path):
-        db = PatientDB.from_records(records, vocabulary)
+    with parsing(db_path):  # streamed: one parsed record is alive at a time
+        db = PatientDB.from_records(iter_jsonl(db_path), vocabulary)
     if dense_features_path is not None:
         _, rows = read_jsonl(dense_features_path)
         with parsing(dense_features_path):

@@ -18,6 +18,8 @@ def parsing(path):
     """Report a parse failure of path inside the block as an InputError naming path."""
     try:
         yield
+    except InputError:  # already names its file
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from exc
 
@@ -46,10 +48,8 @@ def write_jsonl(path, records, header=None):
     os.replace(tmp, path)
 
 
-def read_jsonl(path, expect_header: bool = False):
-    """Returns (header, records); header is None unless expect_header."""
-    header = None
-    records = []
+def iter_jsonl(path):
+    """Yield the object on each non-blank line; a line of invalid JSON raises InputError."""
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
@@ -59,11 +59,15 @@ def read_jsonl(path, expect_header: bool = False):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
-            if expect_header and header is None and i == 0:
-                header = obj
-            else:
-                records.append(obj)
-    return header, records
+            yield obj
+
+
+def read_jsonl(path, expect_header: bool = False):
+    """Returns (header, records); header is line 1's object if expect_header, else None."""
+    records = iter_jsonl(path)
+    with open(path, encoding="utf-8") as fh:
+        header = next(records) if expect_header and fh.readline().strip() else None
+    return header, list(records)
 
 
 def read_kv_config(path) -> dict[str, str]:

@@ -109,7 +109,7 @@ class DrugDictionary:
 
     @classmethod
     def load(cls, path) -> "DrugDictionary":
-        return cls(_read_delimited(path, ("text_pattern", "ingredient_id", "match_score")))
+        return _load_dictionary(cls, path, ("text_pattern", "ingredient_id", "match_score"))
 
     def lookup(self, drug_text: str) -> frozenset[str]:
         """Ingredient set of the best-scoring match at score >= 51."""
@@ -133,10 +133,18 @@ class OutcomeDictionary:
 
     @classmethod
     def load(cls, path) -> "OutcomeDictionary":
-        return cls(_read_delimited(path, ("source_term_code", "target_outcome_code")))
+        return _load_dictionary(cls, path, ("source_term_code", "target_outcome_code"))
 
     def lookup(self, source_term_code: str) -> str | None:
         return self._map.get(source_term_code)
+
+
+def _load_dictionary(cls, path, columns):
+    """cls built from the rows of the dictionary file at path; a DictionaryError names path."""
+    try:
+        return cls(_read_delimited(path, columns))
+    except DictionaryError as exc:
+        raise DictionaryError(f"{path}: {exc}") from exc
 
 
 def _read_delimited(path, columns):
@@ -145,14 +153,14 @@ def _read_delimited(path, columns):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != tuple(columns):
-            raise DictionaryError(f"{path}: expected header {columns}, got {tuple(header)}")
+            raise DictionaryError(f"expected header {columns}, got {tuple(header)}")
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != len(columns):
-                raise DictionaryError(f"{path}: bad row {line!r}")
+                raise DictionaryError(f"bad row {line!r}")
             rows.append(tuple(parts))
     return rows
 

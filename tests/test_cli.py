@@ -229,6 +229,12 @@ MALFORMED_INPUTS = {
         "--db", _edit_record(lambda record: record.update(
             observation_end=record["observation_end"] + 0.5))),
     "numeric_event_code": ("--db", _edit_first_event(lambda ev: [*ev[:2], 7])),
+    "boolean_event_day": ("--db", _edit_first_event(lambda ev: [True, *ev[1:]])),
+    "boolean_observation_start": (
+        "--db", _edit_record(lambda record: record.update(observation_start=False))),
+    # without events, a true read as day 1 would still hold a valid window
+    "boolean_observation_end": (
+        "--db", _edit_record(lambda record: record.update(observation_end=True, events=[]))),
     "dense_rows_of_unequal_length": (
         "--dense-features", _edit_record(lambda record: record["features"].append(0.0))),
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
@@ -253,3 +259,36 @@ def test_parsing_exits_2(pipeline, tmp_path, capsys, case):
         argv += [name, str(path)]
     assert main(argv) == 2
     assert str(broken) in capsys.readouterr().err
+
+
+def test_invalid_claims_line_is_reported_once(pipeline, tmp_path, capsys):
+    _, sim, refset_path, _, _ = pipeline
+    lines = (sim / "claims.jsonl").read_text().splitlines()
+    broken = tmp_path / "claims.jsonl"
+    broken.write_text("\n".join(lines[:-1] + [lines[-1][:-5]]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--refset", str(refset_path), "--db", str(broken),
+                 "--vocab", str(sim / "vocab.txt"), "--seed", "1",
+                 "--out", str(tmp_path / "e.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("invalid JSON") == 1
+    assert f"{broken}: line {len(lines)}: invalid JSON" in err
+    assert "malformed content" not in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--drug-dict", "text_pattern\tingredient_id\tmatch_score\nalphazine\tALPHA\tabc\n"),
+    ("--outcome-dict", "source_term_code\ttarget_outcome_code\nT1\tMI\nT1\tSTROKE\n"),
+], ids=["bad_match_score", "conflicting_outcome_targets"])
+def test_dictionary_errors_name_the_file(pipeline, tmp_path, capsys, flag, text):
+    _, sim, _, _, _ = pipeline
+    inputs = {"--dump": sim / "trial_dump.jsonl", "--drug-dict": sim / "drug_dict.tsv",
+              "--outcome-dict": sim / "outcome_dict.tsv"}
+    inputs[flag] = tmp_path / "dictionary.tsv"
+    inputs[flag].write_text(text)
+    argv = ["build-refset", "--out", str(tmp_path / "refset.jsonl")]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {inputs[flag]}: ")

@@ -190,20 +190,27 @@ def _reference_cohort(records, vocab, entry, seed, max_per_arm, min_per_arm):
     return sorted(arms[0] + arms[1], key=lambda r: r[0])
 
 
-@pytest.mark.parametrize("db_seed", range(4))
-def test_build_cohort_matches_per_patient_reference(db_seed):
-    rng = np.random.default_rng(db_seed)
-    drugs, diagnoses = ["DRUG_A", "DRUG_B", "DRUG_C"], ["OUT", "COV0", "COV1"]
+DRUGS, DIAGNOSES = ["DRUG_A", "DRUG_B", "DRUG_C"], ["OUT", "COV0", "COV1"]
+
+
+def _random_records(rng, n=300, pid="p{:04d}"):
     records = []
-    for i in range(300):
+    for i in range(n):
         start = int(rng.integers(-5, 5))
         end = start + int(rng.integers(0, 200))
         events = sorted((int(rng.integers(start, end + 1)),
                          str(rng.choice(["drug_claim", "diagnosis", "procedure"])),
-                         str(rng.choice(drugs + diagnoses + ["UNKNOWN"])))
+                         str(rng.choice(DRUGS + DIAGNOSES + ["UNKNOWN"])))
                         for _ in range(int(rng.integers(0, 8))))
-        records.append(_patient(f"p{i:04d}", events, start=start, end=end))
-    vocab = drugs + diagnoses
+        records.append(_patient(pid.format(i), events, start=start, end=end))
+    return records
+
+
+@pytest.mark.parametrize("db_seed", range(4))
+def test_build_cohort_matches_per_patient_reference(db_seed):
+    rng = np.random.default_rng(db_seed)
+    records = _random_records(rng)
+    vocab = DRUGS + DIAGNOSES
     db = _db(records, vocab)
     for drug_a, drug_b, outcome in [("DRUG_A", "DRUG_B", "OUT"), ("DRUG_C", "DRUG_A", "COV0"),
                                     ("DRUG_B", "DRUG_C", "COV1")]:
@@ -219,3 +226,56 @@ def test_build_cohort_matches_per_patient_reference(db_seed):
             assert cohort.features.tolist() == [r[2] for r in expected]
             assert cohort.time.tolist() == [r[3] for r in expected]
             assert cohort.event.tolist() == [r[4] for r in expected]
+
+
+def _reference_table(records, vocabulary):
+    """The list-of-records build that the streamed from_records replaces, kept as its
+    reference: sort the record dicts by id, then intern (kind, code) per event."""
+    records = sorted(records, key=lambda rec: str(rec["patient_id"]))
+    events = [rec["events"] for rec in records]
+    keys = {}
+    key = [keys.setdefault((k, c), len(keys)) for ev in events for _, k, c in ev]
+    position = {code: i for i, code in enumerate(vocabulary)}
+    return {
+        "patients": [str(rec["patient_id"]) for rec in records],
+        "observation_end": [rec["observation_end"] for rec in records],
+        "owner": [row for row, ev in enumerate(events) for _ in ev],
+        "day": [e[0] for ev in events for e in ev],
+        "key": key,
+        "keys": list(keys.items()),
+        "column": [position.get(c, -1) for _, c in keys],
+        "vocabulary": list(vocabulary),
+    }
+
+
+@pytest.mark.parametrize("db_seed", range(4))
+def test_streamed_load_matches_record_list_reference(tmp_path, db_seed):
+    rng = np.random.default_rng(db_seed)
+    records = _random_records(rng, pid="p{}")  # unpadded ids: text order is not number order
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    db_path, vocab_path = tmp_path / "claims.jsonl", tmp_path / "vocab.txt"
+    db_path.write_text("".join(json.dumps(rec) + "\n" for rec in shuffled))
+    vocab = DIAGNOSES[::-1] + DRUGS[:2]  # DRUG_C and the procedure codes stay unknown
+    vocab_path.write_text("\n".join(vocab) + "\n")
+    db = load_patient_db(db_path, vocab_path)
+    expected = _reference_table(shuffled, vocab)
+    assert db.patients == expected["patients"]
+    for field in ("observation_end", "owner", "day", "key", "column"):
+        assert getattr(db, field).dtype.kind == "i", field
+        assert getattr(db, field).tolist() == expected[field], field
+    assert list(db.keys.items()) == expected["keys"]
+    assert db.vocabulary == expected["vocabulary"]
+    assert db.dense_features is None
+
+
+def test_from_records_consumes_a_one_shot_generator():
+    records = _random_records(np.random.default_rng(5), n=50)
+    vocab = DRUGS + DIAGNOSES
+    from_list = PatientDB.from_records(records, vocab)
+    from_generator = PatientDB.from_records((rec for rec in records), vocab)
+    for field in ("observation_end", "owner", "day", "key", "column"):
+        assert np.array_equal(getattr(from_list, field), getattr(from_generator, field))
+    assert from_generator.patients == from_list.patients
+    assert list(from_generator.keys.items()) == list(from_list.keys.items())
+    empty = PatientDB.from_records(iter([]), vocab)
+    assert empty.patients == [] and empty.owner.size == empty.key.size == 0

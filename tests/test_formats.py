@@ -3,7 +3,9 @@ import hashlib
 import pytest
 
 from trialbench.formats import (
+    InputError,
     dump_json_line,
+    iter_jsonl,
     read_jsonl,
     read_kv_config,
     sha256_file,
@@ -31,6 +33,16 @@ def test_jsonl_round_trip(tmp_path):
     _, all_records = read_jsonl(path)
     assert len(all_records) == 3
     assert not path.with_suffix(".jsonl.tmp").exists()
+
+
+def test_jsonl_header_is_line_one_only(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('\n{"i": 0}\n  \n{"i": 1}\n')
+    assert read_jsonl(path, expect_header=True) == (None, [{"i": 0}, {"i": 1}])
+    assert list(iter_jsonl(path)) == [{"i": 0}, {"i": 1}]
+    path.write_text('{"i": 0}\n\n{"i": 1\n')
+    with pytest.raises(InputError, match=r"records\.jsonl: line 3: invalid JSON"):
+        read_jsonl(path, expect_header=True)
 
 
 def test_read_kv_config(tmp_path):
