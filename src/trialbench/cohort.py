@@ -54,10 +54,10 @@ class PatientDB:
                 day.append(d)
                 kind.append(k)
                 code.append(c)
-        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable, like sorting records
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # record index per row, id order
         patients = [ids[i] for i in order]
         unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
-        by_patient = np.argsort(unsorted, kind="stable")
+        by_patient = np.argsort(unsorted, kind="stable")  # a patient's events keep file order
         owner = unsorted[by_patient]
         day = _integers(day)[by_patient]
         start, end = _integers(start)[order], _integers(end)[order]
