@@ -84,8 +84,16 @@ class PatientDB:
                    list(vocabulary))
 
     def with_dense_features(self, rows) -> PatientDB:
-        """Attach one equal-length feature row per patient from {patient_id, features} records."""
-        by_id = {str(r["patient_id"]): r["features"] for r in rows}
+        """Attach one equal-length feature row per patient from {patient_id, features} records.
+        Raises ValueError on a duplicate id or a boolean feature value."""
+        by_id = {}
+        for r in rows:
+            pid, features = str(r["patient_id"]), r["features"]
+            if pid in by_id:
+                raise ValueError(f"{pid}: duplicate patient_id")
+            if bool in map(type, features):
+                raise ValueError(f"{pid}: dense features must be numbers, not booleans")
+            by_id[pid] = features
         missing = [p for p in self.patients if p not in by_id]
         if missing:
             raise ValueError(f"no dense-feature row for {len(missing)} patients, "

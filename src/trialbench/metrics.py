@@ -9,12 +9,13 @@ table at 2 / 1.5 / 1.25.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators.methods import SCALE_LOG_HR, SCALE_RMST_DAYS
-from .refset import DIRECTION_A, DIRECTION_B, DIRECTION_NONE, LABEL_STRONG, LABEL_WEAK
+from .refset import DIRECTION_A, DIRECTION_B, DIRECTION_NONE, LABEL_STRONG
 
 # Hazard-ratio thresholds for the fixed summary table.
 FIXED_HR_THRESHOLDS = (2.0, 1.5, 1.25)
@@ -72,17 +73,27 @@ class ScoredEffect:
 def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
     """Group estimate records into {method_id: (scale, scored effects)}.
 
-    A method's scale is that of its first record; a later record for the
-    same entry replaces the earlier one. A record is available when it
-    converged with a point estimate.
+    A later record for the same entry replaces the earlier one. A record is
+    available when it converged with a point estimate. Raises ValueError
+    unless each point is null or a finite number, each converged flag a
+    boolean, and each method's records share one known scale.
     """
     grouped: dict[str, tuple[str, dict]] = {}
     for rec in records:
         key = (rec["drug_a"], rec["drug_b"], rec["outcome_code"])
-        method_id = rec["method_id"]
+        method_id, point, converged = rec["method_id"], rec["point"], rec["converged"]
         scale, effects = grouped.setdefault(method_id, (rec["scale"], {}))
-        point = rec["point"]
-        if rec["converged"] and point is not None:
+        if rec["scale"] != scale:
+            raise ValueError(f"{method_id}: rows on both {scale!r} and {rec['scale']!r}")
+        if scale not in (SCALE_LOG_HR, SCALE_RMST_DAYS):
+            raise ValueError(f"{method_id}: unknown scale {scale!r}")
+        # abs() compares exactly, so an integer beyond the float range fails too
+        if point is not None and (type(point) not in (int, float)
+                                  or not abs(point) <= sys.float_info.max):
+            raise ValueError(f"{method_id}: point {point!r} is not null or a finite number")
+        if type(converged) is not bool:
+            raise ValueError(f"{method_id}: converged {converged!r} is not a boolean")
+        if converged and point is not None:
             effects[key] = ScoredEffect(key, method_id, True, direction_of(scale, point),
                                         abs(point))
         else:
@@ -90,80 +101,68 @@ def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
     return {m: (scale, list(effects.values())) for m, (scale, effects) in grouped.items()}
 
 
-def score(effects: list[ScoredEffect], reference_set, magnitude_threshold: float,
-          method_id: str = "") -> MetricsRow:
-    """Weighted precision / recall at one magnitude threshold.
+def _tally(effects: list[ScoredEffect], reference_set):
+    """Sort the evaluable entries by descending magnitude once; return a reader that
+    scores any magnitude threshold off running counts of the predictions above it.
 
-    Strong entries are weighted by N_weak / N_strong (counts over
-    evaluable entries) so the two families balance; precision requires a
-    correct direction. Entries without an available estimate never count
-    toward precision but do count as recall misses.
+    Strong entries are weighted by N_weak / N_strong (counts over evaluable
+    entries) so the two families balance; precision requires a correct
+    direction. Entries without an available estimate never count toward
+    precision but do count as recall misses. A NaN magnitude is never
+    predicted strong and an infinite one always is.
     """
     entries = reference_set.entries
     if not entries:
         raise ValueError("empty reference set")
     by_key = {e.entry_key: e for e in effects}
-
-    n_strong_eval = sum(1 for e in entries
-                        if e.label == LABEL_STRONG
-                        and by_key.get(e.key) is not None and by_key[e.key].available)
-    n_weak_eval = sum(1 for e in entries
-                      if e.label == LABEL_WEAK
-                      and by_key.get(e.key) is not None and by_key[e.key].available)
+    pairs = [(entry, eff) for entry in entries
+             if (eff := by_key.get(entry.key)) is not None and eff.available]
+    magnitude = np.array([eff.magnitude for _, eff in pairs], dtype=float)
+    strong = np.array([entry.label == LABEL_STRONG for entry, _ in pairs], dtype=bool)
+    hit = strong & np.array([eff.direction == entry.direction for entry, eff in pairs], bool)
+    order = np.argsort(-magnitude)  # NaN sorts last, so no threshold reaches it
+    descending = -magnitude[order]
+    # counts[:, k]: correct-strong, wrong-direction-strong and weak among the k largest
+    counts = np.pad(np.cumsum(np.array([hit, strong & ~hit, ~strong])[:, order], axis=1),
+                    ((0, 0), (1, 0)))
+    n_strong_eval, n_weak_eval = int(strong.sum()), int((~strong).sum())
     n_strong_total = sum(1 for e in entries if e.label == LABEL_STRONG)
     # unweighted fallback when either family has no evaluable entries
     strong_weight = (n_weak_eval / n_strong_eval) if (n_strong_eval and n_weak_eval) else 1.0
 
-    tp_w = fp_w = 0.0
-    tp = fp = 0
-    correct_strong = 0
-    n_evaluable = 0
-    for entry in entries:
-        eff = by_key.get(entry.key)
-        if eff is None or not eff.available:
-            continue
-        n_evaluable += 1
-        predicted_strong = eff.magnitude >= magnitude_threshold
-        if not predicted_strong:
-            continue
-        weight = strong_weight if entry.label == LABEL_STRONG else 1.0
-        hit = entry.label == LABEL_STRONG and eff.direction == entry.direction
-        if hit:
-            tp_w += weight
-            tp += 1
-            correct_strong += 1
-        else:
-            fp_w += weight
-            fp += 1
+    def read(magnitude_threshold: float, method_id: str) -> MetricsRow:
+        k = int(np.searchsorted(descending, -magnitude_threshold, side="right"))
+        tp, fp_strong, fp_weak = counts[:, k].tolist()
+        tp_w, fp_w = tp * strong_weight, fp_strong * strong_weight + fp_weak
+        return MetricsRow(
+            method_id=method_id,
+            threshold=magnitude_threshold,
+            weighted_precision=(tp_w / (tp_w + fp_w)) if tp_w + fp_w > 0 else None,
+            recall=tp / n_strong_total if n_strong_total else 0.0,
+            recall_evaluable=tp / n_strong_eval if n_strong_eval else 0.0,
+            tp_weighted=tp_w,
+            fp_weighted=fp_w,
+            tp=tp,
+            fp=fp_strong + fp_weak,
+            fn=n_strong_total - tp,
+            n_evaluable=len(pairs),
+        )
+    return read
 
-    predicted_strong_w = tp_w + fp_w
-    precision = (tp_w / predicted_strong_w) if predicted_strong_w > 0 else None
-    recall = correct_strong / n_strong_total if n_strong_total else 0.0
-    recall_eval = correct_strong / n_strong_eval if n_strong_eval else 0.0
-    return MetricsRow(
-        method_id=method_id,
-        threshold=magnitude_threshold,
-        weighted_precision=precision,
-        recall=recall,
-        recall_evaluable=recall_eval,
-        tp_weighted=tp_w,
-        fp_weighted=fp_w,
-        tp=tp,
-        fp=fp,
-        fn=n_strong_total - correct_strong,
-        n_evaluable=n_evaluable,
-    )
+
+def score(effects: list[ScoredEffect], reference_set, magnitude_threshold: float,
+          method_id: str = "") -> MetricsRow:
+    """Weighted precision / recall at one magnitude threshold (see _tally)."""
+    return _tally(effects, reference_set)(magnitude_threshold, method_id)
 
 
 def pr_curve(effects: list[ScoredEffect], reference_set, scale: str,
              method_id: str = "") -> list[MetricsRow]:
-    """One row per distinct magnitude (descending) plus the fixed HR cuts."""
-    mags = sorted({e.magnitude for e in effects if e.available and math.isfinite(e.magnitude)},
-                  reverse=True)
-    if not mags:
+    """One row per distinct finite magnitude (descending) plus the fixed HR cuts."""
+    thresholds = {e.magnitude for e in effects if e.available and math.isfinite(e.magnitude)}
+    if not thresholds:
         raise ValueError("no converged predictions")
-    thresholds = list(mags)
     if scale == SCALE_LOG_HR:
-        thresholds += [threshold_to_magnitude(scale, t) for t in FIXED_HR_THRESHOLDS]
-    thresholds = sorted(set(thresholds), reverse=True)
-    return [score(effects, reference_set, t, method_id) for t in thresholds]
+        thresholds |= {threshold_to_magnitude(scale, t) for t in FIXED_HR_THRESHOLDS}
+    read = _tally(effects, reference_set)
+    return [read(t, method_id) for t in sorted(thresholds, reverse=True)]

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's code paths: exact rational
 arithmetic for the 2x2 tail probabilities, a naive quadratic BH, a
-textbook loop-based Breslow partial likelihood, and a direct recursive
-Kaplan-Meier.
+textbook loop-based Breslow partial likelihood, a direct recursive
+Kaplan-Meier, and a per-threshold rescan for report precision/recall.
 """
 
 from __future__ import annotations
@@ -112,3 +112,38 @@ def km_recursive(times, events) -> list[tuple[float, float]]:
         surv *= 1.0 - deaths / at_risk
         out.append((dt, surv))
     return out
+
+
+def naive_score(effects, entries, threshold) -> dict:
+    """Weighted precision/recall at one magnitude threshold by rescanning every entry.
+
+    Strong entries weigh n_weak/n_strong over entries with an available
+    effect (1 when either family has none); a hit is a strong entry
+    predicted at or above the threshold in its own direction.
+    """
+    by_key = {e.entry_key: e for e in effects}
+    evaluable = [(entry, by_key[entry.key]) for entry in entries
+                 if entry.key in by_key and by_key[entry.key].available]
+    n_strong_eval = sum(1 for entry, _ in evaluable if entry.label == "strong")
+    n_weak_eval = len(evaluable) - n_strong_eval
+    n_strong = sum(1 for entry in entries if entry.label == "strong")
+    weight = n_weak_eval / n_strong_eval if n_strong_eval and n_weak_eval else 1.0
+    tp_w = fp_w = 0.0
+    tp = fp = 0
+    for entry, eff in evaluable:
+        if not eff.magnitude >= threshold:
+            continue
+        w = weight if entry.label == "strong" else 1.0
+        if entry.label == "strong" and eff.direction == entry.direction:
+            tp_w += w
+            tp += 1
+        else:
+            fp_w += w
+            fp += 1
+    return {
+        "precision": tp_w / (tp_w + fp_w) if tp_w + fp_w > 0 else None,
+        "recall": tp / n_strong if n_strong else 0.0,
+        "recall_evaluable": tp / n_strong_eval if n_strong_eval else 0.0,
+        "tp_weighted": tp_w, "fp_weighted": fp_w,
+        "tp": tp, "fp": fp, "fn": n_strong - tp, "n_evaluable": len(evaluable),
+    }

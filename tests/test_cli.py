@@ -237,6 +237,9 @@ MALFORMED_INPUTS = {
         "--db", _edit_record(lambda record: record.update(observation_end=True, events=[]))),
     "dense_rows_of_unequal_length": (
         "--dense-features", _edit_record(lambda record: record["features"].append(0.0))),
+    "duplicate_dense_row": ("--dense-features", lambda text: text + text.split("\n", 1)[0] + "\n"),
+    "boolean_dense_feature": (
+        "--dense-features", _edit_record(lambda record: record["features"].__setitem__(0, True))),
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
     "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
@@ -292,3 +295,35 @@ def test_dictionary_errors_name_the_file(pipeline, tmp_path, capsys, flag, text)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {inputs[flag]}: ")
+
+
+def _second_row_on_other_scale(text):
+    """Edit for an estimates text: repeat the first row's method for another entry,
+    on the other effect scale."""
+    record = json.loads(text.splitlines()[1])
+    other = {"log_hazard_ratio": "rmst_difference_days"}.get(record["scale"], "log_hazard_ratio")
+    record.update(outcome_code="OTHER_OUTCOME", scale=other)
+    return text + json.dumps(record) + "\n"
+
+
+# case -> edit of the estimates text; each row still shares the reference set of its header
+MALFORMED_ESTIMATES = {
+    "boolean_point": _edit_record(lambda record: record.update(point=True), line=1),
+    "nan_point": _edit_record(lambda record: record.update(point=float("nan")), line=1),
+    "infinite_point": _edit_record(lambda record: record.update(point=float("inf")), line=1),
+    "string_converged": _edit_record(lambda record: record.update(converged="false"), line=1),
+    "unknown_scale": _edit_record(
+        lambda record: record.update(scale="risk_difference", point=None), line=1),
+    "mixed_scales_in_one_method": _second_row_on_other_scale,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ESTIMATES))
+def test_report_estimate_rows_exit_2(pipeline, tmp_path, capsys, case):
+    _, _, refset_path, estimates, _ = pipeline
+    broken = tmp_path / "estimates.jsonl"
+    broken.write_text(MALFORMED_ESTIMATES[case](estimates.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--estimates", str(broken), "--refset", str(refset_path),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {broken}: ")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import naive_score
 
 from trialbench.estimators import SCALE_LOG_HR, SCALE_RMST_DAYS
 from trialbench.metrics import (
@@ -174,3 +175,64 @@ def test_pr_curve_structure():
     with pytest.raises(ValueError):
         pr_curve([ScoredEffect(("A", "B", "E"), "m", False, DIRECTION_NONE, math.nan)],
                  refset, SCALE_LOG_HR)
+
+
+def _random_set(rng):
+    """A random reference set and effects: tied, infinite, NaN and unavailable magnitudes,
+    entries without an effect, effects outside the set, and single-family sets."""
+    n = int(rng.integers(1, 120))
+    families = [[LABEL_STRONG], [LABEL_WEAK], [LABEL_STRONG, LABEL_WEAK]][int(rng.integers(3))]
+    entries, effects = [], []
+    for i in range(n):
+        label = str(rng.choice(families))
+        entry = _entry(i, label, str(rng.choice([DIRECTION_A, DIRECTION_B]))
+                       if label == LABEL_STRONG else DIRECTION_NONE)
+        entries.append(entry)
+        kind = rng.choice(["tied", "continuous", "infinite", "nan", "unavailable", "absent"],
+                          p=[0.3, 0.3, 0.1, 0.1, 0.1, 0.1])
+        if kind == "absent":
+            continue
+        if kind == "unavailable":
+            effects.append(ScoredEffect(entry.key, "m", False, DIRECTION_NONE, math.nan))
+            continue
+        magnitude = {"tied": float(rng.integers(0, 4)) / 4, "continuous": rng.exponential(0.5),
+                     "infinite": math.inf, "nan": math.nan}[kind]
+        effects.append(_effect(entry, direction=str(rng.choice([DIRECTION_A, DIRECTION_B])),
+                               magnitude=float(magnitude)))
+    for i in range(int(rng.integers(0, 3))):  # keys the reference set does not hold
+        effects.append(ScoredEffect(("X", "Y", f"Z{i}"), "m", True, DIRECTION_A,
+                                    float(rng.integers(0, 4)) / 4))
+    rng.shuffle(effects)
+    return ReferenceSet(entries), effects
+
+
+def _as_reported(value):
+    return "" if value is None else f"{value:.6g}"
+
+
+def _assert_matches_oracle(row, expected):
+    assert _as_reported(row.weighted_precision) == _as_reported(expected["precision"])
+    for name in ("recall", "recall_evaluable", "tp", "fp", "fn", "n_evaluable"):
+        assert getattr(row, name) == expected[name], name
+    for name in ("tp_weighted", "fp_weighted"):
+        assert getattr(row, name) == pytest.approx(expected[name], rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_score_and_pr_curve_match_naive_rescan(seed):
+    rng = np.random.default_rng(seed)
+    refset, effects = _random_set(rng)
+    for threshold in (0.0, 0.25, 0.5, 0.6, 1.0, math.log(2), 5.0, math.inf):
+        _assert_matches_oracle(score(effects, refset, threshold),
+                               naive_score(effects, refset.entries, threshold))
+    finite = {e.magnitude for e in effects if e.available and math.isfinite(e.magnitude)}
+    if not finite:
+        with pytest.raises(ValueError):
+            pr_curve(effects, refset, SCALE_LOG_HR)
+        return
+    for scale, extra in ((SCALE_LOG_HR, {math.log(t) for t in FIXED_HR_THRESHOLDS}),
+                         (SCALE_RMST_DAYS, set())):
+        rows = pr_curve(effects, refset, scale)
+        assert [r.threshold for r in rows] == sorted(finite | extra, reverse=True)
+        for row in rows:
+            _assert_matches_oracle(row, naive_score(effects, refset.entries, row.threshold))
