@@ -244,6 +244,8 @@ def cmd_report(args) -> int:
     if header.get("refset_sha256") != sha256_file(refset_path):
         raise ProvenanceError("estimates were produced against a different reference set")
     reference = refset_mod.load(refset_path)
+    if not reference.entries:
+        raise InputError(f"{refset_path}: no reference entries to score against")
     with parsing(estimates_path):
         by_method = metrics_mod.effects_by_method(records)
 

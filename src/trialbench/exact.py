@@ -20,6 +20,12 @@ WEAK_OR_HIGH = 1.25
 # Floor so p_strong stays strictly positive.
 _P_FLOOR = 5e-324
 
+# family -> (null of its lower tail, null of its upper tail)
+_FAMILY_TAIL_NULLS = {
+    "weak": (WEAK_OR_HIGH, WEAK_OR_LOW),
+    "strong": (WEAK_OR_LOW, WEAK_OR_HIGH),
+}
+
 
 @dataclass(frozen=True)
 class TableMargins:
@@ -73,17 +79,41 @@ def odds_ratio(a: int, n1: int, b: int, n2: int) -> float:
     return num / den
 
 
-def _log_pmf_vector(n1: int, n2: int, m: int, psi: float) -> np.ndarray:
-    """Normalized log-pmf of the noncentral hypergeometric over the support."""
+# _LOG_FACTORIAL[i] = log(i!) = gammaln(i + 1), grown by doubling whenever a 2x2
+# table's arm lies past its end; the only place this module calls gammaln.
+_LOG_FACTORIAL = np.empty(0)
+
+
+def _log_binomials(n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support k and log C(n1, k) + log C(n2, m - k) over it.
+
+    Every term is read off one log-factorial table shared by all margins.
+    """
+    global _LOG_FACTORIAL
     lo, hi = support(n1, n2, m)
-    k = np.arange(lo, hi + 1)
-    logw = (
-        gammaln(n1 + 1) - gammaln(k + 1) - gammaln(n1 - k + 1)
-        + gammaln(n2 + 1) - gammaln(m - k + 1) - gammaln(n2 - m + k + 1)
-        + k * math.log(psi)
-    )
+    if lo > hi:  # exactly the margins with a negative count or m outside [0, n1 + n2]
+        raise ValueError(f"margins n1={n1}, n2={n2}, m={m} have no support")
+    if max(n1, n2) >= _LOG_FACTORIAL.size:
+        size = max(n1 + 1, n2 + 1, 2 * _LOG_FACTORIAL.size)
+        table = np.arange(1.0, size + 1.0)
+        _LOG_FACTORIAL = gammaln(table, out=table)  # in place: one array at the new size
+    lf = _LOG_FACTORIAL
+    # lf[n1] - lf[k] - lf[n1 - k] + lf[n2] - lf[m - k] - lf[n2 - m + k], each
+    # support-long term a slice of the table (reversed where it falls with k)
+    base = (lf[n1] - lf[lo:hi + 1] - lf[n1 - hi:n1 - lo + 1][::-1]
+            + lf[n2] - lf[m - hi:m - lo + 1][::-1] - lf[n2 - m + lo:n2 - m + hi + 1])
+    return np.arange(lo, hi + 1), base
+
+
+def _normalized(logw: np.ndarray) -> np.ndarray:
     mx = logw.max()
     return logw - (mx + math.log(np.exp(logw - mx).sum()))
+
+
+def _log_pmf_vector(n1: int, n2: int, m: int, psi: float) -> np.ndarray:
+    """Normalized log-pmf of the noncentral hypergeometric over the support."""
+    k, base = _log_binomials(n1, n2, m)
+    return _normalized(base + k * math.log(psi))
 
 
 def nchg_log_pmf(k: int, margins: TableMargins, psi: float) -> float:
@@ -110,21 +140,23 @@ def fisher_one_sided_p(margins: TableMargins, null: OddsRatioNull) -> float:
 def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
     """Composite p-value at every realizable cell value, vectorized.
 
-    Lower/upper tails come from cumulative sums of the two noncentral pmfs
-    so the per-k values and the minimum over k share one code path.
+    One log-binomial base serves both nulls. The family reads a lower tail
+    P(K <= k) at one null and an upper tail P(K >= k) at the other, each a
+    cumulative sum of that null's pmf, so the per-k values and the minimum
+    over k share one code path.
     """
-    pmf_low = np.exp(_log_pmf_vector(n1, n2, m, WEAK_OR_LOW))
-    pmf_high = np.exp(_log_pmf_vector(n1, n2, m, WEAK_OR_HIGH))
-    lower_low = np.minimum(np.cumsum(pmf_low), 1.0)  # P(K <= k; psi=0.8)
-    lower_high = np.minimum(np.cumsum(pmf_high), 1.0)  # P(K <= k; psi=1.25)
-    upper_low = np.minimum(np.cumsum(pmf_low[::-1])[::-1], 1.0)  # P(K >= k; 0.8)
-    upper_high = np.minimum(np.cumsum(pmf_high[::-1])[::-1], 1.0)  # P(K >= k; 1.25)
-    if family == "weak":
-        p = np.maximum(lower_high, upper_low)
-    elif family == "strong":
-        p = 0.5 * np.minimum(lower_low, upper_high)
-    else:
+    if family not in _FAMILY_TAIL_NULLS:
         raise ValueError(f"unknown family {family!r}")
+    lower_psi, upper_psi = _FAMILY_TAIL_NULLS[family]
+    k, base = _log_binomials(n1, n2, m)
+    pmf_lower = np.exp(_normalized(base + k * math.log(lower_psi)))
+    pmf_upper = np.exp(_normalized(base + k * math.log(upper_psi)))
+    lower = np.minimum(np.cumsum(pmf_lower), 1.0)
+    upper = np.minimum(np.cumsum(pmf_upper[::-1])[::-1], 1.0)
+    if family == "weak":
+        p = np.maximum(lower, upper)
+    else:
+        p = 0.5 * np.minimum(lower, upper)
     return np.clip(p, _P_FLOOR, 1.0)
 
 

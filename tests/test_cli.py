@@ -198,6 +198,21 @@ def test_report_rejects_non_estimates_file(pipeline, tmp_path):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+def test_report_rejects_empty_reference_set(pipeline, tmp_path, capsys):
+    _, _, refset_path, estimates, _ = pipeline
+    header, _ = read_jsonl(refset_path, expect_header=True)
+    empty = tmp_path / "empty_refset.jsonl"
+    write_jsonl(empty, [], header=header)
+    estimates_header, rows = read_jsonl(estimates, expect_header=True)
+    estimates_header["refset_sha256"] = sha256_file(empty)
+    matching = tmp_path / "estimates.jsonl"
+    write_jsonl(matching, rows, header=estimates_header)
+    capsys.readouterr()
+    assert main(["report", "--estimates", str(matching), "--refset", str(empty),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {empty}: ")
+
+
 def _edit_record(change, line=0):
     """Edit for a JSONL text: apply change(record) to the record on the given line."""
     def edit(text):

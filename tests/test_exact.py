@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import fisher_exact
 
-from oracles import exact_p_strong, exact_p_weak, exact_tail, naive_bh
+from oracles import (
+    exact_p_strong,
+    exact_p_weak,
+    exact_tail,
+    gammaln_family_p_all,
+    gammaln_log_pmf,
+    naive_bh,
+)
+from trialbench import exact
 from trialbench.exact import (
     OddsRatioNull,
     TableMargins,
+    _family_p_all,
+    _log_pmf_vector,
     bh_qvalues,
     bh_reject,
     fisher_one_sided_p,
@@ -93,6 +103,47 @@ def test_min_achievable_hand_value():
 def test_min_achievable_unknown_family():
     with pytest.raises(ValueError):
         min_achievable_p(10, 10, 5, "moderate")
+
+
+def _random_margins(rng, max_arm):
+    n1, n2 = (int(n) for n in rng.integers(0, max_arm + 1, size=2))
+    return n1, n2, int(rng.integers(0, n1 + n2 + 1))
+
+
+def test_log_factorial_table_is_bit_identical_to_gammaln(monkeypatch):
+    monkeypatch.setattr(exact, "_LOG_FACTORIAL", np.empty(0))
+    rng = np.random.default_rng(29)
+    small = [_random_margins(rng, 50) for _ in range(30)]
+    large = [_random_margins(rng, 40_000) for _ in range(12)]
+    full_and_empty = [(n1, n2, m) for n1, n2 in ((0, 0), (1, 0), (0, 7), (37, 12),
+                                                 (25_000, 40_000), (39_999, 3))
+                      for m in (0, n1 + n2)]
+    # m > n2 puts the support's lower end above zero
+    lo_above_zero = [(n1, n2, n2 + int(rng.integers(1, n1 + 1)))
+                     for n1, n2 in ((30, 5), (12, 0), (40_000, 17), (38_000, 36_500))]
+    sizes = {}
+    # small arms, then large ones grow the table, then small arms read the grown table
+    for phase, batch in (("small", small), ("large", large + full_and_empty + lo_above_zero),
+                         ("small again", small)):
+        for n1, n2, m in batch:
+            for family in ("weak", "strong"):
+                assert np.array_equal(_family_p_all(n1, n2, m, family),
+                                      gammaln_family_p_all(n1, n2, m, family)), (n1, n2, m, family)
+            for psi in (0.8, 1.0, 1.25):
+                assert np.array_equal(_log_pmf_vector(n1, n2, m, psi),
+                                      gammaln_log_pmf(n1, n2, m, psi)), (n1, n2, m, psi)
+        sizes[phase] = exact._LOG_FACTORIAL.size
+    assert 0 < sizes["small"] <= 2 * 51 < 40_000 < sizes["large"] == sizes["small again"]
+
+
+@pytest.mark.parametrize("n1, n2, m", [(-1, 5, 2), (5, -1, 2), (4, 3, 8), (4, 3, -1)],
+                         ids=["negative_n1", "negative_n2", "m_above_total", "negative_m"])
+def test_invalid_margins_raise(n1, n2, m):
+    for family in ("weak", "strong"):
+        with pytest.raises(ValueError):
+            min_achievable_p(n1, n2, m, family)
+    with pytest.raises(ValueError):
+        _log_pmf_vector(n1, n2, m, 1.25)
 
 
 def test_bh_matches_naive_oracle():
