@@ -77,12 +77,15 @@ def cmd_simulate(args) -> int:
             config = synth.ScenarioConfig.from_dict(scenario["claims"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"invalid claims scenario: {exc}") from exc
+        n_mc = scenario.get("mc_samples", 1_000_000)
+        if type(n_mc) is not int or n_mc < 1:  # a JSON true is not a sample count
+            raise InputError(f"{scenario_path}: mc_samples must be a positive integer, "
+                             f"got {n_mc!r}")
         patients, dense_rows, _ = synth.gen_claims(config, rng)
         write_jsonl(out_dir / "claims.jsonl", patients)
         write_jsonl(out_dir / "dense_features.jsonl", dense_rows)
         (out_dir / "vocab.txt").write_text(
             "\n".join(synth.vocabulary(config)) + "\n", encoding="utf-8")
-        n_mc = int(scenario.get("mc_samples", 1_000_000))
         truth = synth.ground_truth(config, rng, n_mc=n_mc)
         (out_dir / "ground_truth.json").write_text(
             dump_json_line(dataclasses.asdict(truth)) + "\n", encoding="utf-8")
@@ -146,18 +149,27 @@ def cmd_evaluate(args) -> int:
         methods = requested
 
     settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
+
+    def setting(key, default, in_range, rule):
+        """The config value of key (default when absent), parsed as default's type."""
+        value = type(default)(settings_kv.get(key, default))
+        if not (math.isfinite(value) and in_range(value)):
+            raise InputError(f"{args.config}: {key} must be finite and {rule}, "
+                             f"got {settings_kv[key]!r}")
+        return value
+
     with parsing(args.config):
         seed = args.seed if args.seed is not None else (
             int(settings_kv["seed"]) if "seed" in settings_kv else None)
         settings_base = RunSettings(
-            ridge=float(settings_kv.get("ridge", 1e-6)),
-            caliper_sd_logit=float(settings_kv.get("caliper_sd_logit", 0.2)),
-            weight_cap=float(settings_kv.get("weight_cap", 100.0)),
-            tau_percentile=float(settings_kv.get("tau_percentile", 0.8)),
+            ridge=setting("ridge", 1e-6, lambda v: v >= 0, ">= 0"),
+            caliper_sd_logit=setting("caliper_sd_logit", 0.2, lambda v: v > 0, "> 0"),
+            weight_cap=setting("weight_cap", 100.0, lambda v: v > 0, "> 0"),
+            tau_percentile=setting("tau_percentile", 0.8, lambda v: 0 < v <= 1, "in (0, 1]"),
             methods=methods,
         )
-        max_per_arm = int(settings_kv.get("max_per_arm", cohort_mod.MAX_ARM_SIZE))
-        min_per_arm = int(settings_kv.get("min_per_arm", cohort_mod.MIN_ARM_SIZE))
+        max_per_arm = setting("max_per_arm", cohort_mod.MAX_ARM_SIZE, lambda v: v >= 0, ">= 0")
+        min_per_arm = setting("min_per_arm", cohort_mod.MIN_ARM_SIZE, lambda v: v >= 0, ">= 0")
     if seed is None:
         raise InputError("an explicit --seed (or seed= in the run config) is required")
 

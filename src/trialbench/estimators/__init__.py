@@ -6,7 +6,6 @@ from .survival import (
     SurvivalCurve,
     AFTModel,
     cox_fit,
-    cox_partial_loglik,
     km_curve,
     rmst,
     event_time_horizon,

@@ -11,6 +11,8 @@ SCORE_CLIP = 1e-6
 STANDARD_WEIGHT_CAP = 100.0
 DEFAULT_RIDGE = 1e-6
 DEFAULT_CALIPER = 0.2
+LOGISTIC_TOL = 1e-8  # max absolute IRLS coefficient step
+LOGISTIC_MAX_ITER = 100
 
 
 class MatchingError(Exception):
@@ -25,12 +27,11 @@ class PropensityFit:
     iterations: int
 
 
-def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE,
-                 tol: float = 1e-8, max_iter: int = 100) -> PropensityFit:
+def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE) -> PropensityFit:
     """Ridge-penalized logistic regression via IRLS.
 
     The intercept is unpenalized. Converged when the max absolute
-    coefficient change drops below tol. Separation yields a flagged
+    coefficient change drops below LOGISTIC_TOL. Separation yields a flagged
     non-converged fit whose clipped scores remain usable.
     """
     X = np.column_stack([np.ones(len(treatment_labels)), np.asarray(features, dtype=float)])
@@ -43,7 +44,7 @@ def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE,
     beta = np.zeros(p)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LOGISTIC_MAX_ITER + 1):
         eta = X @ beta
         e = 1.0 / (1.0 + np.exp(-np.clip(eta, -35, 35)))
         w = np.maximum(e * (1.0 - e), 1e-12)
@@ -54,7 +55,7 @@ def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE,
         except np.linalg.LinAlgError:
             break
         beta = beta + step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < LOGISTIC_TOL:
             converged = True
             break
     eta = X @ beta

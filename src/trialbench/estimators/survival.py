@@ -57,15 +57,6 @@ class SurvivalCurve:
         return padded[idx]
 
 
-def _sorted_arrays(times, events, x, weights):
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    x = np.asarray(x, dtype=float)
-    w = np.ones_like(times) if weights is None else np.asarray(weights, dtype=float)
-    order = np.argsort(times, kind="stable")
-    return times[order], events[order], x[order], w[order]
-
-
 def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     """Weighted Cox partial likelihood for one binary covariate.
 
@@ -73,7 +64,11 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     the inverse observed information; se_robust the Lin-Wei sandwich,
     appropriate whenever the weights are not all one.
     """
-    t, d, x, w = _sorted_arrays(times, events, treatment, row_weights)
+    t = np.asarray(times, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t, d = t[order], np.asarray(events, dtype=bool)[order]
+    x = np.asarray(treatment, dtype=float)[order]
+    w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)[order]
     n = len(t)
     if not (d & (x > 0)).any() or not (d & (x <= 0)).any():
         return CoxResult(beta=math.inf if (d & (x > 0)).any() else -math.inf,
@@ -133,16 +128,6 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
 
     return CoxResult(beta=float(beta), se_model=se_model, se_robust=se_robust,
                      converged=converged, iterations=iterations, n_used=n)
-
-
-def cox_partial_loglik(beta, times, events, treatment, row_weights=None) -> float:
-    """Weighted Breslow partial log-likelihood (used by brute-force checks)."""
-    t, d, x, w = _sorted_arrays(times, events, treatment, row_weights)
-    r = np.exp(beta * x)
-    s0 = np.cumsum((w * r)[::-1])[::-1]
-    event_idx = np.nonzero(d)[0]
-    first = np.searchsorted(t, t[event_idx], side="left")
-    return float(np.sum(w[event_idx] * (beta * x[event_idx] - np.log(s0[first]))))
 
 
 def km_curve(times, events, row_weights=None) -> SurvivalCurve:

@@ -8,7 +8,6 @@ p-values for fixed margins, and Benjamini-Hochberg FDR control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,38 +24,6 @@ _FAMILY_TAIL_NULLS = {
     "weak": (WEAK_OR_HIGH, WEAK_OR_LOW),
     "strong": (WEAK_OR_LOW, WEAK_OR_HIGH),
 }
-
-
-@dataclass(frozen=True)
-class TableMargins:
-    """Fixed margins of a 2x2 table plus the observed drug-A cell.
-
-    n1, n2: arm participant counts; m: total events; k: events in arm A.
-    """
-
-    n1: int
-    n2: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        lo, hi = support(self.n1, self.n2, self.m)
-        if not (0 <= self.m <= self.n1 + self.n2):
-            raise ValueError(f"m={self.m} outside [0, {self.n1 + self.n2}]")
-        if not (lo <= self.k <= hi):
-            raise ValueError(f"k={self.k} outside support [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class OddsRatioNull:
-    psi: float
-    tail: str  # "lower" or "upper"
-
-    def __post_init__(self):
-        if self.psi <= 0:
-            raise ValueError("psi must be positive")
-        if self.tail not in ("lower", "upper"):
-            raise ValueError(f"unknown tail {self.tail!r}")
 
 
 def support(n1: int, n2: int, m: int) -> tuple[int, int]:
@@ -110,31 +77,16 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return logw - (mx + math.log(np.exp(logw - mx).sum()))
 
 
-def _log_pmf_vector(n1: int, n2: int, m: int, psi: float) -> np.ndarray:
-    """Normalized log-pmf of the noncentral hypergeometric over the support."""
-    k, base = _log_binomials(n1, n2, m)
-    return _normalized(base + k * math.log(psi))
+def _tail(k: np.ndarray, base: np.ndarray, psi: float, side: str) -> np.ndarray:
+    """P(K <= k) ("lower") or P(K >= k) ("upper") under odds ratio psi, capped at 1.
 
-
-def nchg_log_pmf(k: int, margins: TableMargins, psi: float) -> float:
-    """Log-probability of cell value k under odds ratio psi, fixed margins."""
-    lo, hi = support(margins.n1, margins.n2, margins.m)
-    if not (lo <= k <= hi):
-        raise ValueError(f"k={k} outside support [{lo}, {hi}]")
-    logp = _log_pmf_vector(margins.n1, margins.n2, margins.m, psi)
-    return float(logp[k - lo])
-
-
-def fisher_one_sided_p(margins: TableMargins, null: OddsRatioNull) -> float:
-    """One-sided exact tail probability of the observed cell under psi."""
-    lo, _ = support(margins.n1, margins.n2, margins.m)
-    pmf = np.exp(_log_pmf_vector(margins.n1, margins.n2, margins.m, null.psi))
-    i = margins.k - lo
-    if null.tail == "upper":
-        p = float(pmf[i:].sum())
-    else:
-        p = float(pmf[: i + 1].sum())
-    return min(max(p, _P_FLOOR), 1.0)
+    k and base are the support and log-binomials from _log_binomials; the
+    tail is a cumulative sum of the normalized pmf, one value per cell.
+    """
+    pmf = np.exp(_normalized(base + k * math.log(psi)))
+    if side == "lower":
+        return np.minimum(np.cumsum(pmf), 1.0)
+    return np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
 
 
 def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
@@ -149,10 +101,8 @@ def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
         raise ValueError(f"unknown family {family!r}")
     lower_psi, upper_psi = _FAMILY_TAIL_NULLS[family]
     k, base = _log_binomials(n1, n2, m)
-    pmf_lower = np.exp(_normalized(base + k * math.log(lower_psi)))
-    pmf_upper = np.exp(_normalized(base + k * math.log(upper_psi)))
-    lower = np.minimum(np.cumsum(pmf_lower), 1.0)
-    upper = np.minimum(np.cumsum(pmf_upper[::-1])[::-1], 1.0)
+    lower = _tail(k, base, lower_psi, "lower")
+    upper = _tail(k, base, upper_psi, "upper")
     if family == "weak":
         p = np.maximum(lower, upper)
     else:
@@ -160,16 +110,21 @@ def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
     return np.clip(p, _P_FLOOR, 1.0)
 
 
-def p_weak(margins: TableMargins) -> float:
+def _p_at(n1: int, n2: int, m: int, k: int, family: str) -> float:
+    lo, hi = support(n1, n2, m)
+    if not lo <= k <= hi:  # also every margin set with an empty support
+        raise ValueError(f"k={k} outside support [{lo}, {hi}] of n1={n1}, n2={n2}, m={m}")
+    return float(_family_p_all(n1, n2, m, family)[k - lo])
+
+
+def p_weak(n1: int, n2: int, m: int, k: int) -> float:
     """Equivalence-style p: max of the two one-sided tests at 1.25 / 0.8."""
-    lo, _ = support(margins.n1, margins.n2, margins.m)
-    return float(_family_p_all(margins.n1, margins.n2, margins.m, "weak")[margins.k - lo])
+    return _p_at(n1, n2, m, k, "weak")
 
 
-def p_strong(margins: TableMargins) -> float:
+def p_strong(n1: int, n2: int, m: int, k: int) -> float:
     """Strong-effect p: half the minimum of the two one-sided tests."""
-    lo, _ = support(margins.n1, margins.n2, margins.m)
-    return float(_family_p_all(margins.n1, margins.n2, margins.m, "strong")[margins.k - lo])
+    return _p_at(n1, n2, m, k, "strong")
 
 
 def min_achievable_p(n1: int, n2: int, m: int, family: str) -> float:

@@ -204,8 +204,8 @@ class PlantedComparison:
             raise ValueError("event probabilities must lie in [0, 1]")
 
 
-def gen_trial_dump(planted, seed: int, fixed_counts: bool = False) -> list[str]:
-    """Trial-dump lines with binomially sampled (or expected) event counts.
+def gen_trial_dump(planted, seed: int) -> list[str]:
+    """Trial-dump lines with binomially sampled event counts.
 
     A comparison may be split across several trial records to exercise
     aggregation; arm sizes are divided as evenly as possible.
@@ -224,10 +224,7 @@ def gen_trial_dump(planted, seed: int, fixed_counts: bool = False) -> list[str]:
                 size = total // comp.n_trials + (1 if part < total % comp.n_trials else 0)
                 if size == 0:
                     continue
-                if fixed_counts:
-                    count = int(round(prob * size))
-                else:
-                    count = int(rng.binomial(size, prob))
+                count = int(rng.binomial(size, prob))
                 lines.append(dump_json_line({
                     "trial_id": trial_id,
                     "arm_id": f"{trial_id}-{side}",

@@ -29,11 +29,10 @@ from trialbench.estimators import (
     run_all_methods,
 )
 from trialbench.exact import (
-    OddsRatioNull,
-    TableMargins,
-    _log_pmf_vector,
+    _log_binomials,
+    _normalized,
+    _tail,
     bh_reject,
-    fisher_one_sided_p,
     min_achievable_p,
     p_strong,
     p_weak,
@@ -81,28 +80,28 @@ def test_criterion_01_exact_test_oracle():
         for n2 in range(1, 21):
             for m in range(0, n1 + n2 + 1):
                 lo, hi = support(n1, n2, m)
+                k, base = _log_binomials(n1, n2, m)
+                assert k.tolist() == list(range(lo, hi + 1)), (n1, n2, m)
                 for psi, (num, den) in PSI_RATIONALS.items():
                     _, weights = nchg_weights(n1, n2, m, num, den)
                     total = sum(weights)
+                    lower = _tail(k, base, psi, "lower")
+                    upper = _tail(k, base, psi, "upper")
                     prefix = 0
-                    for i, k in enumerate(range(lo, hi + 1)):
+                    for i in range(len(weights)):
                         prefix += weights[i]
-                        lower = float(Fraction(prefix, total))
-                        upper = float(Fraction(total - prefix + weights[i], total))
-                        margins = TableMargins(n1, n2, m, k)
                         worst = max(
                             worst,
-                            abs(fisher_one_sided_p(margins, OddsRatioNull(psi, "lower"))
-                                - lower),
-                            abs(fisher_one_sided_p(margins, OddsRatioNull(psi, "upper"))
-                                - upper),
+                            abs(lower[i] - float(Fraction(prefix, total))),
+                            abs(upper[i] - float(Fraction(total - prefix + weights[i], total))),
                         )
     norm_worst = 0.0
     for n1 in range(1, 51):
         for n2 in range(1, 51):
             for m in range(0, n1 + n2 + 1, 3):  # stride keeps this under a minute
+                k, base = _log_binomials(n1, n2, m)
                 for psi in PSI_RATIONALS:
-                    total = float(np.exp(_log_pmf_vector(n1, n2, m, psi)).sum())
+                    total = float(np.exp(_normalized(base + k * math.log(psi))).sum())
                     norm_worst = max(norm_worst, abs(total - 1.0))
     ok = worst < 1e-12 and norm_worst < 1e-12
     _verdict(1, "exact one-sided tests match rational enumeration", ok,
@@ -121,9 +120,8 @@ def test_criterion_02_prefilter_soundness():
                 floor_weak = min_achievable_p(n1, n2, m, "weak")
                 floor_strong = min_achievable_p(n1, n2, m, "strong")
                 for k in range(lo, hi + 1):
-                    margins = TableMargins(n1, n2, m, k)
-                    gap_w = p_weak(margins) - floor_weak
-                    gap_s = p_strong(margins) - floor_strong
+                    gap_w = p_weak(n1, n2, m, k) - floor_weak
+                    gap_s = p_strong(n1, n2, m, k) - floor_strong
                     worst_gap = min(worst_gap, gap_w, gap_s)
                     if gap_w < 0 or gap_s < 0:
                         violations += 1

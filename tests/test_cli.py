@@ -161,6 +161,17 @@ def test_input_error_exit_codes(pipeline, tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mc_samples", ["abc", -3, 0, True, 2.5])
+def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"claims": SCENARIO["claims"], "mc_samples": mc_samples}))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "1",
+                 "--out-dir", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: mc_samples ")
+    assert not (tmp_path / "sim" / "ground_truth.json").exists()
+
+
 def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path):
     _, sim, refset_path, _, _ = pipeline
     base = ["evaluate", "--refset", str(refset_path),
@@ -257,6 +268,10 @@ MALFORMED_INPUTS = {
         "--dense-features", _edit_record(lambda record: record["features"].__setitem__(0, True))),
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
     "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
+    "tau_percentile_above_one": ("--config", lambda _: "tau_percentile = 1.5\n"),
+    "tau_percentile_nan": ("--config", lambda _: "tau_percentile = nan\n"),
+    "negative_max_per_arm": ("--config", lambda _: "max_per_arm = -5\n"),
+    "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
     "refset_strong_entry_direction_up": (
         "--refset", _edit_record(lambda record: record.update(direction="up"), line=1)),

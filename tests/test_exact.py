@@ -14,15 +14,13 @@ from oracles import (
 )
 from trialbench import exact
 from trialbench.exact import (
-    OddsRatioNull,
-    TableMargins,
     _family_p_all,
-    _log_pmf_vector,
+    _log_binomials,
+    _normalized,
+    _tail,
     bh_qvalues,
     bh_reject,
-    fisher_one_sided_p,
     min_achievable_p,
-    nchg_log_pmf,
     odds_ratio,
     p_strong,
     p_weak,
@@ -36,24 +34,38 @@ def test_support_bounds():
     assert support(2, 2, 4) == (2, 2)
 
 
+def _pmf(n1, n2, m, psi):
+    k, base = _log_binomials(n1, n2, m)
+    return np.exp(_normalized(base + k * math.log(psi)))
+
+
+def _tail_at(n1, n2, m, k, psi, side):
+    """One cell of the production tail vector for these margins."""
+    ks, base = _log_binomials(n1, n2, m)
+    return float(_tail(ks, base, psi, side)[k - ks[0]])
+
+
 def test_margins_validation():
-    with pytest.raises(ValueError):
-        TableMargins(2, 2, 5, 2)
-    with pytest.raises(ValueError):
-        TableMargins(5, 3, 7, 2)  # k below support
+    for p in (p_weak, p_strong):
+        with pytest.raises(ValueError):
+            p(2, 2, 5, 2)  # m above n1 + n2
+        with pytest.raises(ValueError):
+            p(5, 3, 7, 2)  # k below support
+        with pytest.raises(ValueError):
+            p(5, 3, 2, 3)  # k above support; a bare index would wrap
+        with pytest.raises(ValueError):
+            p(5, 3, 2, -1)
 
 
 def test_pmf_hand_values():
-    m = TableMargins(2, 2, 2, 1)
-    central = [math.exp(nchg_log_pmf(k, m, 1.0)) for k in (0, 1, 2)]
-    assert np.allclose(central, [1 / 6, 4 / 6, 1 / 6], atol=1e-12)
-    shifted = [math.exp(nchg_log_pmf(k, m, 2.0)) for k in (0, 1, 2)]
-    assert np.allclose(shifted, [1 / 13, 8 / 13, 4 / 13], atol=1e-12)
+    assert np.allclose(_pmf(2, 2, 2, 1.0), [1 / 6, 4 / 6, 1 / 6], rtol=0, atol=1e-12)
+    assert np.allclose(_pmf(2, 2, 2, 2.0), [1 / 13, 8 / 13, 4 / 13], rtol=0, atol=1e-12)
 
 
 def test_tail_hand_value():
-    p = fisher_one_sided_p(TableMargins(2, 2, 2, 2), OddsRatioNull(2.0, "upper"))
-    assert abs(p - 4 / 13) < 1e-12
+    k, base = _log_binomials(2, 2, 2)
+    assert np.allclose(_tail(k, base, 2.0, "upper"), [1, 12 / 13, 4 / 13], rtol=0, atol=1e-12)
+    assert np.allclose(_tail(k, base, 2.0, "lower"), [1 / 13, 9 / 13, 1], rtol=0, atol=1e-12)
 
 
 def test_one_sided_matches_scipy_at_central_null():
@@ -64,11 +76,10 @@ def test_one_sided_matches_scipy_at_central_null():
         lo, hi = support(n1, n2, m)
         k = int(rng.integers(lo, hi + 1))
         table = [[k, n1 - k], [m - k, n2 - (m - k)]]
-        margins = TableMargins(n1, n2, m, k)
         _, greater = fisher_exact(table, alternative="greater")
         _, less = fisher_exact(table, alternative="less")
-        assert abs(fisher_one_sided_p(margins, OddsRatioNull(1.0, "upper")) - greater) < 1e-10
-        assert abs(fisher_one_sided_p(margins, OddsRatioNull(1.0, "lower")) - less) < 1e-10
+        assert abs(_tail_at(n1, n2, m, k, 1.0, "upper") - greater) < 1e-10
+        assert abs(_tail_at(n1, n2, m, k, 1.0, "lower") - less) < 1e-10
 
 
 def test_odds_ratio_conventions():
@@ -86,11 +97,10 @@ def test_composite_p_against_rational_oracle():
         m = int(rng.integers(0, n1 + n2 + 1))
         lo, hi = support(n1, n2, m)
         k = int(rng.integers(lo, hi + 1))
-        margins = TableMargins(n1, n2, m, k)
-        assert abs(p_weak(margins) - float(exact_p_weak(n1, n2, m, k))) < 1e-12
-        assert abs(p_strong(margins) - float(exact_p_strong(n1, n2, m, k))) < 1e-12
-        # the stored tails themselves
-        up = fisher_one_sided_p(margins, OddsRatioNull(1.25, "upper"))
+        assert abs(p_weak(n1, n2, m, k) - float(exact_p_weak(n1, n2, m, k))) < 1e-12
+        assert abs(p_strong(n1, n2, m, k) - float(exact_p_strong(n1, n2, m, k))) < 1e-12
+        # the tails themselves
+        up = _tail_at(n1, n2, m, k, 1.25, "upper")
         assert abs(up - float(exact_tail(n1, n2, m, k, 5, 4, "upper"))) < 1e-12
 
 
@@ -129,8 +139,9 @@ def test_log_factorial_table_is_bit_identical_to_gammaln(monkeypatch):
             for family in ("weak", "strong"):
                 assert np.array_equal(_family_p_all(n1, n2, m, family),
                                       gammaln_family_p_all(n1, n2, m, family)), (n1, n2, m, family)
+            k, base = _log_binomials(n1, n2, m)
             for psi in (0.8, 1.0, 1.25):
-                assert np.array_equal(_log_pmf_vector(n1, n2, m, psi),
+                assert np.array_equal(_normalized(base + k * math.log(psi)),
                                       gammaln_log_pmf(n1, n2, m, psi)), (n1, n2, m, psi)
         sizes[phase] = exact._LOG_FACTORIAL.size
     assert 0 < sizes["small"] <= 2 * 51 < 40_000 < sizes["large"] == sizes["small again"]
@@ -143,7 +154,7 @@ def test_invalid_margins_raise(n1, n2, m):
         with pytest.raises(ValueError):
             min_achievable_p(n1, n2, m, family)
     with pytest.raises(ValueError):
-        _log_pmf_vector(n1, n2, m, 1.25)
+        _log_binomials(n1, n2, m)
 
 
 def test_bh_matches_naive_oracle():

@@ -1,0 +1,33 @@
+"""Source-level checks on src/trialbench (ROADMAP aim 2)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trialbench"
+
+# Reached only by tests, but hooked by name in perfbench/tracer.py, whose
+# bench-smoke check fails on a missing hook; ROADMAP item 4 retires those hooks.
+TRACER_PINNED = {("exact", "min_achievable_p"), ("exact", "p_strong"), ("exact", "p_weak")}
+
+
+def test_every_public_src_name_has_a_src_reference():
+    """A public top-level function or class that nothing in src reads exists only for
+    tests or a future feature. An import, such as a package __init__ re-export, is
+    not a read, and neither is a reference from inside the definition itself."""
+    defined = set()
+    referenced = set()
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.add((module, own))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    unreferenced = {(module, name) for module, name in defined if name not in referenced}
+    assert unreferenced == TRACER_PINNED, sorted(unreferenced ^ TRACER_PINNED)

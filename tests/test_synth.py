@@ -90,19 +90,20 @@ def test_gen_claims_round_trips_through_cohort():
     assert np.allclose(cohort.features, arrays.features[order])
 
 
-def test_gen_trial_dump_fixed_counts_and_split():
+def test_gen_trial_dump_split():
     planted = [PlantedComparison("A", "B", "E1", p_a=0.3, p_b=0.1,
                                  n_a=1000, n_b=999, n_trials=3)]
-    lines = gen_trial_dump(planted, seed=0, fixed_counts=True)
+    lines = gen_trial_dump(planted, seed=0)
     parsed = parse_dump(lines)
     assert not parsed.diagnostics
     assert len(parsed.arms) == 6  # 3 trials x 2 arms
-    n_a = sum(a.participant_count for a in parsed.arms if a.drug_text == "A")
-    n_b = sum(a.participant_count for a in parsed.arms if a.drug_text == "B")
-    assert (n_a, n_b) == (1000, 999)
+    sizes_a = [a.participant_count for a in parsed.arms if a.drug_text == "A"]
+    sizes_b = [a.participant_count for a in parsed.arms if a.drug_text == "B"]
+    assert (sizes_a, sizes_b) == ([334, 333, 333], [333, 333, 333])  # as even as possible
     events_a = sum(c for a in parsed.arms if a.drug_text == "A"
                    for _, c in a.outcome_events)
-    assert events_a == pytest.approx(300, abs=2)  # rounding per part
+    # binomial draws per part: 300 expected, SD 14.5
+    assert abs(events_a - 300) < 4 * math.sqrt(1000 * 0.3 * 0.7)
 
 
 def test_gen_trial_dump_seeded():
