@@ -63,24 +63,25 @@ def cmd_build_refset(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario_path = _require_file(args.scenario)
-    try:
+    with parsing(scenario_path):  # the whole scenario is checked before any output
         scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid scenario JSON: {exc}") from exc
+        config = (synth.ScenarioConfig.from_dict(scenario["claims"])
+                  if "claims" in scenario else None)
+        planted = ([synth.PlantedComparison(**comp) for comp in scenario["trials"]]
+                   if "trials" in scenario else None)
+        if config is None and not planted:
+            raise ValueError("scenario defines neither 'claims' nor 'trials'")
+        n_mc = scenario.get("mc_samples", 1_000_000)
+        # a JSON true is not a sample count
+        if config is not None and (type(n_mc) is not int or n_mc < 1):
+            raise InputError(f"{scenario_path}: mc_samples must be a positive integer, "
+                             f"got {n_mc!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
 
     drugs, outcomes = set(), set()
-    if "claims" in scenario:
-        try:
-            config = synth.ScenarioConfig.from_dict(scenario["claims"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"invalid claims scenario: {exc}") from exc
-        n_mc = scenario.get("mc_samples", 1_000_000)
-        if type(n_mc) is not int or n_mc < 1:  # a JSON true is not a sample count
-            raise InputError(f"{scenario_path}: mc_samples must be a positive integer, "
-                             f"got {n_mc!r}")
+    if config is not None:
         patients, dense_rows, _ = synth.gen_claims(config, rng)
         write_jsonl(out_dir / "claims.jsonl", patients)
         write_jsonl(out_dir / "dense_features.jsonl", dense_rows)
@@ -91,24 +92,15 @@ def cmd_simulate(args) -> int:
             dump_json_line(dataclasses.asdict(truth)) + "\n", encoding="utf-8")
         drugs |= {config.drug_a, config.drug_b}
         outcomes.add(config.outcome_code)
-    if "trials" in scenario:
-        planted = []
-        for comp in scenario["trials"]:
-            try:
-                planted.append(synth.PlantedComparison(**comp))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"invalid planted comparison: {exc}") from exc
-            drugs |= {comp["drug_a"], comp["drug_b"]}
-            outcomes.add(comp["outcome"])
+    if planted is not None:
+        drugs |= {drug for comp in planted for drug in (comp.drug_a, comp.drug_b)}
+        outcomes |= {comp.outcome for comp in planted}
         lines = synth.gen_trial_dump(planted, seed=args.seed + 1)
         (out_dir / "trial_dump.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if drugs:
-        (out_dir / "drug_dict.tsv").write_text(
-            "\n".join(synth.make_drug_dictionary_rows(drugs)) + "\n", encoding="utf-8")
-        (out_dir / "outcome_dict.tsv").write_text(
-            "\n".join(synth.make_outcome_dictionary_rows(outcomes)) + "\n", encoding="utf-8")
-    if not drugs:
-        raise InputError("scenario defines neither 'claims' nor 'trials'")
+    (out_dir / "drug_dict.tsv").write_text(
+        "\n".join(synth.make_drug_dictionary_rows(drugs)) + "\n", encoding="utf-8")
+    (out_dir / "outcome_dict.tsv").write_text(
+        "\n".join(synth.make_outcome_dictionary_rows(outcomes)) + "\n", encoding="utf-8")
     print(f"simulation outputs written to {out_dir}")
     return EXIT_OK
 
@@ -148,8 +140,6 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"unknown methods: {unknown}; registry: {tuple(METHOD_REGISTRY)}")
         methods = requested
 
-    settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
-
     def setting(key, default, in_range, rule):
         """The config value of key (default when absent), parsed as default's type."""
         value = type(default)(settings_kv.get(key, default))
@@ -159,8 +149,9 @@ def cmd_evaluate(args) -> int:
         return value
 
     with parsing(args.config):
+        settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
         seed = args.seed if args.seed is not None else (
-            int(settings_kv["seed"]) if "seed" in settings_kv else None)
+            seed_value(settings_kv["seed"]) if "seed" in settings_kv else None)
         settings_base = RunSettings(
             ridge=setting("ridge", 1e-6, lambda v: v >= 0, ">= 0"),
             caliper_sd_logit=setting("caliper_sd_logit", 0.2, lambda v: v > 0, "> 0"),
@@ -248,7 +239,8 @@ def cmd_report(args) -> int:
                                   metrics_mod.SCALE_RMST_DAYS)
     estimates_path = _require_file(args.estimates)
     refset_path = _require_file(args.refset)
-    header, records = read_jsonl(estimates_path, expect_header=True)
+    with parsing(estimates_path):
+        header, records = read_jsonl(estimates_path, expect_header=True)
     if header is None or header.get("kind") != "estimates":
         raise InputError(f"{estimates_path}: not an estimates file")
     if not records:
@@ -295,6 +287,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def seed_value(text) -> int:
+    """A --seed or config seed: an integer numpy accepts, so not negative."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trialbench",
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic claims and/or trial dumps")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed_value, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--dense-features", default=None)
     p.add_argument("--config", default=None, help="key=value run configuration file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_value, default=None)
     p.add_argument("--methods", default=None, help="comma-separated method ids")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)
@@ -347,8 +347,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, refset_mod.ingest.DumpError,
-            refset_mod.ingest.DictionaryError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ProvenanceError as exc:

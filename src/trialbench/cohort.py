@@ -140,13 +140,13 @@ class SkipSignal:
 def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
     """Load the claims table, vocabulary and optional dense features; malformed
     content, and a patient without a dense-feature row, raise InputError naming the file."""
-    with open(vocab_path, encoding="utf-8") as fh:
+    with parsing(vocab_path), open(vocab_path, encoding="utf-8") as fh:
         vocabulary = [line.strip() for line in fh if line.strip()]
     with parsing(db_path):  # streamed: one parsed record is alive at a time
         db = PatientDB.from_records(iter_jsonl(db_path), vocabulary)
     if dense_features_path is not None:
-        _, rows = read_jsonl(dense_features_path)
         with parsing(dense_features_path):
+            _, rows = read_jsonl(dense_features_path)
             db = db.with_dense_features(rows)
     return db
 

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import combinations
+
+from .formats import parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
@@ -21,14 +24,6 @@ _PUNCT_RE = re.compile(r"[^\w\s+]")
 _WS_RE = re.compile(r"\s+")
 
 
-class DumpError(Exception):
-    """Unrecoverable problem with a trial dump (e.g. duplicate arm ids)."""
-
-
-class DictionaryError(Exception):
-    """Malformed dictionary file."""
-
-
 def normalize_text(text: str) -> str:
     """Lowercase, collapse whitespace, strip punctuation except '+'."""
     text = _PUNCT_RE.sub(" ", text.lower())
@@ -36,13 +31,13 @@ def normalize_text(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class RawArm:
+class Arm:
     trial_id: str
     arm_id: str
     arm_name: str
     drug_text: str
     participant_count: int
-    outcome_events: tuple[tuple[str, int], ...]  # (term_code, event_count)
+    outcome_events: dict[str, int]  # term -> event count summed over its reports
 
 
 @dataclass(frozen=True)
@@ -53,22 +48,8 @@ class LineDiagnostic:
 
 @dataclass
 class ParseResult:
-    arms: list[RawArm]
+    arms: list[Arm]
     diagnostics: list[LineDiagnostic]
-
-
-@dataclass(frozen=True)
-class ArmRecord:
-    trial_id: str
-    arm_id: str
-    ingredient_set: frozenset[str]
-    participant_count: int
-    outcome_events: dict[str, int]  # outcome_code -> event_count
-
-    @property
-    def ingredient(self) -> str:
-        (ing,) = self.ingredient_set
-        return ing
 
 
 @dataclass(frozen=True)
@@ -101,9 +82,9 @@ class DrugDictionary:
             try:
                 score = int(score)
             except ValueError:
-                raise DictionaryError(f"match_score {score!r} is not an integer") from None
+                raise ValueError(f"match_score {score!r} is not an integer") from None
             if not 0 <= score <= 100:
-                raise DictionaryError(f"match_score {score} outside [0, 100]")
+                raise ValueError(f"match_score {score} outside [0, 100]")
             key = normalize_text(pattern)
             self._by_pattern.setdefault(key, []).append((score, ingredient_id))
 
@@ -128,7 +109,7 @@ class OutcomeDictionary:
         self._map: dict[str, str] = {}
         for source, target in entries:
             if source in self._map and self._map[source] != target:
-                raise DictionaryError(f"source term {source!r} maps to multiple targets")
+                raise ValueError(f"source term {source!r} maps to multiple targets")
             self._map[source] = target
 
     @classmethod
@@ -140,11 +121,10 @@ class OutcomeDictionary:
 
 
 def _load_dictionary(cls, path, columns):
-    """cls built from the rows of the dictionary file at path; a DictionaryError names path."""
-    try:
+    """cls built from the rows of the dictionary file at path; a malformed file raises
+    InputError naming path."""
+    with parsing(path):
         return cls(_read_delimited(path, columns))
-    except DictionaryError as exc:
-        raise DictionaryError(f"{path}: {exc}") from exc
 
 
 def _read_delimited(path, columns):
@@ -153,14 +133,14 @@ def _read_delimited(path, columns):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != tuple(columns):
-            raise DictionaryError(f"expected header {columns}, got {tuple(header)}")
+            raise ValueError(f"expected header {columns}, got {tuple(header)}")
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != len(columns):
-                raise DictionaryError(f"bad row {line!r}")
+                raise ValueError(f"bad row {line!r}")
             rows.append(tuple(parts))
     return rows
 
@@ -175,10 +155,11 @@ def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
     Malformed lines are reported, never silently dropped; a count that
-    is not a JSON integer is a schema violation. A duplicate
-    (trial_id, arm_id) is a hard error.
+    is not a JSON integer is a schema violation. Each event count is
+    checked against [0, participant_count] before repeated terms are
+    summed. A duplicate (trial_id, arm_id) raises ValueError.
     """
-    arms: list[RawArm] = []
+    arms: list[Arm] = []
     diagnostics: list[LineDiagnostic] = []
     seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines, start=1):
@@ -192,9 +173,7 @@ def parse_dump(lines) -> ParseResult:
             arm_name = str(rec["arm_name"])
             drug_text = str(rec["drug_text"])
             count = _json_int(rec["participant_count"])
-            events = tuple(
-                (str(ev["term"]), _json_int(ev["count"])) for ev in rec["outcome_events"]
-            )
+            events = [(str(ev["term"]), _json_int(ev["count"])) for ev in rec["outcome_events"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))
             continue
@@ -209,9 +188,12 @@ def parse_dump(lines) -> ParseResult:
             continue
         key = (trial_id, arm_id)
         if key in seen:
-            raise DumpError(f"line {lineno}: duplicate (trial_id, arm_id) = {key}")
+            raise ValueError(f"line {lineno}: duplicate (trial_id, arm_id) = {key}")
         seen.add(key)
-        arms.append(RawArm(trial_id, arm_id, arm_name, drug_text, count, events))
+        summed: dict[str, int] = {}
+        for term, n in events:
+            summed[term] = summed.get(term, 0) + n  # a zero count still reports the term
+        arms.append(Arm(trial_id, arm_id, arm_name, drug_text, count, summed))
     return ParseResult(arms, diagnostics)
 
 
@@ -219,109 +201,68 @@ def map_drug(drug_text: str, dictionary: DrugDictionary) -> frozenset[str]:
     return dictionary.lookup(drug_text)
 
 
-@dataclass
-class DropReport:
-    counts: dict[str, int] = field(default_factory=dict)
+def filter_arms(mapped_arms, drop_report: Counter | None = None) -> list[tuple[str, Arm]]:
+    """Apply the arm quality filters; returns (ingredient, arm) pairs.
 
-    def bump(self, rule: str):
-        self.counts[rule] = self.counts.get(rule, 0) + 1
-
-
-def filter_arms(mapped_arms, drop_report: DropReport | None = None) -> list[ArmRecord]:
-    """Apply the arm quality filters.
-
-    mapped_arms: iterable of (RawArm, ingredient_set). Drops arms with
+    mapped_arms: iterable of (Arm, ingredient_set). Drops arms with
     < 100 participants, arms not mapping to exactly one ingredient, and
     arms whose name or drug text contains '+'. Rules are counted in
-    that order; each dropped arm is charged to the first rule it trips.
+    drop_report in that order; each dropped arm is charged to the first
+    rule it trips.
     """
     if drop_report is None:
-        drop_report = DropReport()
-    kept: list[ArmRecord] = []
+        drop_report = Counter()
+    kept = []
     for arm, ingredients in mapped_arms:
         if arm.participant_count < MIN_ARM_PARTICIPANTS:
-            drop_report.bump("min_participants")
-            continue
-        if len(ingredients) != 1:
-            drop_report.bump("ingredient_count")
-            continue
-        if "+" in arm.arm_name or "+" in arm.drug_text:
-            drop_report.bump("plus_sign")
-            continue
-        events: dict[str, int] = {}
-        for term, count in arm.outcome_events:
-            events[term] = events.get(term, 0) + count
-        kept.append(
-            ArmRecord(
-                trial_id=arm.trial_id,
-                arm_id=arm.arm_id,
-                ingredient_set=frozenset(ingredients),
-                participant_count=arm.participant_count,
-                outcome_events=events,
-            )
-        )
+            drop_report["min_participants"] += 1
+        elif len(ingredients) != 1:
+            drop_report["ingredient_count"] += 1
+        elif "+" in arm.arm_name or "+" in arm.drug_text:
+            drop_report["plus_sign"] += 1
+        else:
+            (ingredient,) = ingredients
+            kept.append((ingredient, arm))
     return kept
 
 
-def map_outcomes(arm: ArmRecord, dictionary: OutcomeDictionary) -> ArmRecord:
+def map_outcomes(arm: Arm, dictionary: OutcomeDictionary) -> Arm:
     """Rewrite outcome terms to target codes; drop unmapped; sum collisions."""
     mapped: dict[str, int] = {}
     for term, count in arm.outcome_events.items():
         code = dictionary.lookup(term)
-        if code is None:
-            continue
-        mapped[code] = mapped.get(code, 0) + count
-    return ArmRecord(
-        trial_id=arm.trial_id,
-        arm_id=arm.arm_id,
-        ingredient_set=arm.ingredient_set,
-        participant_count=arm.participant_count,
-        outcome_events=mapped,
-    )
+        if code is not None:
+            mapped[code] = mapped.get(code, 0) + count
+    return replace(arm, outcome_events=mapped)
 
 
 def aggregate(arms) -> list[ContingencyTable]:
-    """Pool counts into one 2x2 table per (drug pair, outcome).
+    """Pool (ingredient, Arm) pairs into one 2x2 table per (drug pair, outcome).
 
     Within a trial, dosage arms of the same ingredient are summed first;
     trials with more than two single-ingredient drugs contribute one
     comparison per unordered pair. A trial contributes to a (pair,
     outcome) table only if at least one of its two pooled arms reports
-    that outcome; the other side then counts zero events against its
-    full arm enrollment.
+    that outcome, with zero events or more; the other side then counts
+    zero events against its full arm enrollment.
     """
-    by_trial: dict[str, dict[str, ArmRecord]] = {}
-    for arm in arms:
-        pooled = by_trial.setdefault(arm.trial_id, {})
-        ing = arm.ingredient
-        if ing in pooled:
-            prev = pooled[ing]
-            events = dict(prev.outcome_events)
-            for code, count in arm.outcome_events.items():
-                events[code] = events.get(code, 0) + count
-            pooled[ing] = ArmRecord(
-                trial_id=arm.trial_id,
-                arm_id=prev.arm_id,
-                ingredient_set=prev.ingredient_set,
-                participant_count=prev.participant_count + arm.participant_count,
-                outcome_events=events,
-            )
-        else:
-            pooled[ing] = arm
+    by_trial: dict[str, dict[str, list]] = {}  # trial -> ingredient -> [participants, events]
+    for ingredient, arm in arms:
+        pool = by_trial.setdefault(arm.trial_id, {}).setdefault(ingredient, [0, {}])
+        pool[0] += arm.participant_count
+        for code, count in arm.outcome_events.items():
+            pool[1][code] = pool[1].get(code, 0) + count
 
     totals: dict[tuple[str, str, str], list[int]] = {}
-    for trial_id in sorted(by_trial):
-        pooled = by_trial[trial_id]
+    for pooled in by_trial.values():
         for drug_a, drug_b in combinations(sorted(pooled), 2):
-            arm_a, arm_b = pooled[drug_a], pooled[drug_b]
-            outcomes = set(arm_a.outcome_events) | set(arm_b.outcome_events)
-            for code in outcomes:
-                key = (drug_a, drug_b, code)
-                cell = totals.setdefault(key, [0, 0, 0, 0])
-                cell[0] += arm_a.outcome_events.get(code, 0)
-                cell[1] += arm_a.participant_count
-                cell[2] += arm_b.outcome_events.get(code, 0)
-                cell[3] += arm_b.participant_count
+            (n1, events_a), (n2, events_b) = pooled[drug_a], pooled[drug_b]
+            for code in events_a.keys() | events_b.keys():
+                cell = totals.setdefault((drug_a, drug_b, code), [0, 0, 0, 0])
+                cell[0] += events_a.get(code, 0)
+                cell[1] += n1
+                cell[2] += events_b.get(code, 0)
+                cell[3] += n2
 
     return [
         ContingencyTable(drug_a=da, drug_b=db, outcome_code=oc, a=c[0], n1=c[1], b=c[2], n2=c[3])

@@ -11,6 +11,7 @@ with embedded provenance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def prefilter(candidates, family: str, alpha: float, drop_report=None) -> list[t
             lo, _ = exact.support(table.n1, table.n2, m)
             kept.append((table, float(p_all[table.a - lo])))
         elif drop_report is not None:
-            drop_report.bump(f"prefilter_{family}")
+            drop_report[f"prefilter_{family}"] += 1
     return kept
 
 
@@ -133,15 +134,16 @@ def build_from_tables(tables, alpha: float = DEFAULT_ALPHA, provenance: dict | N
 
 def build(dump_path, drug_dict_path, outcome_dict_path,
           alpha: float = DEFAULT_ALPHA, use_prefilter: bool = True):
-    """Full pipeline from files: returns (ReferenceSet, DropReport, ParseResult)."""
+    """Full pipeline from files: returns (ReferenceSet, drop counts per rule, ParseResult).
+    A malformed dump or dictionary raises InputError naming the file."""
     drug_dict = ingest.DrugDictionary.load(drug_dict_path)
     outcome_dict = ingest.OutcomeDictionary.load(outcome_dict_path)
-    with open(dump_path, encoding="utf-8") as fh:
+    with parsing(dump_path), open(dump_path, encoding="utf-8") as fh:
         parsed = ingest.parse_dump(fh)
-    drops = ingest.DropReport()
+    drops = Counter()
     mapped = [(arm, ingest.map_drug(arm.drug_text, drug_dict)) for arm in parsed.arms]
-    arms = ingest.filter_arms(mapped, drops)
-    arms = [ingest.map_outcomes(arm, outcome_dict) for arm in arms]
+    arms = [(ingredient, ingest.map_outcomes(arm, outcome_dict))
+            for ingredient, arm in ingest.filter_arms(mapped, drops)]
     tables = ingest.aggregate(arms)
     provenance = {
         "dump_sha256": sha256_file(dump_path),
@@ -169,11 +171,11 @@ def load(path) -> ReferenceSet:
     none for weak, missing statistics to NaN. A strong entry's direction
     must be a_higher or b_higher and a weak entry's none.
     """
-    header, records = read_jsonl(path, expect_header=True)
-    if header is None or header.get("kind") != "reference_set":
-        raise InputError(f"{path}: missing reference_set header line")
     entries = []
     with parsing(path):
+        header, records = read_jsonl(path, expect_header=True)
+        if header is None or header.get("kind") != "reference_set":
+            raise InputError(f"{path}: missing reference_set header line")
         for rec in records:
             label = rec["label"]
             if label not in (LABEL_STRONG, LABEL_WEAK):
@@ -197,10 +199,10 @@ def load(path) -> ReferenceSet:
     return ReferenceSet(entries=entries, provenance=header.get("provenance", {}))
 
 
-def save_drop_report(drops: ingest.DropReport, path):
+def save_drop_report(drops: Counter, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["rule\tcount"]
-    for rule in sorted(drops.counts):
-        lines.append(f"{rule}\t{drops.counts[rule]}")
+    for rule in sorted(drops):
+        lines.append(f"{rule}\t{drops[rule]}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -40,6 +40,10 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        if type(self.n_patients) is not int or self.n_patients < 1:
+            raise ValueError(f"n_patients must be a positive integer, got {self.n_patients!r}")
+        if not 0 <= self.code_prob <= 1:
+            raise ValueError(f"code_prob must lie in [0, 1], got {self.code_prob!r}")
         if self.lambda0 <= 0 or self.shape <= 0:
             raise ValueError("hazard parameters must be positive")
         p = self.n_dense_features + self.n_code_features
@@ -202,6 +206,11 @@ class PlantedComparison:
     def __post_init__(self):
         if not (0 <= self.p_a <= 1 and 0 <= self.p_b <= 1):
             raise ValueError("event probabilities must lie in [0, 1]")
+        if not all(type(n) is int and n >= 0 for n in (self.n_a, self.n_b)):
+            raise ValueError(f"arm sizes must be non-negative integers, got {self.n_a!r}, "
+                             f"{self.n_b!r}")
+        if type(self.n_trials) is not int or self.n_trials < 1:
+            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
 
 
 def gen_trial_dump(planted, seed: int) -> list[str]:

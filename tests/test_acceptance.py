@@ -151,8 +151,7 @@ def test_criterion_03_bh_oracle_equivalence():
 def _refset_from_dump(lines, drug_dict, outcome_dict):
     parsed = parse_dump(lines)
     arms = filter_arms([(a, drug_dict.lookup(a.drug_text)) for a in parsed.arms])
-    arms = [map_outcomes(a, outcome_dict) for a in arms]
-    return aggregate(arms)
+    return aggregate([(ing, map_outcomes(a, outcome_dict)) for ing, a in arms])
 
 
 def test_criterion_04_refset_fdr_and_recovery():

@@ -146,12 +146,15 @@ def test_input_error_exit_codes(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
+    capsys.readouterr()
     assert main(["simulate", "--scenario", str(bad), "--seed", "1",
                  "--out-dir", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert main(["simulate", "--scenario", str(empty), "--seed", "1",
                  "--out-dir", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {empty}: ")
     _, _, refset_path, estimates, _ = pipeline
     for flag, value in (("--thresholds", "abc"), ("--thresholds", "0.5"),
                         ("--thresholds", "2,nan"), ("--rmst-thresholds", "0")):
@@ -170,6 +173,43 @@ def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
                  "--out-dir", str(tmp_path / "sim")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {scenario}: mc_samples ")
     assert not (tmp_path / "sim" / "ground_truth.json").exists()
+
+
+@pytest.mark.parametrize("section, change", [
+    ("trials", {"n_a": -100}),
+    ("trials", {"n_a": 100.5}),
+    ("trials", {"n_trials": 0}),
+    ("claims", {"n_patients": -1}),
+    ("claims", {"code_prob": 2}),
+], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
+        "code_prob_above_one"])
+def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
+    scenario = json.loads(json.dumps(SCENARIO))
+    (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "sim").exists()  # nothing written before the scenario is checked
+
+
+@pytest.mark.parametrize("where", ["evaluate_flag", "evaluate_config", "simulate_flag"])
+def test_negative_seeds_exit_2(pipeline, tmp_path, capsys, where):
+    root, sim, refset_path, _, _ = pipeline
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -1\n")
+    evaluate = ["evaluate", "--refset", str(refset_path),
+                "--db", str(sim / "claims.jsonl"), "--vocab", str(sim / "vocab.txt"),
+                "--out", str(tmp_path / "o.jsonl")]
+    argv = {"evaluate_flag": evaluate + ["--seed", "-3"],
+            "evaluate_config": evaluate + ["--config", str(config)],
+            "simulate_flag": ["simulate", "--scenario", str(root / "scenario.json"),
+                              "--seed", "-1", "--out-dir", str(tmp_path / "sim")]}[where]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert ("--seed" if where.endswith("flag") else str(config)) in capsys.readouterr().err
 
 
 def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path):
@@ -357,3 +397,43 @@ def test_report_estimate_rows_exit_2(pipeline, tmp_path, capsys, case):
     assert main(["report", "--estimates", str(broken), "--refset", str(refset_path),
                  "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {broken}: ")
+
+
+# every (subcommand, input flag) pair
+INPUT_FLAGS = [("build-refset", "--dump"), ("build-refset", "--drug-dict"),
+               ("build-refset", "--outcome-dict"), ("simulate", "--scenario"),
+               ("evaluate", "--refset"), ("evaluate", "--db"), ("evaluate", "--vocab"),
+               ("evaluate", "--dense-features"), ("evaluate", "--config"),
+               ("report", "--estimates"), ("report", "--refset")]
+
+
+@pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+def test_non_utf8_input_exits_2(pipeline, tmp_path, capsys, command, flag):
+    root, sim, refset_path, estimates, _ = pipeline
+    config = tmp_path / "run.cfg"
+    config.write_text("ridge = 1e-6\n")
+    inputs = {
+        "build-refset": {"--dump": sim / "trial_dump.jsonl", "--drug-dict": sim / "drug_dict.tsv",
+                         "--outcome-dict": sim / "outcome_dict.tsv"},
+        "simulate": {"--scenario": root / "scenario.json", "--seed": "1"},
+        "evaluate": {"--refset": refset_path, "--db": sim / "claims.jsonl",
+                     "--vocab": sim / "vocab.txt",
+                     "--dense-features": sim / "dense_features.jsonl",
+                     "--config": config, "--seed": "1"},
+        "report": {"--estimates": estimates, "--refset": refset_path},
+    }[command]
+    broken = tmp_path / "not_utf8"
+    broken.write_bytes(b"\xff\n")
+    inputs[flag] = broken
+    if (command, flag) == ("report", "--refset"):  # estimates made against the broken set
+        header, rows = read_jsonl(estimates, expect_header=True)
+        header["refset_sha256"] = sha256_file(broken)
+        inputs["--estimates"] = tmp_path / "estimates.jsonl"
+        write_jsonl(inputs["--estimates"], rows, header=header)
+    out_flag = "--out-dir" if command == "simulate" else "--out"
+    argv = [command, out_flag, str(tmp_path / "out")]
+    for name, value in inputs.items():
+        argv += [name, str(value)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(broken) in capsys.readouterr().err

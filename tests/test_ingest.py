@@ -1,15 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
 
+from trialbench.formats import InputError
 from trialbench.ingest import (
+    Arm,
     ContingencyTable,
-    DictionaryError,
-    DropReport,
     DrugDictionary,
-    DumpError,
     OutcomeDictionary,
-    RawArm,
     aggregate,
     filter_arms,
     map_outcomes,
@@ -19,8 +18,8 @@ from trialbench.ingest import (
 
 
 def _arm(trial="T1", arm="a", name="alpha arm", text="alphazine",
-         count=500, events=(("E1", 10),)):
-    return RawArm(trial, arm, name, text, count, tuple(events))
+         count=500, events=None):
+    return Arm(trial, arm, name, text, count, {"E1": 10} if events is None else events)
 
 
 def test_normalize_text():
@@ -33,7 +32,8 @@ def test_parse_dump_valid_and_diagnostics():
     lines = [
         json.dumps({"trial_id": "T1", "arm_id": "a", "arm_name": "x",
                     "drug_text": "d", "participant_count": 100,
-                    "outcome_events": [{"term": "E1", "count": 3}]}),
+                    "outcome_events": [{"term": "E1", "count": 3}, {"term": "E1", "count": 4},
+                                       {"term": "E2", "count": 0}]}),
         "{not json",
         json.dumps({"trial_id": "T1", "arm_id": "b", "arm_name": "x",
                     "drug_text": "d", "participant_count": 10,
@@ -57,6 +57,8 @@ def test_parse_dump_valid_and_diagnostics():
     result = parse_dump(lines)
     assert len(result.arms) == 1
     assert result.arms[0].arm_id == "a"
+    # repeated terms are summed; a zero count still reports its term
+    assert result.arms[0].outcome_events == {"E1": 7, "E2": 0}
     assert [d.line_number for d in result.diagnostics] == [2, 3, 4, 6, 7, 8, 9]
     assert all(d.message.startswith("schema violation") for d in result.diagnostics[-3:])
 
@@ -65,7 +67,7 @@ def test_parse_dump_duplicate_arm_is_hard_error():
     line = json.dumps({"trial_id": "T1", "arm_id": "a", "arm_name": "x",
                        "drug_text": "d", "participant_count": 100,
                        "outcome_events": []})
-    with pytest.raises(DumpError):
+    with pytest.raises(ValueError, match="line 2: duplicate"):
         parse_dump([line, line])
 
 
@@ -84,13 +86,13 @@ def test_drug_dictionary_scoring():
 
 
 def test_drug_dictionary_score_range():
-    with pytest.raises(DictionaryError):
+    with pytest.raises(ValueError, match="outside"):
         DrugDictionary([("x", "X", 101)])
 
 
 @pytest.mark.parametrize("score", ["abc", "75.5", ""])
 def test_drug_dictionary_rejects_non_integer_score(score):
-    with pytest.raises(DictionaryError, match="match_score"):
+    with pytest.raises(ValueError, match=f"match_score {score!r} is not an integer"):
         DrugDictionary([("x", "X", score)])
 
 
@@ -98,7 +100,7 @@ def test_outcome_dictionary():
     d = OutcomeDictionary([("10001", "MI"), ("10002", "MI"), ("10001", "MI")])
     assert d.lookup("10001") == "MI"
     assert d.lookup("missing") is None
-    with pytest.raises(DictionaryError):
+    with pytest.raises(ValueError, match="multiple targets"):
         OutcomeDictionary([("10001", "MI"), ("10001", "STROKE")])
 
 
@@ -108,12 +110,12 @@ def test_dictionary_file_loading(tmp_path):
     assert DrugDictionary.load(good).lookup("alphazine") == frozenset({"ALPHA"})
     bad = tmp_path / "bad.tsv"
     bad.write_text("pattern\tingredient\nx\ty\n")
-    with pytest.raises(DictionaryError):
+    with pytest.raises(InputError, match=f"{bad}: .*expected header"):
         DrugDictionary.load(bad)
 
 
 def test_filter_arms_rules_and_order():
-    report = DropReport()
+    report = Counter()
     arms = [
         (_arm(arm="small", count=99), frozenset({"A"})),
         (_arm(arm="multi"), frozenset({"A", "B"})),
@@ -121,26 +123,21 @@ def test_filter_arms_rules_and_order():
         (_arm(arm="combo", name="alpha + beta arm"), frozenset({"A"})),
         # small AND combo: charged to the first rule only
         (_arm(arm="small_combo", count=50, name="a + b"), frozenset({"A"})),
-        (_arm(arm="keep", events=(("E1", 3), ("E1", 4))), frozenset({"A"})),
+        (_arm(arm="keep"), frozenset({"A"})),
     ]
     kept = filter_arms(arms, report)
-    assert [a.arm_id for a in kept] == ["keep"]
-    assert report.counts == {"min_participants": 2, "ingredient_count": 2, "plus_sign": 1}
-    # duplicate outcome terms are summed
-    assert kept[0].outcome_events == {"E1": 7}
-    assert kept[0].ingredient == "A"
+    assert kept == [("A", arms[-1][0])]
+    assert report == {"min_participants": 2, "ingredient_count": 2, "plus_sign": 1}
 
 
 def test_map_outcomes():
     d = OutcomeDictionary([("10001", "MI"), ("10002", "MI")])
-    arms = filter_arms([(_arm(events=(("10001", 3), ("10002", 4), ("junk", 9))),
-                         frozenset({"A"}))])
-    mapped = map_outcomes(arms[0], d)
+    mapped = map_outcomes(_arm(events={"10001": 3, "10002": 4, "junk": 9}), d)
     assert mapped.outcome_events == {"MI": 7}
 
 
 def _record(trial, arm, ingredient, n, events):
-    return filter_arms([(_arm(trial=trial, arm=arm, count=n, events=tuple(events.items())),
+    return filter_arms([(_arm(trial=trial, arm=arm, count=n, events=events),
                          frozenset({ingredient}))])[0]
 
 
@@ -174,10 +171,13 @@ def test_aggregate_one_sided_reporting():
         # second trial reports neither arm on E2: contributes nothing to E2
         _record("T2", "a", "A", 500, {"E1": 9}),
         _record("T2", "b", "B", 500, {"E1": 7}),
+        # third trial reports E2 with zero events on one side: it still contributes
+        _record("T3", "a", "A", 200, {"E1": 1}),
+        _record("T3", "b", "B", 300, {"E1": 2, "E2": 0}),
     ]
     tables = {t.outcome_code: t for t in aggregate(arms)}
-    assert (tables["E2"].a, tables["E2"].n1, tables["E2"].b, tables["E2"].n2) == (4, 100, 0, 150)
-    assert (tables["E1"].a, tables["E1"].n1) == (10, 600)
+    assert (tables["E2"].a, tables["E2"].n1, tables["E2"].b, tables["E2"].n2) == (4, 300, 0, 450)
+    assert (tables["E1"].a, tables["E1"].n1) == (11, 800)
 
 
 def test_contingency_table_validation():

@@ -1,9 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from trialbench.ingest import ContingencyTable, DropReport
+from trialbench.ingest import ContingencyTable
 from trialbench.refset import (
     DIRECTION_A,
     DIRECTION_B,
@@ -33,13 +34,13 @@ def test_bucket_open_interval():
 
 
 def test_prefilter_drops_hopeless_margins():
-    report = DropReport()
+    report = Counter()
     hopeless = _table(1, 100, 0, 100)        # one pooled event: min p > 0.05
     viable = _table(40, 200, 5, 200)
     kept = prefilter([hopeless, viable], LABEL_STRONG, 0.05, report)
     assert [table for table, _ in kept] == [viable]
     assert 0 < kept[0][1] < 0.05
-    assert report.counts == {"prefilter_strong": 1}
+    assert report == {"prefilter_strong": 1}
 
 
 def test_build_from_tables_labels_and_directions():
@@ -112,10 +113,7 @@ def test_load_external_set_defaults(tmp_path):
 
 
 def test_save_drop_report(tmp_path):
-    report = DropReport()
-    report.bump("min_participants")
-    report.bump("min_participants")
-    report.bump("plus_sign")
+    report = Counter({"min_participants": 2, "plus_sign": 1})
     path = tmp_path / "drops.tsv"
     save_drop_report(report, path)
     assert path.read_text() == "rule\tcount\nmin_participants\t2\nplus_sign\t1\n"

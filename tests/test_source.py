@@ -1,9 +1,11 @@
 """Source-level checks on src/trialbench (ROADMAP aim 2)."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "trialbench"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "trialbench"
 
 # Reached only by tests, but hooked by name in perfbench/tracer.py, whose
 # bench-smoke check fails on a missing hook; ROADMAP item 4 retires those hooks.
@@ -31,3 +33,14 @@ def test_every_public_src_name_has_a_src_reference():
                     referenced.add(name)
     unreferenced = {(module, name) for module, name in defined if name not in referenced}
     assert unreferenced == TRACER_PINNED, sorted(unreferenced ^ TRACER_PINNED)
+
+
+def test_every_tracer_hook_resolves():
+    """perfbench/tracer.py wraps src functions by module path and name; a renamed or
+    moved one must fail here, not only in a traced benchmark run. Nothing is installed."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.HOOKS
+               if not hasattr(tracer._resolve(owner), attr)]
+    assert missing == []

@@ -101,7 +101,7 @@ def test_gen_trial_dump_split():
     sizes_b = [a.participant_count for a in parsed.arms if a.drug_text == "B"]
     assert (sizes_a, sizes_b) == ([334, 333, 333], [333, 333, 333])  # as even as possible
     events_a = sum(c for a in parsed.arms if a.drug_text == "A"
-                   for _, c in a.outcome_events)
+                   for c in a.outcome_events.values())
     # binomial draws per part: 300 expected, SD 14.5
     assert abs(events_a - 300) < 4 * math.sqrt(1000 * 0.3 * 0.7)
 
