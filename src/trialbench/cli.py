@@ -14,16 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import cohort as cohort_mod
 from . import metrics as metrics_mod
 from . import refset as refset_mod
 from . import synth
-from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimate,
+from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimates,
                          run_all_methods)
 from .formats import (InputError, dump_json_line, parsing, read_jsonl, read_kv_config,
                       sha256_file, write_jsonl)
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,13 +75,14 @@ def cmd_simulate(args) -> int:
         if config is not None and (type(n_mc) is not int or n_mc < 1):
             raise InputError(f"{scenario_path}: mc_samples must be a positive integer, "
                              f"got {n_mc!r}")
+        rng = np.random.default_rng(args.seed)
+        if config is not None:  # raises ValueError on a draw that leaves one arm empty
+            patients, dense_rows, _ = synth.gen_claims(config, rng)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
 
     drugs, outcomes = set(), set()
     if config is not None:
-        patients, dense_rows, _ = synth.gen_claims(config, rng)
         write_jsonl(out_dir / "claims.jsonl", patients)
         write_jsonl(out_dir / "dense_features.jsonl", dense_rows)
         (out_dir / "vocab.txt").write_text(
@@ -111,16 +111,14 @@ def _entry_id(entry) -> str:
 
 def _estimate_record(entry, est: EffectEstimate) -> dict:
     return {
+        **est._asdict(),
         "drug_a": entry.drug_a,
         "drug_b": entry.drug_b,
         "outcome_code": entry.outcome_code,
-        "method_id": est.method_id,
-        "scale": est.scale,
         "point": est.point if math.isfinite(est.point) else None,
         "std_error": est.std_error if math.isfinite(est.std_error) else None,
         "converged": bool(est.converged),
         "n_used": int(est.n_used),
-        "note": est.note,
     }
 
 
@@ -153,10 +151,12 @@ def cmd_evaluate(args) -> int:
         seed = args.seed if args.seed is not None else (
             seed_value(settings_kv["seed"]) if "seed" in settings_kv else None)
         settings_base = RunSettings(
-            ridge=setting("ridge", 1e-6, lambda v: v >= 0, ">= 0"),
-            caliper_sd_logit=setting("caliper_sd_logit", 0.2, lambda v: v > 0, "> 0"),
-            weight_cap=setting("weight_cap", 100.0, lambda v: v > 0, "> 0"),
-            tau_percentile=setting("tau_percentile", 0.8, lambda v: 0 < v <= 1, "in (0, 1]"),
+            ridge=setting("ridge", RunSettings.ridge, lambda v: v >= 0, ">= 0"),
+            caliper_sd_logit=setting("caliper_sd_logit", RunSettings.caliper_sd_logit,
+                                     lambda v: v > 0, "> 0"),
+            weight_cap=setting("weight_cap", RunSettings.weight_cap, lambda v: v > 0, "> 0"),
+            tau_percentile=setting("tau_percentile", RunSettings.tau_percentile,
+                                   lambda v: 0 < v <= 1, "in (0, 1]"),
             methods=methods,
         )
         max_per_arm = setting("max_per_arm", cohort_mod.MAX_ARM_SIZE, lambda v: v >= 0, ">= 0")
@@ -170,7 +170,7 @@ def cmd_evaluate(args) -> int:
 
     header = {
         "kind": "estimates",
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "refset_sha256": sha256_file(refset_path),
         "config_sha256": sha256_file(args.config) if args.config else None,
         "seed": seed,
@@ -202,8 +202,7 @@ def cmd_evaluate(args) -> int:
         built = cohort_mod.build_cohort(db, entry, seed=cohort_seed,
                                         max_per_arm=max_per_arm, min_per_arm=min_per_arm)
         if isinstance(built, cohort_mod.SkipSignal):
-            estimates = [failed_estimate(m, METHOD_REGISTRY[m].scale, 0,
-                                         f"cohort skipped: {built.reason}") for m in methods]
+            estimates = failed_estimates(methods, 0, f"cohort skipped: {built.reason}")
         else:
             settings = dataclasses.replace(settings_base, seed=method_seed)
             estimates = run_all_methods(built, settings)

@@ -31,15 +31,10 @@ SCALE_RMST_DAYS = "rmst_difference_days"
 G_WEIGHT_CAP = 100.0
 
 
-@dataclass
-class EffectEstimate:
-    method_id: str
-    scale: str
-    point: float
-    std_error: float
-    converged: bool
-    n_used: int
-    note: str = ""
+# What an estimator computes, and the row run_all_methods makes of it with the
+# method id and scale from the registry.
+Fit = namedtuple("Fit", "point std_error converged n_used note", defaults=("",))
+EffectEstimate = namedtuple("EffectEstimate", ("method_id", "scale", *Fit._fields))
 
 
 @dataclass
@@ -52,18 +47,20 @@ class RunSettings:
     methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHOD_REGISTRY))
 
 
-def failed_estimate(method_id: str, scale: str, n_used: int, note: str) -> EffectEstimate:
-    """The estimate recorded for a method that could not run; note says why."""
-    return EffectEstimate(method_id=method_id, scale=scale, point=math.nan,
-                          std_error=math.nan, converged=False, n_used=n_used, note=note)
+def failed_estimates(methods, n_used: int, note: str) -> list[EffectEstimate]:
+    """The estimates recorded for methods that could not run; note says why."""
+    return [EffectEstimate(m, METHOD_REGISTRY[m].scale, math.nan, math.nan, False, n_used,
+                           note) for m in methods]
 
 
-def _cox_estimate(method_id, times, events, treated, weights=None) -> EffectEstimate:
+class _MethodFailure(Exception):
+    """A method that cannot run for a reason its note states in full."""
+
+
+def _cox_estimate(times, events, treated, weights=None) -> Fit:
     res = cox_fit(times, events, treated, weights)
     se = res.se_robust if weights is not None else res.se_model
-    point = res.beta if res.converged else math.nan
-    return EffectEstimate(method_id=method_id, scale=SCALE_LOG_HR, point=point,
-                          std_error=se, converged=res.converged, n_used=res.n_used)
+    return Fit(res.beta if res.converged else math.nan, se, res.converged, res.n_used)
 
 
 def _km_rmst_arm(times, events, weights, tau):
@@ -81,36 +78,26 @@ def _km_rmst_arm(times, events, weights, tau):
     return value, var
 
 
-def _km_diff_estimate(method_id, times, events, treated, tau, weights=None) -> EffectEstimate:
+def _km_diff_estimate(times, events, treated, tau, weights=None) -> Fit:
     treated = np.asarray(treated, dtype=bool)
     wa = None if weights is None else np.asarray(weights)[treated]
     wb = None if weights is None else np.asarray(weights)[~treated]
     ra, va = _km_rmst_arm(np.asarray(times)[treated], np.asarray(events)[treated], wa, tau)
     rb, vb = _km_rmst_arm(np.asarray(times)[~treated], np.asarray(events)[~treated], wb, tau)
-    return EffectEstimate(method_id=method_id, scale=SCALE_RMST_DAYS, point=ra - rb,
-                          std_error=math.sqrt(va + vb), converged=True, n_used=len(times))
+    return Fit(ra - rb, math.sqrt(va + vb), True, len(times))
 
 
-def rmst_regression(aft_model, features, tau: float,
-                    method_id: str = "rmst_aft_regression") -> EffectEstimate:
-    """Mean predicted RMST contrast over all patients at horizon tau."""
-    n = len(np.atleast_2d(features))
-    if not aft_model.converged:
-        return failed_estimate(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
-    ones = np.ones(n)
-    diff = aft_model.predicted_rmst(features, ones, tau) - aft_model.predicted_rmst(
-        features, np.zeros(n), tau
-    )
-    return EffectEstimate(method_id=method_id, scale=SCALE_RMST_DAYS,
-                          point=float(np.mean(diff)),
-                          std_error=float(np.std(diff) / math.sqrt(n)),
-                          converged=True, n_used=n)
+def rmst_regression(m1, m0) -> Fit:
+    """Mean contrast of each row's predicted RMST on drug A (m1) and drug B (m0)."""
+    diff = m1 - m0
+    return Fit(float(np.mean(diff)), float(np.std(diff) / math.sqrt(len(diff))), True,
+               len(diff))
 
 
-def rmst_aipw(times, events, treated, features, propensity, aft_model, tau: float,
-              method_id: str = "rmst_aipw") -> EffectEstimate:
+def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float) -> Fit:
     """Augmented IPW on the tau-restricted outcome with IPCW for censoring.
 
+    m1 and m0 are each row's outcome-model RMST at tau on drug A and drug B.
     Z = min(T, tau); the correction term is applied only to rows whose Z
     is fully observed (event before tau, or follow-up reaching tau) and
     reweighted by the Kaplan-Meier estimate of the censoring survival at
@@ -119,14 +106,7 @@ def rmst_aipw(times, events, treated, features, propensity, aft_model, tau: floa
     t = np.asarray(times, dtype=float)
     d = np.asarray(events, dtype=bool)
     trt = np.asarray(treated, dtype=bool)
-    n = len(t)
-    if not aft_model.converged:
-        return failed_estimate(method_id, SCALE_RMST_DAYS, n, "AFT did not converge")
-
     e = np.asarray(propensity.scores, dtype=float)
-    m1 = aft_model.predicted_rmst(features, np.ones(n), tau)
-    m0 = aft_model.predicted_rmst(features, np.zeros(n), tau)
-
     z = np.minimum(t, tau)
     observed = (d & (t < tau)) | (t >= tau)
     g_curve = km_curve(t, ~d)
@@ -139,10 +119,8 @@ def rmst_aipw(times, events, treated, features, propensity, aft_model, tau: floa
     )
     contrib = (m1 - m0) + correction
     note = "IPCW weight capped" if bool(capped[observed].any()) else ""
-    return EffectEstimate(method_id=method_id, scale=SCALE_RMST_DAYS,
-                          point=float(np.mean(contrib)),
-                          std_error=float(np.std(contrib) / math.sqrt(n)),
-                          converged=True, n_used=n, note=note)
+    return Fit(float(np.mean(contrib)), float(np.std(contrib) / math.sqrt(len(t))), True,
+               len(t), note)
 
 
 def _fitted_once(fit):
@@ -201,55 +179,68 @@ class _Nuisance:
     def aft(self):
         return aft_fit(self.features, self.treated, self.time, self.event)
 
+    @_fitted_once
+    def predicted_rmst(self):
+        """Each row's AFT-predicted RMST at tau on drug A and on drug B."""
+        model = self.aft
+        if not model.converged:
+            raise _MethodFailure("AFT did not converge")
+        n = len(self.time)
+        return (model.predicted_rmst(self.features, np.ones(n), self.tau),
+                model.predicted_rmst(self.features, np.zeros(n), self.tau))
 
-def _aipw(nz: _Nuisance, method_id: str) -> EffectEstimate:
-    model = nz.aft  # first: when both fits fail, the note names the AFT error
-    return rmst_aipw(*nz.arms(), nz.features, nz.propensity, model, nz.tau, method_id)
+
+def _aipw(nz: _Nuisance) -> Fit:
+    # An AFT fit error outranks a propensity fit error, which outranks AFT
+    # non-convergence: the note names the first of them.
+    nz.aft
+    return rmst_aipw(*nz.arms(), nz.propensity, *nz.predicted_rmst, nz.tau)
 
 
-# One row of the method table: the effect scale and estimate(nuisance, method_id).
+# One row of the method table: the effect scale and estimate(nuisance) -> Fit.
 Method = namedtuple("Method", "scale estimate")
 
 # The method table, in output order. Estimators look cox_fit, rmst_aipw and
 # the other fitting functions up as module globals at call time, so a
 # replacement installed on this module (a tracing hook) is the one called.
 METHOD_REGISTRY = {
-    "cox_unadjusted": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(m, *nz.arms())),
-    "cox_psm": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(m, *nz.arms(nz.matched))),
-    "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(
-        m, *nz.arms(), nz.overlap_weights)),
-    "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz, m: _cox_estimate(
-        m, *nz.arms(), compute_weights(nz.propensity.scores, nz.treated, "standard_ipw",
-                                       cap=nz.settings.weight_cap))),
-    "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
-        m, *nz.arms(), nz.tau)),
-    "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
-        m, *nz.arms(nz.matched), nz.tau)),
-    "rmst_km_ipw_overlap": Method(SCALE_RMST_DAYS, lambda nz, m: _km_diff_estimate(
-        m, *nz.arms(), nz.tau, nz.overlap_weights)),
-    "rmst_aft_regression": Method(SCALE_RMST_DAYS, lambda nz, m: rmst_regression(
-        nz.aft, nz.features, nz.tau, m)),
+    "cox_unadjusted": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms())),
+    "cox_psm": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms(nz.matched))),
+    "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
+        *nz.arms(), nz.overlap_weights)),
+    "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
+        *nz.arms(), compute_weights(nz.propensity.scores, nz.treated, "standard_ipw",
+                                    cap=nz.settings.weight_cap))),
+    "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
+        *nz.arms(), nz.tau)),
+    "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
+        *nz.arms(nz.matched), nz.tau)),
+    "rmst_km_ipw_overlap": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
+        *nz.arms(), nz.tau, nz.overlap_weights)),
+    "rmst_aft_regression": Method(SCALE_RMST_DAYS, lambda nz: rmst_regression(
+        *nz.predicted_rmst)),
     "rmst_aipw": Method(SCALE_RMST_DAYS, _aipw),
 }
 
 
-def run_all_methods(cohort, settings: RunSettings | None = None) -> list[EffectEstimate]:
+def run_all_methods(cohort, settings: RunSettings) -> list[EffectEstimate]:
     """Run the method registry on one cohort; failures never abort the batch."""
-    settings = settings or RunSettings()
     n = len(cohort.time)
     wanted = [m for m in METHOD_REGISTRY if m in settings.methods]
     try:
         tau = event_time_horizon(cohort.time, cohort.event, settings.tau_percentile)
     except ValueError:
-        return [failed_estimate(m, METHOD_REGISTRY[m].scale, n, "no observed events")
-                for m in wanted]
+        return failed_estimates(wanted, n, "no observed events")
     nuisance = _Nuisance(cohort, settings, tau)
     out: list[EffectEstimate] = []
     for method_id in wanted:
         method = METHOD_REGISTRY[method_id]
         try:
-            out.append(method.estimate(nuisance, method_id))
+            fit = method.estimate(nuisance)
+        except _MethodFailure as exc:
+            out += failed_estimates([method_id], n, str(exc))
         except Exception as exc:  # per-method isolation
-            out.append(failed_estimate(method_id, method.scale, n,
-                                       f"{type(exc).__name__}: {exc}"))
+            out += failed_estimates([method_id], n, f"{type(exc).__name__}: {exc}")
+        else:
+            out.append(EffectEstimate(method_id, method.scale, *fit))
     return out

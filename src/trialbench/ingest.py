@@ -155,9 +155,9 @@ def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
     Malformed lines are reported, never silently dropped; a count that
-    is not a JSON integer is a schema violation. Each event count is
-    checked against [0, participant_count] before repeated terms are
-    summed. A duplicate (trial_id, arm_id) raises ValueError.
+    is not a JSON integer is a schema violation. Each event count, and
+    each repeated term's sum, is checked against [0, participant_count].
+    A duplicate (trial_id, arm_id) raises ValueError.
     """
     arms: list[Arm] = []
     diagnostics: list[LineDiagnostic] = []
@@ -180,7 +180,10 @@ def parse_dump(lines) -> ParseResult:
         if count < 0:
             diagnostics.append(LineDiagnostic(lineno, "negative participant_count"))
             continue
-        bad = [t for t, c in events if c < 0 or c > count]
+        summed: dict[str, int] = {}
+        for term, n in events:
+            summed[term] = summed.get(term, 0) + n  # a zero count still reports the term
+        bad = [t for t, c in events if c < 0] + [t for t, c in summed.items() if c > count]
         if bad:
             diagnostics.append(
                 LineDiagnostic(lineno, f"event count outside [0, participant_count] for {bad}")
@@ -190,9 +193,6 @@ def parse_dump(lines) -> ParseResult:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate (trial_id, arm_id) = {key}")
         seen.add(key)
-        summed: dict[str, int] = {}
-        for term, n in events:
-            summed[term] = summed.get(term, 0) + n  # a zero count still reports the term
         arms.append(Arm(trial_id, arm_id, arm_name, drug_text, count, summed))
     return ParseResult(arms, diagnostics)
 
@@ -227,12 +227,17 @@ def filter_arms(mapped_arms, drop_report: Counter | None = None) -> list[tuple[s
 
 
 def map_outcomes(arm: Arm, dictionary: OutcomeDictionary) -> Arm:
-    """Rewrite outcome terms to target codes; drop unmapped; sum collisions."""
+    """Rewrite outcome terms to target codes; drop unmapped; sum collisions.
+    A code summed above the arm's participant_count raises ValueError."""
     mapped: dict[str, int] = {}
     for term, count in arm.outcome_events.items():
         code = dictionary.lookup(term)
         if code is not None:
             mapped[code] = mapped.get(code, 0) + count
+    over = sorted(code for code, count in mapped.items() if count > arm.participant_count)
+    if over:
+        raise ValueError(f"trial {arm.trial_id} arm {arm.arm_id}: events mapped to {over} "
+                         f"exceed participant_count {arm.participant_count}")
     return replace(arm, outcome_events=mapped)
 
 

@@ -138,12 +138,12 @@ def build(dump_path, drug_dict_path, outcome_dict_path,
     A malformed dump or dictionary raises InputError naming the file."""
     drug_dict = ingest.DrugDictionary.load(drug_dict_path)
     outcome_dict = ingest.OutcomeDictionary.load(outcome_dict_path)
+    drops = Counter()
     with parsing(dump_path), open(dump_path, encoding="utf-8") as fh:
         parsed = ingest.parse_dump(fh)
-    drops = Counter()
-    mapped = [(arm, ingest.map_drug(arm.drug_text, drug_dict)) for arm in parsed.arms]
-    arms = [(ingredient, ingest.map_outcomes(arm, outcome_dict))
-            for ingredient, arm in ingest.filter_arms(mapped, drops)]
+        mapped = [(arm, ingest.map_drug(arm.drug_text, drug_dict)) for arm in parsed.arms]
+        arms = [(ingredient, ingest.map_outcomes(arm, outcome_dict))
+                for ingredient, arm in ingest.filter_arms(mapped, drops)]
     tables = ingest.aggregate(arms)
     provenance = {
         "dump_sha256": sha256_file(dump_path),

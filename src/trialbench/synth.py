@@ -37,7 +37,6 @@ class ScenarioConfig:
     drug_b: str = "DRUG_B"
     outcome_code: str = "OUTCOME"
     n_noise_codes: int = 2
-    seed: int | None = None
 
     def __post_init__(self):
         if type(self.n_patients) is not int or self.n_patients < 1:
@@ -112,12 +111,13 @@ def gen_survival_arrays(config: ScenarioConfig, rng: np.random.Generator) -> Sur
 
 
 def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
-                 n_mc: int = 1_000_000, tau: float | None = None) -> GroundTruth:
+                 n_mc: int = 1_000_000) -> GroundTruth:
     """Counterfactual Monte-Carlo estimate of the marginal estimands.
 
     Simulates both arms for n_mc fresh patients under administrative
     censoring at the configured horizon, then reads the marginal log-HR
-    off an unadjusted Cox fit to the pooled counterfactual arms.
+    off an unadjusted Cox fit to the pooled counterfactual arms. The RMST
+    difference is read at the pooled event-time horizon tau.
     """
     x = _draw_covariates(config, n_mc, rng)
     xeta = x @ np.asarray(config.eta)
@@ -128,8 +128,7 @@ def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
     events = np.concatenate([t0 <= horizon, t1 <= horizon])
     arms = np.concatenate([np.zeros(n_mc), np.ones(n_mc)])
     res = cox_fit(times, events, arms)
-    if tau is None:
-        tau = event_time_horizon(times, events) if events.any() else horizon
+    tau = event_time_horizon(times, events) if events.any() else horizon
     rmst_diff = float(np.mean(np.minimum(t1, tau)) - np.mean(np.minimum(t0, tau)))
     return GroundTruth(
         conditional_log_hr=config.beta,

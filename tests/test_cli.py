@@ -181,8 +181,10 @@ def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
     ("trials", {"n_trials": 0}),
     ("claims", {"n_patients": -1}),
     ("claims", {"code_prob": 2}),
+    ("claims", {"seed": 3}),
+    ("claims", {"n_patients": 1}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
-        "code_prob_above_one"])
+        "code_prob_above_one", "unknown_claims_key", "single_arm_draw"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
@@ -193,6 +195,36 @@ def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, cha
                  "--out-dir", str(tmp_path / "sim")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "sim").exists()  # nothing written before the scenario is checked
+
+
+def test_build_refset_checks_summed_counts_against_participants(tmp_path, capsys):
+    dump = tmp_path / "dump.jsonl"
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("text_pattern\tingredient_id\tmatch_score\n"
+                     "DRUG_A\tDRUG_A\t100\nDRUG_B\tDRUG_B\t100\n")
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text("source_term_code\ttarget_outcome_code\nT1\tE1\nT2\tE1\n")
+
+    def build(arm_a_terms):
+        arms = [("a", "DRUG_A", arm_a_terms), ("b", "DRUG_B", ["T1"])]
+        dump.write_text("".join(
+            json.dumps({"trial_id": "NCT1", "arm_id": arm, "arm_name": f"{drug} arm",
+                        "drug_text": drug, "participant_count": 100,
+                        "outcome_events": [{"term": t, "count": 60} for t in terms]}) + "\n"
+            for arm, drug, terms in arms))
+        capsys.readouterr()
+        return main(["build-refset", "--dump", str(dump), "--drug-dict", str(drugs),
+                     "--outcome-dict", str(outcomes), "--out", str(tmp_path / "refset.jsonl")])
+
+    # two terms that map to one code: an input error naming the dump, trial and arm
+    assert build(["T1", "T2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}: ") and "trial NCT1 arm a" in err
+    assert not (tmp_path / "refset.jsonl").exists()
+    # one term reported twice is summed on its line: a line diagnostic
+    assert build(["T1", "T1"]) == 0
+    diagnostics = (tmp_path / "refset.jsonl.diagnostics.tsv").read_text().splitlines()
+    assert diagnostics[1].startswith("1\t") and "participant_count" in diagnostics[1]
 
 
 @pytest.mark.parametrize("where", ["evaluate_flag", "evaluate_config", "simulate_flag"])

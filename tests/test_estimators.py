@@ -6,25 +6,30 @@ from scipy.integrate import trapezoid
 
 from oracles import breslow_loglik, golden_section_max, km_recursive
 from test_acceptance import PIPELINE_SCENARIO
-from trialbench.estimators import (
+from trialbench.estimators import methods as methods_mod
+from trialbench.estimators.methods import (
     EffectEstimate,
-    MatchingError,
     METHOD_REGISTRY,
     RunSettings,
-    SurvivalCurve,
-    aft_fit,
-    compute_weights,
-    cox_fit,
-    event_time_horizon,
-    fit_logistic,
-    km_curve,
-    match_pairs,
-    rmst,
     rmst_aipw,
     rmst_regression,
     run_all_methods,
 )
-from trialbench.estimators import methods as methods_mod
+from trialbench.estimators.propensity import (
+    MatchingError,
+    compute_weights,
+    fit_logistic,
+    match_pairs,
+)
+from trialbench.estimators.survival import (
+    AFTModel,
+    SurvivalCurve,
+    aft_fit,
+    cox_fit,
+    event_time_horizon,
+    km_curve,
+    rmst,
+)
 from trialbench.synth import ScenarioConfig, gen_survival_arrays, ground_truth
 
 
@@ -157,7 +162,7 @@ def test_cox_one_armed_events():
 
 def test_cox_robust_se_close_to_model_se_unweighted():
     rng = np.random.default_rng(3)
-    config = ScenarioConfig(n_patients=4000, beta=0.5, censoring_rate=0.001, seed=None)
+    config = ScenarioConfig(n_patients=4000, beta=0.5, censoring_rate=0.001)
     arrays = gen_survival_arrays(config, rng)
     res = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float))
     assert res.converged
@@ -275,15 +280,15 @@ def test_rmst_regression_and_aipw_unconfounded():
                             gamma=[0.0], beta=-0.5, eta=[0.5], lambda0=0.002,
                             censoring_rate=0.0005)
     arrays = gen_survival_arrays(config, rng)
-    tau = 365.0
-    truth = ground_truth(config, np.random.default_rng(99), n_mc=200_000,
-                         tau=tau).marginal_rmst_diff
+    gt = ground_truth(config, np.random.default_rng(99), n_mc=200_000)
+    truth = gt.marginal_rmst_diff
     model = aft_fit(arrays.features, arrays.treated, arrays.time, arrays.event)
     prop = fit_logistic(arrays.features, arrays.treated)
-    reg = rmst_regression(model, arrays.features, tau)
-    aipw = rmst_aipw(arrays.time, arrays.event, arrays.treated, arrays.features,
-                     prop, model, tau)
-    assert reg.converged and aipw.converged
+    m1, m0 = (model.predicted_rmst(arrays.features, np.full(config.n_patients, arm), gt.tau)
+              for arm in (1.0, 0.0))
+    reg = rmst_regression(m1, m0)
+    aipw = rmst_aipw(arrays.time, arrays.event, arrays.treated, prop, m1, m0, gt.tau)
+    assert model.converged and reg.converged and aipw.converged
     assert reg.point == pytest.approx(truth, abs=0.05 * abs(truth) + 2.0)
     assert aipw.point == pytest.approx(truth, abs=0.05 * abs(truth) + 2.0)
     assert aipw.std_error > 0
@@ -321,9 +326,18 @@ def _count_calls(monkeypatch, names):
 
 def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
     calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
+    predicted = []
+    real_predicted_rmst = AFTModel.predicted_rmst
+
+    def counted_predicted_rmst(self, *args):
+        predicted.append(1)
+        return real_predicted_rmst(self, *args)
+
+    monkeypatch.setattr(AFTModel, "predicted_rmst", counted_predicted_rmst)
     estimates = run_all_methods(_registry_cohort(), RunSettings(seed=5))
     assert len(estimates) == len(METHOD_REGISTRY)
     assert calls == {"aft_fit": 1, "fit_logistic": 1, "match_pairs": 1}
+    assert len(predicted) == 2  # one array per drug, shared by both AFT methods
 
 
 def test_run_all_methods_shares_a_failed_fit(monkeypatch):
@@ -341,6 +355,56 @@ def test_run_all_methods_shares_a_failed_fit(monkeypatch):
         assert not by_id[m].converged and by_id[m].note == "LinAlgError: singular Hessian"
     for m in ("cox_unadjusted", "rmst_km_unadjusted", "rmst_aft_regression"):
         assert by_id[m].converged and by_id[m].note == ""
+
+
+def _few_events_cohort(n_events):
+    """A cohort of 200 whose first n_events rows are events, half of them treated."""
+    class Few:
+        time = np.arange(1.0, 201.0)
+        event = np.arange(200) < n_events
+        treated = np.arange(200) % 2 == 0
+        features = np.random.default_rng(3).standard_normal((200, 2))
+    return Few()
+
+
+def _heavily_censored_cohort():
+    """3,000 rows censored one a day, then 20 events after them: the censoring KM
+    falls to 20/3020 before the events, below 1 / G_WEIGHT_CAP."""
+    class Censored:
+        time = np.arange(1.0, 3021.0)
+        event = np.arange(3020) >= 3000
+        treated = np.arange(3020) % 2 == 0
+        features = np.random.default_rng(4).standard_normal((3020, 2))
+    return Censored()
+
+
+def test_run_all_methods_aft_and_ipcw_notes(monkeypatch):
+    aft_methods = ("rmst_aft_regression", "rmst_aipw")
+    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    for m in aft_methods:
+        assert by_id[m].note == "AFT did not converge"
+        assert not by_id[m].converged and by_id[m].n_used == 200
+        assert math.isnan(by_id[m].point) and math.isnan(by_id[m].std_error)
+        assert by_id[m].scale == "rmst_difference_days"
+
+    aipw = run_all_methods(_heavily_censored_cohort(), RunSettings(methods=("rmst_aipw",)))
+    assert aipw[0].converged and aipw[0].note == "IPCW weight capped"
+
+    def failing(message):
+        def fit(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
+        return fit
+
+    # An AFT fit error outranks a propensity fit error, which outranks AFT
+    # non-convergence.
+    monkeypatch.setattr(methods_mod, "fit_logistic", failing("propensity"))
+    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    assert by_id["rmst_aipw"].note == "LinAlgError: propensity"
+    assert by_id["rmst_aft_regression"].note == "AFT did not converge"
+    monkeypatch.setattr(methods_mod, "aft_fit", failing("aft"))
+    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    for m in aft_methods:
+        assert by_id[m].note == "LinAlgError: aft" and by_id[m].n_used == 200
 
 
 def test_run_all_methods_no_events():

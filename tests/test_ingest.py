@@ -63,6 +63,19 @@ def test_parse_dump_valid_and_diagnostics():
     assert all(d.message.startswith("schema violation") for d in result.diagnostics[-3:])
 
 
+def test_parse_dump_checks_summed_counts_against_participants():
+    lines = [json.dumps({"trial_id": "T1", "arm_id": arm, "arm_name": "x",
+                         "drug_text": "d", "participant_count": 100,
+                         "outcome_events": [{"term": "E1", "count": each},
+                                            {"term": "E1", "count": each}]})
+             for arm, each in (("a", 60), ("b", 50))]
+    result = parse_dump(lines)
+    assert [arm.arm_id for arm in result.arms] == ["b"]
+    assert result.arms[0].outcome_events == {"E1": 100}
+    assert [d.line_number for d in result.diagnostics] == [1]
+    assert "participant_count" in result.diagnostics[0].message
+
+
 def test_parse_dump_duplicate_arm_is_hard_error():
     line = json.dumps({"trial_id": "T1", "arm_id": "a", "arm_name": "x",
                        "drug_text": "d", "participant_count": 100,
@@ -134,6 +147,14 @@ def test_map_outcomes():
     d = OutcomeDictionary([("10001", "MI"), ("10002", "MI")])
     mapped = map_outcomes(_arm(events={"10001": 3, "10002": 4, "junk": 9}), d)
     assert mapped.outcome_events == {"MI": 7}
+
+
+def test_map_outcomes_rejects_a_code_summed_above_participants():
+    d = OutcomeDictionary([("10001", "MI"), ("10002", "MI")])
+    assert map_outcomes(_arm(count=100, events={"10001": 50, "10002": 50}), d
+                        ).outcome_events == {"MI": 100}
+    with pytest.raises(ValueError, match="trial T1 arm a: .*'MI'"):
+        map_outcomes(_arm(count=100, events={"10001": 60, "10002": 60}), d)
 
 
 def _record(trial, arm, ingredient, n, events):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import naive_score
 
-from trialbench.estimators import SCALE_LOG_HR, SCALE_RMST_DAYS
+from trialbench.estimators.methods import SCALE_LOG_HR, SCALE_RMST_DAYS
 from trialbench.metrics import (
     FIXED_HR_THRESHOLDS,
     ScoredEffect,

@@ -35,6 +35,44 @@ def test_every_public_src_name_has_a_src_reference():
     assert unreferenced == TRACER_PINNED, sorted(unreferenced ^ TRACER_PINNED)
 
 
+def test_every_defaulted_parameter_is_passed_in_src():
+    """A parameter default that no src call overrides is a setting only tests change.
+    A call that matches by name and passes the parameter -- by keyword, by position or
+    through *args/**kwargs -- counts. main(argv) is exempt: the console entry point
+    calls it bare and tests pass argv."""
+    defaults = {}  # (module, function, parameter) -> positional parameter names
+    calls = []
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+            named = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            named += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for name in named:
+                defaults[(module, node.name, name)] = positional
+
+    def passes(call, name, positional):
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        if any(k.arg in (None, name) for k in call.keywords):
+            return True
+        return name in positional and positional.index(name) < len(call.args)
+
+    never_passed = [
+        key for key, positional in defaults.items()
+        if not any(getattr(call.func, "id", getattr(call.func, "attr", None)) == key[1]
+                   and passes(call, key[2], positional) for call in calls)
+    ]
+    assert sorted(never_passed) == [("cli", "main", "argv")]
+
+
 def test_every_tracer_hook_resolves():
     """perfbench/tracer.py wraps src functions by module path and name; a renamed or
     moved one must fail here, not only in a traced benchmark run. Nothing is installed."""

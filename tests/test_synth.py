@@ -73,7 +73,7 @@ def test_marginal_hr_non_collapsibility():
 def test_gen_claims_round_trips_through_cohort():
     config = ScenarioConfig(n_patients=800, gamma=[0.3, 0.3, 0.2, 0.2],
                             beta=0.4, eta=[0.3, 0.3, 0.2, 0.2],
-                            lambda0=0.003, censoring_rate=0.001, seed=None)
+                            lambda0=0.003, censoring_rate=0.001)
     patients, dense_rows, arrays = gen_claims(config, np.random.default_rng(3))
     assert len(patients) == len(dense_rows) == 800
     db = PatientDB.from_records(patients, vocabulary(config)).with_dense_features(dense_rows)
