@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 # Odds-ratio thresholds separating weak from strong effects.
 WEAK_OR_LOW = 0.8
@@ -46,8 +45,8 @@ def odds_ratio(a: int, n1: int, b: int, n2: int) -> float:
     return num / den
 
 
-# _LOG_FACTORIAL[i] = log(i!) = gammaln(i + 1), grown by doubling whenever a 2x2
-# table's arm lies past its end; the only place this module calls gammaln.
+# _LOG_FACTORIAL[i] = log(i!) = math.lgamma(i + 1), grown by doubling whenever a
+# 2x2 table's arm lies past its end; the only place this module calls lgamma.
 _LOG_FACTORIAL = np.empty(0)
 
 
@@ -62,8 +61,7 @@ def _log_binomials(n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"margins n1={n1}, n2={n2}, m={m} have no support")
     if max(n1, n2) >= _LOG_FACTORIAL.size:
         size = max(n1 + 1, n2 + 1, 2 * _LOG_FACTORIAL.size)
-        table = np.arange(1.0, size + 1.0)
-        _LOG_FACTORIAL = gammaln(table, out=table)  # in place: one array at the new size
+        _LOG_FACTORIAL = np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
     lf = _LOG_FACTORIAL
     # lf[n1] - lf[k] - lf[n1 - k] + lf[n2] - lf[m - k] - lf[n2 - m + k], each
     # support-long term a slice of the table (reversed where it falls with k)

@@ -17,6 +17,9 @@ from .formats import parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
+# Most participants one drug's arms of a 2x2 table may pool (so also one arm
+# record): the exact tests keep a log-factorial table up to twice that long.
+MAX_POOLED_ARM = 10_000_000
 
 # "+" is load-bearing for the combination-arm filter, so it survives
 # normalization while other punctuation is stripped.
@@ -65,6 +68,9 @@ class ContingencyTable:
     def __post_init__(self):
         if not (0 <= self.a <= self.n1 and 0 <= self.b <= self.n2):
             raise ValueError("cell counts exceed margins")
+        if max(self.n1, self.n2) > MAX_POOLED_ARM:
+            raise ValueError(f"{self.drug_a} vs {self.drug_b}: a pooled arm of "
+                             f"{max(self.n1, self.n2)} participants exceeds {MAX_POOLED_ARM}")
         if not self.drug_a < self.drug_b:
             raise ValueError("drugs not in canonical order")
 
@@ -249,7 +255,8 @@ def aggregate(arms) -> list[ContingencyTable]:
     comparison per unordered pair. A trial contributes to a (pair,
     outcome) table only if at least one of its two pooled arms reports
     that outcome, with zero events or more; the other side then counts
-    zero events against its full arm enrollment.
+    zero events against its full arm enrollment. A pooled arm above
+    MAX_POOLED_ARM raises ValueError naming the drug pair.
     """
     by_trial: dict[str, dict[str, list]] = {}  # trial -> ingredient -> [participants, events]
     for ingredient, arm in arms:

@@ -144,7 +144,7 @@ def build(dump_path, drug_dict_path, outcome_dict_path,
         mapped = [(arm, ingest.map_drug(arm.drug_text, drug_dict)) for arm in parsed.arms]
         arms = [(ingredient, ingest.map_outcomes(arm, outcome_dict))
                 for ingredient, arm in ingest.filter_arms(mapped, drops)]
-    tables = ingest.aggregate(arms)
+        tables = ingest.aggregate(arms)
     provenance = {
         "dump_sha256": sha256_file(dump_path),
         "drug_dict_sha256": sha256_file(drug_dict_path),

@@ -45,6 +45,11 @@ class ScenarioConfig:
             raise ValueError(f"code_prob must lie in [0, 1], got {self.code_prob!r}")
         if self.lambda0 <= 0 or self.shape <= 0:
             raise ValueError("hazard parameters must be positive")
+        if not (math.isfinite(self.horizon_days) and self.horizon_days > 0):
+            raise ValueError(f"horizon_days must be finite and positive, got {self.horizon_days!r}")
+        if not (math.isfinite(self.censoring_rate) and self.censoring_rate >= 0):
+            raise ValueError(f"censoring_rate must be finite and non-negative, "
+                             f"got {self.censoring_rate!r}")
         p = self.n_dense_features + self.n_code_features
         if not self.gamma:
             self.gamma = [0.0] * p

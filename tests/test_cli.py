@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from trialbench.cli import main
 from trialbench.formats import read_jsonl, sha256_file, write_jsonl
+from trialbench.ingest import MAX_POOLED_ARM
 from trialbench.refset import load as load_refset
 
 SCENARIO = {
@@ -47,6 +52,53 @@ def pipeline(tmp_path_factory):
     assert main(["report", "--estimates", str(estimates), "--refset", str(refset),
                  "--rmst-thresholds", "30", "--out", str(report)]) == 0
     return root, sim, refset, estimates, report
+
+
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports trialbench from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_out():
+    run = _run_python("import sys, trialbench.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_pipeline_runs_with_scipy_blocked(pipeline, tmp_path):
+    """numpy is the only runtime dependency: with every scipy import made to fail, the
+    four stages exit 0 and write the same files as the pipeline fixture's run."""
+    root, _, _, _, _ = pipeline
+    sim, refset = tmp_path / "sim", tmp_path / "refset.jsonl"
+    estimates = tmp_path / "estimates.jsonl"
+    stages = [
+        ["simulate", "--scenario", str(root / "scenario.json"), "--seed", "17",
+         "--out-dir", str(sim)],
+        ["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
+         "--drug-dict", str(sim / "drug_dict.tsv"),
+         "--outcome-dict", str(sim / "outcome_dict.tsv"), "--out", str(refset)],
+        ["evaluate", "--refset", str(refset), "--db", str(sim / "claims.jsonl"),
+         "--vocab", str(sim / "vocab.txt"), "--dense-features", str(sim / "dense_features.jsonl"),
+         "--seed", "23", "--out", str(estimates)],
+        ["report", "--estimates", str(estimates), "--refset", str(refset),
+         "--rmst-thresholds", "30", "--out", str(tmp_path / "report")],
+    ]
+    run = _run_python(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+        "from trialbench.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv[0]\n", json.dumps(stages))
+    assert run.returncode == 0, run.stderr
+    written = [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()]
+    assert {"sim/claims.jsonl", "refset.jsonl", "estimates.jsonl",
+            "report.table.tsv"} <= {p.as_posix() for p in written}
+    assert [p for p in written if (tmp_path / p).read_bytes() != (root / p).read_bytes()] == []
 
 
 def test_simulate_outputs(pipeline):
@@ -183,8 +235,13 @@ def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
     ("claims", {"code_prob": 2}),
     ("claims", {"seed": 3}),
     ("claims", {"n_patients": 1}),
+    ("claims", {"horizon_days": -5}),
+    ("claims", {"horizon_days": 0}),
+    ("claims", {"censoring_rate": -1}),
+    ("claims", {"censoring_rate": 1e400}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
-        "code_prob_above_one", "unknown_claims_key", "single_arm_draw"])
+        "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
+        "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
@@ -225,6 +282,29 @@ def test_build_refset_checks_summed_counts_against_participants(tmp_path, capsys
     assert build(["T1", "T1"]) == 0
     diagnostics = (tmp_path / "refset.jsonl.diagnostics.tsv").read_text().splitlines()
     assert diagnostics[1].startswith("1\t") and "participant_count" in diagnostics[1]
+
+
+@pytest.mark.parametrize("trials", [(MAX_POOLED_ARM + 1,), (MAX_POOLED_ARM // 2 + 1,) * 2],
+                         ids=["one_arm", "pooled_over_two_trials"])
+def test_build_refset_bounds_the_pooled_arm(tmp_path, capsys, trials):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("".join(
+        json.dumps({"trial_id": f"NCT{t}", "arm_id": arm, "arm_name": f"{drug} arm",
+                    "drug_text": drug, "participant_count": n,
+                    "outcome_events": [{"term": "T1", "count": 9}]}) + "\n"
+        for t, n_a in enumerate(trials) for arm, drug, n in (("a", "DRUG_A", n_a),
+                                                             ("b", "DRUG_B", 100))))
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("text_pattern\tingredient_id\tmatch_score\n"
+                     "DRUG_A\tDRUG_A\t100\nDRUG_B\tDRUG_B\t100\n")
+    outcomes = tmp_path / "outcomes.tsv"
+    outcomes.write_text("source_term_code\ttarget_outcome_code\nT1\tE1\n")
+    capsys.readouterr()
+    assert main(["build-refset", "--dump", str(dump), "--drug-dict", str(drugs),
+                 "--outcome-dict", str(outcomes), "--out", str(tmp_path / "refset.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}: ") and "DRUG_A vs DRUG_B" in err
+    assert not (tmp_path / "refset.jsonl").exists()
 
 
 @pytest.mark.parametrize("where", ["evaluate_flag", "evaluate_config", "simulate_flag"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import gammainc
 
 from oracles import breslow_loglik, golden_section_max, km_recursive
 from test_acceptance import PIPELINE_SCENARIO
@@ -21,8 +22,10 @@ from trialbench.estimators.propensity import (
     fit_logistic,
     match_pairs,
 )
+from trialbench.estimators import survival as survival_mod
 from trialbench.estimators.survival import (
     AFTModel,
+    _lower_gamma_p,
     SurvivalCurve,
     aft_fit,
     cox_fit,
@@ -272,6 +275,21 @@ def test_aft_predicted_rmst_matches_numeric_integration():
         1.0 + trapezoid(np.exp(-np.exp((np.log(grid) - m) / model.sigma)), grid) for m in mu
     ])  # survival ~ 1 on [0, 1)
     assert np.allclose(model.predicted_rmst(feats, trt, tau), numeric, rtol=0.01)
+
+
+def test_lower_incomplete_gamma_matches_scipy(monkeypatch):
+    # a spans the Weibull scales sigma = 1/shape an AFT fit can reach; the series
+    # and the continued fraction meet at x = a + 1
+    x = np.concatenate([np.geomspace(1e-4, 1e3, 300), np.linspace(0.0, 1e3, 301)])
+    for a in np.concatenate([np.geomspace(0.05, 20, 40), [0.7, 1.0, 1.3]]):
+        xa = np.concatenate([x, (a + 1) * (1 + np.array([-1e-12, 0.0, 1e-12]))])
+        # a loop that reached GAMMA_MAX_ITER would raise ArithmeticError here
+        p, ref = _lower_gamma_p(a, xa), gammainc(a, xa)
+        assert np.all(np.abs(p - ref) <= 1e-13 * ref), a
+        assert np.array_equal(_lower_gamma_p(a, np.array([0.0, np.inf])), [0.0, 1.0]), a
+    monkeypatch.setattr(survival_mod, "GAMMA_MAX_ITER", 20)
+    with pytest.raises(ArithmeticError):
+        _lower_gamma_p(0.05, np.array([1.05]))
 
 
 def test_rmst_regression_and_aipw_unconfounded():

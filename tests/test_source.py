@@ -82,3 +82,16 @@ def test_every_tracer_hook_resolves():
     missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.HOOKS
                if not hasattr(tracer._resolve(owner), attr)]
     assert missing == []
+
+
+def test_no_src_module_imports_scipy():
+    """numpy is the only runtime dependency; scipy is a test reference only, so no
+    src module may import it, at the top or inside a function."""
+    importers = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == []
