@@ -25,8 +25,8 @@ from trialbench.estimators.propensity import (
 from trialbench.estimators import survival as survival_mod
 from trialbench.estimators.survival import (
     AFTModel,
-    _lower_gamma_p,
     SurvivalCurve,
+    _lower_gamma_p,
     aft_fit,
     cox_fit,
     event_time_horizon,
@@ -278,8 +278,8 @@ def test_aft_predicted_rmst_matches_numeric_integration():
 
 
 def test_lower_incomplete_gamma_matches_scipy(monkeypatch):
-    # a spans the Weibull scales sigma = 1/shape an AFT fit can reach; the series
-    # and the continued fraction meet at x = a + 1
+    # predicted_rmst passes a = sigma, the AFT's 1 / Weibull shape; the series and
+    # the continued fraction meet at x = a + 1
     x = np.concatenate([np.geomspace(1e-4, 1e3, 300), np.linspace(0.0, 1e3, 301)])
     for a in np.concatenate([np.geomspace(0.05, 20, 40), [0.7, 1.0, 1.3]]):
         xa = np.concatenate([x, (a + 1) * (1 + np.array([-1e-12, 0.0, 1e-12]))])
