@@ -82,57 +82,26 @@ def match_pairs(scores, treatment_labels, caliper_sd_logit: float = DEFAULT_CALI
     if len(treated_idx) == 0 or len(control_idx) == 0:
         raise MatchingError("one arm is empty")
 
+    # the free controls, kept sorted by logit; a matched one is deleted from both lists
     order = control_idx[np.argsort(logits[control_idx], kind="stable")]
-    sorted_logits = logits[order].tolist()
-    nc = len(order)
-    # path-compressed skip pointers over the sorted controls: next_alive[i]
-    # is the first unused control at position >= i (nc sentinel = none),
-    # prev_alive[i] the last at position <= i (-1 sentinel).
-    next_alive = list(range(nc + 1))
-    prev_alive = list(range(-1, nc))
-
-    def find_next(i):
-        root = i
-        while root <= nc and next_alive[root] != root:
-            root = next_alive[root]
-        while i < root:
-            next_alive[i], i = root, next_alive[i]
-        return root
-
-    def find_prev(i):
-        root = i
-        while root >= 0 and prev_alive[root + 1] != root:
-            root = prev_alive[root + 1]
-        while i > root:
-            prev_alive[i + 1], i = root, prev_alive[i + 1]
-        return root
-
-    def remove(i):
-        next_alive[i] = i + 1
-        prev_alive[i + 1] = i - 1
-
+    free, free_logits = order.tolist(), logits[order].tolist()
+    logits = logits.tolist()
     rng = np.random.default_rng(seed)
     pairs = []
-    remaining = nc
-    for t in treated_idx[rng.permutation(len(treated_idx))]:
-        if remaining == 0:
+    for t in treated_idx[rng.permutation(len(treated_idx))].tolist():
+        if not free:
             break
         target = logits[t]
-        pos = bisect.bisect_left(sorted_logits, target)
-        right = find_next(min(pos, nc))
-        left = find_prev(min(pos - 1, nc - 1)) if pos > 0 else -1
-        best = None
-        if left >= 0:
-            best = (abs(sorted_logits[left] - target), left)
-        if right < nc:
-            cand = (abs(sorted_logits[right] - target), right)
-            if best is None or cand < best:
-                best = cand
-        if best is None or best[0] > caliper:
+        # the nearer of the free controls just below and at or above target; a tie
+        # goes to the one below
+        i = bisect.bisect_left(free_logits, target)
+        if i == len(free) or i > 0 and not (abs(free_logits[i] - target)
+                                            < abs(free_logits[i - 1] - target)):
+            i -= 1
+        if abs(free_logits[i] - target) > caliper:
             continue
-        pairs.append((int(t), int(order[best[1]])))
-        remove(best[1])
-        remaining -= 1
+        pairs.append((t, free[i]))
+        del free[i], free_logits[i]
     if not pairs:
         raise MatchingError("caliper excluded every candidate pair")
     return pairs

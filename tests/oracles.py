@@ -5,15 +5,19 @@ arithmetic for the 2x2 tail probabilities, a per-call math.lgamma form of
 the floating-point composite p-values (the reference the shared
 log-factorial table must match bit for bit), a naive quadratic BH, a textbook
 loop-based Breslow partial likelihood, a direct recursive Kaplan-Meier,
-and a per-threshold rescan for report precision/recall.
+a per-threshold rescan for report precision/recall, and the skip-pointer
+propensity matcher that the plain-list match_pairs replaced.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from trialbench.estimators.propensity import DEFAULT_CALIPER, MatchingError
 
 
 def nchg_weights(n1: int, n2: int, m: int, psi_num: int, psi_den: int) -> tuple[int, list[int]]:
@@ -185,3 +189,77 @@ def naive_score(effects, entries, threshold) -> dict:
         "tp_weighted": tp_w, "fp_weighted": fp_w,
         "tp": tp, "fp": fp, "fn": n_strong - tp, "n_evaluable": len(evaluable),
     }
+
+
+def skip_pointer_match_pairs(scores, treatment_labels,
+                             caliper_sd_logit: float = DEFAULT_CALIPER,
+                             seed: int = 0) -> list[tuple[int, int]]:
+    """1:1 greedy nearest-neighbor matching on logit(score), no replacement.
+
+    Treated rows are processed in seeded random order; a pair farther
+    apart than caliper_sd_logit * SD(logit scores) is not formed.
+    """
+    scores = np.asarray(scores, dtype=float)
+    treated_mask = np.asarray(treatment_labels, dtype=bool)
+    logits = np.log(scores / (1.0 - scores))
+    caliper = caliper_sd_logit * float(np.std(logits))
+
+    treated_idx = np.nonzero(treated_mask)[0]
+    control_idx = np.nonzero(~treated_mask)[0]
+    if len(treated_idx) == 0 or len(control_idx) == 0:
+        raise MatchingError("one arm is empty")
+
+    order = control_idx[np.argsort(logits[control_idx], kind="stable")]
+    sorted_logits = logits[order].tolist()
+    nc = len(order)
+    # path-compressed skip pointers over the sorted controls: next_alive[i]
+    # is the first unused control at position >= i (nc sentinel = none),
+    # prev_alive[i] the last at position <= i (-1 sentinel).
+    next_alive = list(range(nc + 1))
+    prev_alive = list(range(-1, nc))
+
+    def find_next(i):
+        root = i
+        while root <= nc and next_alive[root] != root:
+            root = next_alive[root]
+        while i < root:
+            next_alive[i], i = root, next_alive[i]
+        return root
+
+    def find_prev(i):
+        root = i
+        while root >= 0 and prev_alive[root + 1] != root:
+            root = prev_alive[root + 1]
+        while i > root:
+            prev_alive[i + 1], i = root, prev_alive[i + 1]
+        return root
+
+    def remove(i):
+        next_alive[i] = i + 1
+        prev_alive[i + 1] = i - 1
+
+    rng = np.random.default_rng(seed)
+    pairs = []
+    remaining = nc
+    for t in treated_idx[rng.permutation(len(treated_idx))]:
+        if remaining == 0:
+            break
+        target = logits[t]
+        pos = bisect.bisect_left(sorted_logits, target)
+        right = find_next(min(pos, nc))
+        left = find_prev(min(pos - 1, nc - 1)) if pos > 0 else -1
+        best = None
+        if left >= 0:
+            best = (abs(sorted_logits[left] - target), left)
+        if right < nc:
+            cand = (abs(sorted_logits[right] - target), right)
+            if best is None or cand < best:
+                best = cand
+        if best is None or best[0] > caliper:
+            continue
+        pairs.append((int(t), int(order[best[1]])))
+        remove(best[1])
+        remaining -= 1
+    if not pairs:
+        raise MatchingError("caliper excluded every candidate pair")
+    return pairs

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import gammainc
 
-from oracles import breslow_loglik, golden_section_max, km_recursive
+from oracles import breslow_loglik, golden_section_max, km_recursive, skip_pointer_match_pairs
 from test_acceptance import PIPELINE_SCENARIO
 from trialbench.estimators import methods as methods_mod
 from trialbench.estimators.methods import (
@@ -111,6 +111,37 @@ def test_match_pairs_seeded_determinism():
     assert a == b
     matched_controls = [c for _, c in a]
     assert len(set(matched_controls)) == len(matched_controls)
+
+
+def _pairs_or_error(match, scores, treated, caliper_sd_logit, seed):
+    try:
+        return match(scores, treated, caliper_sd_logit=caliper_sd_logit, seed=seed)
+    except MatchingError as exc:
+        return f"MatchingError: {exc}"
+
+
+@pytest.mark.parametrize("case_seed", range(4))
+def test_match_pairs_equals_the_skip_pointer_reference(case_seed):
+    """The plain-list matcher forms the same pairs, in the same order, as the
+    skip-pointer matcher it replaced, and raises the same errors: heavy ties (among
+    them controls equally near on both sides), calipers from 0 to 1e9, one-arm
+    inputs and inputs whose caliper excludes every pair."""
+    rng = np.random.default_rng(case_seed)
+    outcomes = set()
+    for _ in range(250):
+        n = int(rng.integers(1, 40 if rng.random() < 0.8 else 400))
+        if rng.random() < 0.5:  # heavy ties; 0.25 and 0.75 are equally far from 0.5 in logit
+            scores = rng.choice([0.25, 0.5, 0.75, rng.uniform(0.05, 0.95)], size=n)
+        else:
+            scores = rng.uniform(1e-6, 1 - 1e-6, size=n)
+        treated = rng.random(n) < rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+        caliper = float(rng.choice([0.0, 1e-9, 1e-3, 0.2, 1.0, 1e9]))
+        seed = int(rng.integers(0, 1000))
+        got = _pairs_or_error(match_pairs, scores, treated, caliper, seed)
+        assert got == _pairs_or_error(skip_pointer_match_pairs, scores, treated, caliper, seed)
+        outcomes.add(got if isinstance(got, str) else "pairs")
+    assert outcomes == {"pairs", "MatchingError: one arm is empty",
+                        "MatchingError: caliper excluded every candidate pair"}
 
 
 def _tiny_cox_case(rng):
