@@ -169,7 +169,8 @@ def load(path) -> ReferenceSet:
     External sets (OMOP/EU-ADR style) only need label strong/weak per
     entry; missing direction defaults to a_higher for strong entries and
     none for weak, missing statistics to NaN. A strong entry's direction
-    must be a_higher or b_higher and a weak entry's none.
+    must be a_higher or b_higher and a weak entry's none. Drug and outcome
+    codes must be strings.
     """
     entries = []
     with parsing(path):
@@ -184,11 +185,12 @@ def load(path) -> ReferenceSet:
             direction = rec.get("direction", allowed[0])
             if direction not in allowed:
                 raise ValueError(f"bad direction {direction!r} for a {label} entry")
+            codes = {key: rec[key] for key in ("drug_a", "drug_b", "outcome_code")}
+            if not all(type(code) is str for code in codes.values()):
+                raise ValueError(f"drug and outcome codes must be strings, got {codes}")
             entries.append(
                 ReferenceEntry(
-                    drug_a=rec["drug_a"],
-                    drug_b=rec["drug_b"],
-                    outcome_code=rec["outcome_code"],
+                    **codes,
                     label=label,
                     direction=direction,
                     pooled_or=float(rec.get("pooled_or", math.nan)),

@@ -43,10 +43,10 @@ class ScenarioConfig:
             raise ValueError(f"n_patients must be a positive integer, got {self.n_patients!r}")
         if not 0 <= self.code_prob <= 1:
             raise ValueError(f"code_prob must lie in [0, 1], got {self.code_prob!r}")
-        if self.lambda0 <= 0 or self.shape <= 0:
-            raise ValueError("hazard parameters must be positive")
-        if not (math.isfinite(self.horizon_days) and self.horizon_days > 0):
-            raise ValueError(f"horizon_days must be finite and positive, got {self.horizon_days!r}")
+        for name in ("lambda0", "shape", "horizon_days"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.censoring_rate) and self.censoring_rate >= 0):
             raise ValueError(f"censoring_rate must be finite and non-negative, "
                              f"got {self.censoring_rate!r}")
@@ -57,6 +57,9 @@ class ScenarioConfig:
             self.eta = [0.0] * p
         if len(self.gamma) != p or len(self.eta) != p:
             raise ValueError(f"gamma/eta must have length {p}")
+        for name, values in (("beta", [self.beta]), ("gamma", self.gamma), ("eta", self.eta)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,18 +240,28 @@ def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
     ("claims", {"horizon_days": 0}),
     ("claims", {"censoring_rate": -1}),
     ("claims", {"censoring_rate": 1e400}),
+    ("claims", {"shape": math.inf}),
+    ("claims", {"gamma": [math.inf, 0, 0, 0]}),
+    ("claims", {"lambda0": math.nan}),
+    ("claims", {"beta": math.nan}),
+    ("claims", {"eta": [0.3, math.nan, 0.2, 0.2]}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
-        "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate"])
+        "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
+        "infinite_shape", "infinite_gamma", "nan_lambda0", "nan_beta", "nan_eta_entry"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(scenario))  # a non-finite float is written as NaN or Infinity
     capsys.readouterr()
     assert main(["simulate", "--scenario", str(path), "--seed", "1",
                  "--out-dir", str(tmp_path / "sim")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    (key, value), = change.items()
+    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+        assert f"{key} must be finite" in err  # a non-finite value is named by its field
     assert not (tmp_path / "sim").exists()  # nothing written before the scenario is checked
 
 
@@ -425,6 +436,8 @@ MALFORMED_INPUTS = {
     "negative_max_per_arm": ("--config", lambda _: "max_per_arm = -5\n"),
     "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
+    "refset_numeric_drug_code": ("--refset", _edit_record(lambda record: record.update(drug_a=7),
+                                                          line=1)),
     "refset_strong_entry_direction_up": (
         "--refset", _edit_record(lambda record: record.update(direction="up"), line=1)),
 }
