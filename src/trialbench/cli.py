@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -105,8 +106,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _entry_id(entry) -> str:
-    return f"{entry.drug_a}__{entry.drug_b}__{entry.outcome_code}"
+def _part_name(entry) -> str:
+    """The entry's part file name: the SHA-256 of its key, so no two keys share a
+    part and no code can point outside the parts directory."""
+    return hashlib.sha256(dump_json_line(entry.key).encode("utf-8")).hexdigest() + ".jsonl"
 
 
 def _estimate_record(entry, est: EffectEstimate) -> dict:
@@ -187,28 +190,36 @@ def cmd_evaluate(args) -> int:
     parts_dir = Path(str(out_path) + ".parts")
     parts_dir.mkdir(parents=True, exist_ok=True)
 
-    root = np.random.SeedSequence(seed)
-    entry_seeds = root.generate_state(2 * max(len(reference.entries), 1))
     records = []
-    for i, entry in enumerate(reference.entries):
-        part = parts_dir / f"{_entry_id(entry)}.jsonl"
+    pairs: dict[tuple, list] = {}  # the entries to estimate, by drug pair
+    for entry in reference.entries:
+        part = parts_dir / _part_name(entry)
         if args.resume and part.is_file():
             found, recs = read_jsonl(part, expect_header=True)
             if found == part_header:
                 records.extend(recs)
                 continue
-        cohort_seed = int(entry_seeds[2 * i])
-        method_seed = int(entry_seeds[2 * i + 1])
-        built = cohort_mod.build_cohort(db, entry, seed=cohort_seed,
-                                        max_per_arm=max_per_arm, min_per_arm=min_per_arm)
+        # an entry with a code the db does not know is a group of its own, skipped alone
+        key = entry.key[:2] if all(c in db.vocabulary for c in entry.key) else entry.key
+        pairs.setdefault(key, []).append(entry)
+    for entries in pairs.values():
+        drug_a, drug_b = entries[0].drug_a, entries[0].drug_b
+        # 256 is no byte value, so it separates the two codes
+        cohort_seed, match_seed = np.random.SeedSequence(
+            [seed, *drug_a.encode("utf-8"), 256, *drug_b.encode("utf-8")]).spawn(2)
+        built = cohort_mod.build_cohort(db, drug_a, drug_b, [e.outcome_code for e in entries],
+                                        cohort_seed, max_per_arm=max_per_arm,
+                                        min_per_arm=min_per_arm)
         if isinstance(built, cohort_mod.SkipSignal):
-            estimates = failed_estimates(methods, 0, f"cohort skipped: {built.reason}")
+            skipped = failed_estimates(methods, 0, f"cohort skipped: {built.reason}")
+            per_entry = [skipped] * len(entries)
         else:
-            settings = dataclasses.replace(settings_base, seed=method_seed)
-            estimates = run_all_methods(built, settings)
-        entry_records = [_estimate_record(entry, est) for est in estimates]
-        write_jsonl(part, entry_records, header=part_header)
-        records.extend(entry_records)
+            settings = dataclasses.replace(settings_base, seed=match_seed)
+            per_entry = run_all_methods(built, settings)
+        for entry, estimates in zip(entries, per_entry):
+            entry_records = [_estimate_record(entry, est) for est in estimates]
+            write_jsonl(parts_dir / _part_name(entry), entry_records, header=part_header)
+            records.extend(entry_records)
 
     records.sort(key=lambda r: (r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]))
     write_jsonl(out_path, records, header=header)

@@ -1,9 +1,9 @@
 """New-user cohort construction from one columnar claims table.
 
-For one reference entry, indexes each patient at their first claim of
-either study drug, extracts strictly pre-index count features (or an
-externally supplied dense representation), and computes follow-up time
-and event status for the entry's outcome.
+For one drug pair, indexes each patient at their first claim of either
+study drug, extracts strictly pre-index count features (or an externally
+supplied dense representation), and computes follow-up time and event
+status for each of the pair's outcomes.
 """
 
 from __future__ import annotations
@@ -125,11 +125,12 @@ def _interned(values) -> tuple[list, np.ndarray]:
 
 @dataclass
 class Cohort:
+    """One drug pair's new users. Per outcome, time is the days from index to event or
+    censoring, and event is True where the outcome occurred."""
     patient_ids: list[str]
     treated: np.ndarray   # True where treatment == drug_a
     features: np.ndarray  # (n, p)
-    time: np.ndarray      # days from index to event/censoring
-    event: np.ndarray     # True where the outcome occurred
+    outcomes: list[tuple[np.ndarray, np.ndarray]]  # (time, event) per outcome code, in order
 
 
 @dataclass(frozen=True)
@@ -151,18 +152,18 @@ def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
     return db
 
 
-def build_cohort(db: PatientDB, entry, seed: int,
+def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
                  max_per_arm: int = MAX_ARM_SIZE, min_per_arm: int = MIN_ARM_SIZE):
-    """Build the two-arm new-user cohort for one reference entry.
+    """Build the two-arm new-user cohort of one drug pair, with follow-up for each
+    outcome code in outcomes.
 
-    Returns a Cohort, or a SkipSignal when codes are unknown to the db
+    Returns a Cohort, or a SkipSignal when a code is unknown to the db
     vocabulary or either arm ends up below the minimum size. Same-day
-    dual initiators are excluded; arms above max_per_arm are seeded
-    downsampled. There is no washout: a patient with the outcome
+    dual initiators are excluded; arms above max_per_arm are downsampled
+    with default_rng(seed). There is no washout: a patient with an outcome
     recorded before index stays in the cohort.
     """
-    drug_a, drug_b, outcome = entry.drug_a, entry.drug_b, entry.outcome_code
-    missing = [c for c in (drug_a, drug_b, outcome) if c not in db.vocabulary]
+    missing = [c for c in (drug_a, drug_b, *outcomes) if c not in db.vocabulary]
     if missing:
         return SkipSignal(reason=f"codes not in db vocabulary: {missing}")
 
@@ -182,8 +183,6 @@ def build_cohort(db: PatientDB, entry, seed: int,
     rows = np.flatnonzero(in_cohort)  # patient-id order
     index_day = np.where(in_cohort, np.minimum(day_a, day_b), NEVER)
     after = db.day >= index_day[db.owner]  # per event; never true outside the cohort
-    outcome_day = db.earliest_day(KIND_DIAGNOSIS, outcome, after)[rows]
-    event = outcome_day != NEVER
     if db.dense_features is not None:
         features = db.dense_features[rows]
     else:  # pre-index event counts per code, scattered into (rows, vocabulary)
@@ -192,11 +191,14 @@ def build_cohort(db: PatientDB, entry, seed: int,
         width = len(db.vocabulary)
         cell = (np.cumsum(in_cohort) - 1)[db.owner[pre]] * width + column[pre]
         features = np.bincount(cell, minlength=len(rows) * width).reshape(len(rows), width)
+    follow_up = []
+    for outcome in outcomes:
+        day = db.earliest_day(KIND_DIAGNOSIS, outcome, after)[rows]
+        end = np.where(day != NEVER, day, db.observation_end[rows])
+        follow_up.append(((end - index_day[rows]).astype(float), day != NEVER))
     return Cohort(
         patient_ids=[db.patients[i] for i in rows],
         treated=day_a[rows] < day_b[rows],
         features=features.astype(float),
-        time=(np.where(event, outcome_day, db.observation_end[rows])
-              - index_day[rows]).astype(float),
-        event=event,
+        outcomes=follow_up,
     )

@@ -1,4 +1,4 @@
-"""The nine-method estimation registry for one cohort.
+"""The nine-method estimation registry for one drug pair's cohort.
 
 Hazard-ratio methods: unadjusted Cox, propensity-matched Cox, overlap-
 weighted Cox, standard-IPW Cox (the overlap-targeting ablation arm).
@@ -39,7 +39,7 @@ EffectEstimate = namedtuple("EffectEstimate", ("method_id", "scale", *Fit._field
 
 @dataclass
 class RunSettings:
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0  # of the matching order
     ridge: float = DEFAULT_RIDGE
     caliper_sd_logit: float = DEFAULT_CALIPER
     weight_cap: float = STANDARD_WEIGHT_CAP
@@ -79,11 +79,9 @@ def _km_rmst_arm(times, events, weights, tau):
 
 
 def _km_diff_estimate(times, events, treated, tau, weights=None) -> Fit:
-    treated = np.asarray(treated, dtype=bool)
-    wa = None if weights is None else np.asarray(weights)[treated]
-    wb = None if weights is None else np.asarray(weights)[~treated]
-    ra, va = _km_rmst_arm(np.asarray(times)[treated], np.asarray(events)[treated], wa, tau)
-    rb, vb = _km_rmst_arm(np.asarray(times)[~treated], np.asarray(events)[~treated], wb, tau)
+    (ra, va), (rb, vb) = (_km_rmst_arm(times[arm], events[arm],
+                                       None if weights is None else weights[arm], tau)
+                          for arm in (treated, ~treated))
     return Fit(ra - rb, math.sqrt(va + vb), True, len(times))
 
 
@@ -123,47 +121,50 @@ def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float) -> Fit:
                len(t), note)
 
 
-def _fitted_once(fit):
-    """A cached property whose fit runs at most once, even when it raises.
+def _fitted_once(scope):
+    """A cached property whose fit runs at most once per drug pair (scope "pair")
+    or per outcome (scope "outcome"), even when it raises.
 
     A fit that raised is re-raised to every method that needs it, so each
     of them records the same failure.
     """
-    name = fit.__name__
+    def cached(fit):
+        def get(self):
+            fits = self._fits[scope]
+            if fit not in fits:
+                try:
+                    fits[fit] = fit(self)
+                except Exception as exc:  # noqa: BLE001 -- reported per method
+                    fits[fit] = exc
+            if isinstance(fits[fit], Exception):
+                raise fits[fit]
+            return fits[fit]
 
-    def get(self):
-        if name not in self._fits:
-            try:
-                self._fits[name] = fit(self)
-            except Exception as exc:  # noqa: BLE001 -- reported per method
-                self._fits[name] = exc
-        result = self._fits[name]
-        if isinstance(result, Exception):
-            raise result
-        return result
+        return property(get, doc=fit.__doc__)
 
-    return property(get, doc=fit.__doc__)
+    return cached
 
 
 class _Nuisance:
-    """One cohort's arrays, horizon tau and lazily fitted nuisance models."""
+    """One outcome's arrays and horizon tau, and lazily fitted nuisance models. The
+    propensity models are cached in pair_fits, which the pair's outcomes share."""
 
-    def __init__(self, cohort, settings: RunSettings, tau: float):
-        self.time, self.event, self.treated = cohort.time, cohort.event, cohort.treated
-        self.features = cohort.features
+    def __init__(self, cohort, outcome, settings: RunSettings, tau: float, pair_fits: dict):
+        self.time, self.event = outcome
+        self.treated, self.features = cohort.treated, cohort.features
         self.settings = settings
         self.tau = tau
-        self._fits: dict = {}
+        self._fits = {"pair": pair_fits, "outcome": {}}
 
     def arms(self, rows=slice(None)):
         """(time, event, treated), restricted to rows."""
         return self.time[rows], self.event[rows], self.treated[rows]
 
-    @_fitted_once
+    @_fitted_once("pair")
     def propensity(self):
         return fit_logistic(self.features, self.treated, ridge=self.settings.ridge)
 
-    @_fitted_once
+    @_fitted_once("pair")
     def matched(self):
         """Sorted row indices of every propensity-matched pair."""
         pairs = match_pairs(self.propensity.scores, self.treated,
@@ -171,15 +172,15 @@ class _Nuisance:
                             seed=self.settings.seed)
         return np.array(sorted({i for pair in pairs for i in pair}), dtype=int)
 
-    @_fitted_once
+    @_fitted_once("pair")
     def overlap_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "overlap")
 
-    @_fitted_once
+    @_fitted_once("outcome")
     def aft(self):
         return aft_fit(self.features, self.treated, self.time, self.event)
 
-    @_fitted_once
+    @_fitted_once("outcome")
     def predicted_rmst(self):
         """Each row's AFT-predicted RMST at tau on drug A and on drug B."""
         model = self.aft
@@ -223,24 +224,30 @@ METHOD_REGISTRY = {
 }
 
 
-def run_all_methods(cohort, settings: RunSettings) -> list[EffectEstimate]:
-    """Run the method registry on one cohort; failures never abort the batch."""
-    n = len(cohort.time)
+def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]:
+    """Run the method registry on each outcome of one drug pair's cohort, one list of
+    estimates per outcome; failures never abort the batch."""
+    n = len(cohort.treated)
     wanted = [m for m in METHOD_REGISTRY if m in settings.methods]
-    try:
-        tau = event_time_horizon(cohort.time, cohort.event, settings.tau_percentile)
-    except ValueError:
-        return failed_estimates(wanted, n, "no observed events")
-    nuisance = _Nuisance(cohort, settings, tau)
-    out: list[EffectEstimate] = []
-    for method_id in wanted:
-        method = METHOD_REGISTRY[method_id]
+    pair_fits: dict = {}
+    per_outcome = []
+    for outcome in cohort.outcomes:
         try:
-            fit = method.estimate(nuisance)
-        except _MethodFailure as exc:
-            out += failed_estimates([method_id], n, str(exc))
-        except Exception as exc:  # per-method isolation
-            out += failed_estimates([method_id], n, f"{type(exc).__name__}: {exc}")
-        else:
-            out.append(EffectEstimate(method_id, method.scale, *fit))
-    return out
+            tau = event_time_horizon(*outcome, settings.tau_percentile)
+        except ValueError:
+            per_outcome.append(failed_estimates(wanted, n, "no observed events"))
+            continue
+        nuisance = _Nuisance(cohort, outcome, settings, tau, pair_fits)
+        out: list[EffectEstimate] = []
+        for method_id in wanted:
+            method = METHOD_REGISTRY[method_id]
+            try:
+                fit = method.estimate(nuisance)
+            except _MethodFailure as exc:
+                out += failed_estimates([method_id], n, str(exc))
+            except Exception as exc:  # per-method isolation
+                out += failed_estimates([method_id], n, f"{type(exc).__name__}: {exc}")
+            else:
+                out.append(EffectEstimate(method_id, method.scale, *fit))
+        per_outcome.append(out)
+    return per_outcome

@@ -16,6 +16,7 @@ import pytest
 from oracles import naive_bh, nchg_weights, golden_section_max, breslow_loglik
 from trialbench import synth
 from trialbench.cli import main as cli_main
+from trialbench.cohort import Cohort
 from trialbench.estimators.methods import RunSettings, rmst_aipw, run_all_methods
 from trialbench.estimators.propensity import compute_weights, fit_logistic
 from trialbench.estimators.survival import SurvivalCurve, aft_fit, cox_fit, km_curve, rmst
@@ -234,7 +235,8 @@ def test_criterion_06_confounding_correction():
         settings = RunSettings(seed=seed, methods=("cox_unadjusted",
                                                    "cox_ipw_overlap",
                                                    "cox_ipw_standard"))
-        ests = {e.method_id: e for e in run_all_methods(arrays, settings)}
+        pair = Cohort([], arrays.treated, arrays.features, [(arrays.time, arrays.event)])
+        ests = {e.method_id: e for e in run_all_methods(pair, settings)[0]}
         unadjusted.append(ests["cox_unadjusted"].point)
         overlap.append(ests["cox_ipw_overlap"].point)
         standard.append(ests["cox_ipw_standard"].point)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,124 @@ def test_evaluate_resume_recomputes_stale_parts(pipeline, tmp_path):
     resumed.unlink()
     assert main(base + ["--seed", "99", "--resume", "--out", str(resumed)]) == 0
     assert resumed.read_bytes() == fresh.read_bytes()
+
+
+def _write_refset(path, keys):
+    """A reference set of strong a_higher entries, one per (drug_a, drug_b, outcome_code)."""
+    write_jsonl(path, [{"drug_a": a, "drug_b": b, "outcome_code": o, "label": "strong",
+                        "direction": "a_higher"} for a, b, o in keys],
+                header={"kind": "reference_set", "provenance": {}})
+    return path
+
+
+def _evaluate_keys(db_dir, keys, out, *extra):
+    """Evaluate a reference set of keys over db_dir; the estimate rows by (entry, method)."""
+    refset = _write_refset(out.parent / (out.name + ".refset.jsonl"), keys)
+    config = out.parent / "run.cfg"
+    config.write_text("max_per_arm = 500\n")  # arms of ~1,250: both random steps run
+    assert main(["evaluate", "--refset", str(refset), "--db", str(db_dir / "claims.jsonl"),
+                 "--vocab", str(db_dir / "vocab.txt"), "--config", str(config),
+                 "--seed", "23", *extra, "--out", str(out)]) == 0
+    _, rows = read_jsonl(out, expect_header=True)
+    return {(r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]): r for r in rows}
+
+
+# two drug pairs of two outcomes each, and an entry whose outcome the db does not know
+PAIR_KEYS = [("DRUG_A", "DRUG_B", "OUTCOME"), ("DRUG_B", "DRUG_A", "OUTCOME2"),
+             ("DRUG_A", "DRUG_B", "UNKNOWN"), ("DRUG_A", "DRUG_B", "OUTCOME2"),
+             ("DRUG_B", "DRUG_A", "OUTCOME")]
+
+
+@pytest.fixture(scope="module")
+def two_outcome_db(pipeline, tmp_path_factory):
+    """The pipeline's claims with a second outcome, OUTCOME2, on the last observed day
+    of every third patient."""
+    _, sim, _, _, _ = pipeline
+    root = tmp_path_factory.mktemp("two_outcomes")
+    _, patients = read_jsonl(sim / "claims.jsonl")
+    for patient in patients[::3]:
+        patient["events"].append([patient["observation_end"], "diagnosis", "OUTCOME2"])
+    write_jsonl(root / "claims.jsonl", patients)
+    (root / "vocab.txt").write_text((sim / "vocab.txt").read_text() + "OUTCOME2\n")
+    return root
+
+
+def test_evaluate_rows_do_not_depend_on_the_other_entries(two_outcome_db, tmp_path):
+    """Seeds come from the drug pair, not the entry's position: reordering the reference
+    set, or removing an entry, leaves every shared entry's rows as they were."""
+    full = _evaluate_keys(two_outcome_db, PAIR_KEYS, tmp_path / "full.jsonl")
+    for name, keys in [("reversed", PAIR_KEYS[::-1]), ("subset", PAIR_KEYS[1:]),
+                       ("one_entry", PAIR_KEYS[3:4])]:
+        rows = _evaluate_keys(two_outcome_db, keys, tmp_path / f"{name}.jsonl")
+        assert rows and {key: full[key] for key in rows} == rows, name
+
+
+def test_evaluate_fits_each_pair_once(two_outcome_db, tmp_path, monkeypatch):
+    from trialbench import cohort as cohort_mod
+    from trialbench.estimators import methods as methods_mod
+
+    calls = Counter()
+    for owner, name in [(cohort_mod, "build_cohort"), (methods_mod, "fit_logistic"),
+                        (methods_mod, "match_pairs")]:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    rows = _evaluate_keys(two_outcome_db, PAIR_KEYS, tmp_path / "e.jsonl")
+    # two pairs, and the entry with an unknown code on its own
+    assert calls == {"build_cohort": 3, "fit_logistic": 2, "match_pairs": 2}
+    for a, b in [("DRUG_A", "DRUG_B"), ("DRUG_B", "DRUG_A")]:
+        psm = [rows[(a, b, outcome, "cox_psm")] for outcome in ("OUTCOME", "OUTCOME2")]
+        assert psm[0]["converged"] and psm[0]["n_used"] == psm[1]["n_used"]
+    # the unknown code skips only its own entry, with the cohort's note
+    unknown = rows[("DRUG_A", "DRUG_B", "UNKNOWN", "cox_psm")]
+    assert unknown["note"] == "cohort skipped: codes not in db vocabulary: ['UNKNOWN']"
+    assert not unknown["converged"] and unknown["n_used"] == 0
+
+
+def test_evaluate_resume_recomputes_one_part_of_a_pair(two_outcome_db, tmp_path):
+    out = tmp_path / "e.jsonl"
+    _evaluate_keys(two_outcome_db, PAIR_KEYS, out)
+    fresh = out.read_bytes()
+    parts = list((tmp_path / "e.jsonl.parts").iterdir())
+    assert len(parts) == len(PAIR_KEYS)
+    first_rows = {part: read_jsonl(part, expect_header=True)[1][0] for part in parts}
+    deleted = [part for part, row in first_rows.items()
+               if (row["drug_a"], row["outcome_code"]) == ("DRUG_A", "OUTCOME2")]
+    assert len(deleted) == 1
+    deleted[0].unlink()
+    out.unlink()
+    _evaluate_keys(two_outcome_db, PAIR_KEYS, out, "--resume")
+    assert out.read_bytes() == fresh
+
+
+def _evaluate_unknown_codes(sim, keys, out, *extra):
+    """Evaluate entries of codes the db does not know; the estimates file's bytes."""
+    refset = _write_refset(out.parent / "refset.jsonl", keys)
+    assert main(["evaluate", "--refset", str(refset), "--db", str(sim / "claims.jsonl"),
+                 "--vocab", str(sim / "vocab.txt"), "--seed", "23", *extra,
+                 "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_evaluate_resume_keeps_keys_that_join_to_one_name_apart(pipeline, tmp_path):
+    _, sim, _, _, _ = pipeline
+    keys = [("X__Y", "Z", "O"), ("X", "Y__Z", "O")]
+    out = tmp_path / "e.jsonl"
+    fresh = _evaluate_unknown_codes(sim, keys, out)
+    assert len(list((tmp_path / "e.jsonl.parts").iterdir())) == 2
+    out.unlink()
+    assert _evaluate_unknown_codes(sim, keys, out, "--resume") == fresh
+
+
+def test_evaluate_writes_parts_inside_the_parts_dir(pipeline, tmp_path):
+    _, sim, _, _, _ = pipeline
+    out = tmp_path / "a" / "b" / "e.jsonl"
+    out.parent.mkdir(parents=True)
+    _evaluate_unknown_codes(sim, [("../../escaped", "Q", "O")], out)
+    written = {p for p in tmp_path.rglob("*") if p.is_file()}
+    parts = set((out.parent / "e.jsonl.parts").iterdir())
+    assert len(parts) == 1 and written == {out, out.parent / "refset.jsonl", *parts}
 
 
 def test_evaluate_method_filters(pipeline, tmp_path):

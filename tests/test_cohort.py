@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from trialbench.cohort import Cohort, PatientDB, SkipSignal, build_cohort, load_patient_db
-from trialbench.refset import DIRECTION_A, LABEL_STRONG, ReferenceEntry
 
-ENTRY = ReferenceEntry("DRUG_A", "DRUG_B", "OUT", LABEL_STRONG, DIRECTION_A,
-                       2.0, 0.01, 0.02)
+PAIR = ("DRUG_A", "DRUG_B", ["OUT"])  # drug_a, drug_b and the outcome codes of build_cohort
 
 
 def _patient(pid, events, start=0, end=400):
@@ -37,7 +35,7 @@ def test_count_features_strictly_pre_index():
                                            (10, "diagnosis", "COV0"),
                                            (10, "drug_claim", "DRUG_A"),
                                            (12, "diagnosis", "COV0")]))
-    cohort = build_cohort(_db(patients), ENTRY, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0)
     vec = cohort.features[cohort.patient_ids.index("zz_counts")]
     # both day-3 COV0 events count, whatever their kind; day 10 is not pre-index
     assert vec.tolist() == [0.0, 0.0, 0.0, 2.0]
@@ -60,15 +58,16 @@ def _bulk_patients(n_a=120, n_b=130):
 
 
 def test_build_cohort_basic():
-    cohort = build_cohort(_db(_bulk_patients()), ENTRY, seed=0)
+    cohort = build_cohort(_db(_bulk_patients()), *PAIR, seed=0)
     assert isinstance(cohort, Cohort)
     assert cohort.treated.sum() == 120 and (~cohort.treated).sum() == 130
     # treated patient a0000: event at day 70, index 40 -> time 30
     i = cohort.patient_ids.index("a0000")
-    assert cohort.treated[i] and cohort.event[i] and cohort.time[i] == 30
+    time, event = cohort.outcomes[0]
+    assert cohort.treated[i] and event[i] and time[i] == 30
     # censored control b0001: follow-up to observation end
     j = cohort.patient_ids.index("b0001")
-    assert not cohort.treated[j] and not cohort.event[j] and cohort.time[j] == 350
+    assert not cohort.treated[j] and not event[j] and time[j] == 350
     # features are the pre-index counts in vocabulary order
     assert cohort.features[i][3] == 1.0  # COV0 present for even a-patients
 
@@ -77,7 +76,7 @@ def test_first_claim_defines_arm():
     patients = _bulk_patients()
     patients.append(_patient("zz_both", [(10, "drug_claim", "DRUG_B"),
                                          (20, "drug_claim", "DRUG_A")]))
-    cohort = build_cohort(_db(patients), ENTRY, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0)
     i = cohort.patient_ids.index("zz_both")
     assert not cohort.treated[i]  # drug B came first
 
@@ -86,7 +85,7 @@ def test_same_day_dual_initiation_excluded():
     patients = _bulk_patients()
     patients.append(_patient("zz_dual", [(10, "drug_claim", "DRUG_A"),
                                          (10, "drug_claim", "DRUG_B")]))
-    cohort = build_cohort(_db(patients), ENTRY, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0)
     assert "zz_dual" not in cohort.patient_ids
 
 
@@ -94,25 +93,26 @@ def test_prior_outcome_is_not_washed_out():
     patients = _bulk_patients()
     patients.append(_patient("zz_prior", [(5, "diagnosis", "OUT"),
                                           (10, "drug_claim", "DRUG_A")]))
-    kept = build_cohort(_db(patients), ENTRY, seed=0)
+    kept = build_cohort(_db(patients), *PAIR, seed=0)
     assert "zz_prior" in kept.patient_ids
 
 
 def test_skip_signals():
     missing = build_cohort(_db(_bulk_patients(), vocab=("DRUG_A", "DRUG_B")),
-                           ENTRY, seed=0)
+                           *PAIR, seed=0)
     assert isinstance(missing, SkipSignal) and "OUT" in missing.reason
-    tiny = build_cohort(_db(_bulk_patients(n_a=50)), ENTRY, seed=0)
+    tiny = build_cohort(_db(_bulk_patients(n_a=50)), *PAIR, seed=0)
     assert isinstance(tiny, SkipSignal) and "minimum size" in tiny.reason
 
 
 def test_downsampling_is_seeded():
     db = _db(_bulk_patients(n_a=180, n_b=150))
-    a = build_cohort(db, ENTRY, seed=7, max_per_arm=110)
-    b = build_cohort(db, ENTRY, seed=7, max_per_arm=110)
-    c = build_cohort(db, ENTRY, seed=8, max_per_arm=110)
+    a = build_cohort(db, *PAIR, seed=7, max_per_arm=110)
+    b = build_cohort(db, *PAIR, seed=7, max_per_arm=110)
+    c = build_cohort(db, *PAIR, seed=8, max_per_arm=110)
+    more_outcomes = build_cohort(db, "DRUG_A", "DRUG_B", ["OUT", "COV0"], seed=7, max_per_arm=110)
     assert a.treated.sum() == (~a.treated).sum() == 110
-    assert a.patient_ids == b.patient_ids
+    assert a.patient_ids == b.patient_ids == more_outcomes.patient_ids
     assert a.patient_ids != c.patient_ids
     assert a.patient_ids == sorted(a.patient_ids)
 
@@ -145,7 +145,7 @@ def test_dense_features_used_when_present():
     patients = _bulk_patients()
     dense = [{"patient_id": p["patient_id"], "features": [float(len(p["patient_id"]))]}
              for p in patients]
-    cohort = build_cohort(_db(patients).with_dense_features(dense), ENTRY, seed=0)
+    cohort = build_cohort(_db(patients).with_dense_features(dense), *PAIR, seed=0)
     assert cohort.features.shape == (250, 1)
     assert np.all(cohort.features == 5.0)
 
@@ -154,14 +154,17 @@ def test_claims_line_order_does_not_change_the_cohort():
     patients = _bulk_patients(n_a=180, n_b=150)
     shuffled = [patients[i] for i in np.random.default_rng(4).permutation(len(patients))]
     assert shuffled != patients
-    a = build_cohort(_db(patients), ENTRY, seed=7, max_per_arm=110)
-    b = build_cohort(_db(shuffled), ENTRY, seed=7, max_per_arm=110)
+    a = build_cohort(_db(patients), *PAIR, seed=7, max_per_arm=110)
+    b = build_cohort(_db(shuffled), *PAIR, seed=7, max_per_arm=110)
     assert a.patient_ids == b.patient_ids
-    for field in ("treated", "features", "time", "event"):
+    for field in ("treated", "features"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    for got, want in zip(a.outcomes[0], b.outcomes[0]):  # time, then event
+        assert np.array_equal(got, want)
 
 
-def _reference_cohort(records, vocab, entry, seed, max_per_arm, min_per_arm):
+def _reference_cohort(records, vocab, drug_a, drug_b, outcome_code, seed, max_per_arm,
+                      min_per_arm):
     """The per-patient scan that build_cohort replaces, kept as its reference."""
     def first(events, kind, code, since=-np.inf):
         return next((d for d, k, c in events if k == kind and c == code and d >= since), None)
@@ -169,13 +172,13 @@ def _reference_cohort(records, vocab, entry, seed, max_per_arm, min_per_arm):
     rows = []  # (patient_id, treated, counts, time, event)
     for rec in sorted(records, key=lambda r: r["patient_id"]):
         events = rec["events"]
-        day_a = first(events, "drug_claim", entry.drug_a)
-        day_b = first(events, "drug_claim", entry.drug_b)
+        day_a = first(events, "drug_claim", drug_a)
+        day_b = first(events, "drug_claim", drug_b)
         if day_a == day_b:  # neither drug, or same-day dual initiation
             continue
         treated = day_b is None or (day_a is not None and day_a < day_b)
         index = day_a if treated else day_b
-        outcome = first(events, "diagnosis", entry.outcome_code, since=index)
+        outcome = first(events, "diagnosis", outcome_code, since=index)
         counts = [sum(d < index and c == code for d, _, c in events) for code in vocab]
         end = rec["observation_end"] if outcome is None else outcome
         rows.append((rec["patient_id"], treated, counts, end - index, outcome is not None))
@@ -212,20 +215,20 @@ def test_build_cohort_matches_per_patient_reference(db_seed):
     records = _random_records(rng)
     vocab = DRUGS + DIAGNOSES
     db = _db(records, vocab)
-    for drug_a, drug_b, outcome in [("DRUG_A", "DRUG_B", "OUT"), ("DRUG_C", "DRUG_A", "COV0"),
-                                    ("DRUG_B", "DRUG_C", "COV1")]:
-        entry = ReferenceEntry(drug_a, drug_b, outcome, LABEL_STRONG, DIRECTION_A,
-                               2.0, 0.01, 0.02)
+    for drug_a, drug_b in [("DRUG_A", "DRUG_B"), ("DRUG_C", "DRUG_A"), ("DRUG_B", "DRUG_C")]:
         for max_per_arm in (20, 1000):
-            cohort = build_cohort(db, entry, seed=db_seed, max_per_arm=max_per_arm,
-                                  min_per_arm=10)
-            expected = _reference_cohort(records, vocab, entry, db_seed, max_per_arm, 10)
-            assert expected is not None and isinstance(cohort, Cohort)
-            assert cohort.patient_ids == [r[0] for r in expected]
-            assert cohort.treated.tolist() == [r[1] for r in expected]
-            assert cohort.features.tolist() == [r[2] for r in expected]
-            assert cohort.time.tolist() == [r[3] for r in expected]
-            assert cohort.event.tolist() == [r[4] for r in expected]
+            cohort = build_cohort(db, drug_a, drug_b, DIAGNOSES, seed=db_seed,
+                                  max_per_arm=max_per_arm, min_per_arm=10)
+            assert isinstance(cohort, Cohort) and len(cohort.outcomes) == len(DIAGNOSES)
+            for outcome, (time, event) in zip(DIAGNOSES, cohort.outcomes):
+                expected = _reference_cohort(records, vocab, drug_a, drug_b, outcome, db_seed,
+                                             max_per_arm, 10)
+                assert expected is not None
+                assert cohort.patient_ids == [r[0] for r in expected]
+                assert cohort.treated.tolist() == [r[1] for r in expected]
+                assert cohort.features.tolist() == [r[2] for r in expected]
+                assert time.tolist() == [r[3] for r in expected]
+                assert event.tolist() == [r[4] for r in expected]
 
 
 def _reference_table(records, vocabulary):

@@ -7,6 +7,7 @@ from scipy.special import gammainc
 
 from oracles import breslow_loglik, golden_section_max, km_recursive, skip_pointer_match_pairs
 from test_acceptance import PIPELINE_SCENARIO
+from trialbench.cohort import Cohort
 from trialbench.estimators import methods as methods_mod
 from trialbench.estimators.methods import (
     EffectEstimate,
@@ -350,8 +351,15 @@ def _registry_cohort():
     return gen_survival_arrays(config, np.random.default_rng(30))
 
 
+def _pair(arrays, *more_outcomes):
+    """A drug pair's cohort of plain arrays: arrays' treated, features, time and event,
+    then one more outcome per (time, event) in more_outcomes."""
+    return Cohort([], arrays.treated, arrays.features,
+                  [(arrays.time, arrays.event), *more_outcomes])
+
+
 def test_run_all_methods_registry():
-    estimates = run_all_methods(_registry_cohort(), RunSettings(seed=5))
+    estimates = run_all_methods(_pair(_registry_cohort()), RunSettings(seed=5))[0]
     assert [e.method_id for e in estimates] == list(METHOD_REGISTRY)
     converged = {e.method_id: e for e in estimates if e.converged}
     assert len(converged) >= 8
@@ -383,10 +391,31 @@ def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
         return real_predicted_rmst(self, *args)
 
     monkeypatch.setattr(AFTModel, "predicted_rmst", counted_predicted_rmst)
-    estimates = run_all_methods(_registry_cohort(), RunSettings(seed=5))
+    estimates = run_all_methods(_pair(_registry_cohort()), RunSettings(seed=5))[0]
     assert len(estimates) == len(METHOD_REGISTRY)
     assert calls == {"aft_fit": 1, "fit_logistic": 1, "match_pairs": 1}
     assert len(predicted) == 2  # one array per drug, shared by both AFT methods
+
+
+def test_run_all_methods_fits_the_propensity_models_once_per_pair(monkeypatch):
+    calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
+    modes = []
+    real_compute_weights = methods_mod.compute_weights
+
+    def counted_compute_weights(scores, treated, mode, **kwargs):
+        modes.append(mode)
+        return real_compute_weights(scores, treated, mode, **kwargs)
+
+    monkeypatch.setattr(methods_mod, "compute_weights", counted_compute_weights)
+    arrays = _registry_cohort()
+    pair = _pair(arrays, (arrays.time[::-1], arrays.event[::-1]))  # two outcomes
+    per_outcome = run_all_methods(pair, RunSettings(seed=5))
+    assert [len(estimates) for estimates in per_outcome] == [len(METHOD_REGISTRY)] * 2
+    assert calls == {"aft_fit": 2, "fit_logistic": 1, "match_pairs": 1}
+    assert sorted(modes) == ["overlap", "standard_ipw", "standard_ipw"]
+    # both outcomes are adjusted on the one matched set
+    psm = [next(e for e in estimates if e.method_id == "cox_psm") for estimates in per_outcome]
+    assert psm[0].converged and psm[1].converged and psm[0].n_used == psm[1].n_used
 
 
 def test_run_all_methods_shares_a_failed_fit(monkeypatch):
@@ -397,7 +426,8 @@ def test_run_all_methods_shares_a_failed_fit(monkeypatch):
         raise np.linalg.LinAlgError("singular Hessian")
 
     monkeypatch.setattr(methods_mod, "fit_logistic", failing_fit)
-    by_id = {e.method_id: e for e in run_all_methods(_registry_cohort(), RunSettings(seed=5))}
+    estimates = run_all_methods(_pair(_registry_cohort()), RunSettings(seed=5))[0]
+    by_id = {e.method_id: e for e in estimates}
     assert len(calls) == 1
     for m in ("cox_psm", "cox_ipw_overlap", "cox_ipw_standard", "rmst_km_psm",
               "rmst_km_ipw_overlap", "rmst_aipw"):
@@ -427,16 +457,21 @@ def _heavily_censored_cohort():
     return Censored()
 
 
+def _run_few_events():
+    return run_all_methods(_pair(_few_events_cohort(5)), RunSettings())[0]
+
+
 def test_run_all_methods_aft_and_ipcw_notes(monkeypatch):
     aft_methods = ("rmst_aft_regression", "rmst_aipw")
-    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    by_id = {e.method_id: e for e in _run_few_events()}
     for m in aft_methods:
         assert by_id[m].note == "AFT did not converge"
         assert not by_id[m].converged and by_id[m].n_used == 200
         assert math.isnan(by_id[m].point) and math.isnan(by_id[m].std_error)
         assert by_id[m].scale == "rmst_difference_days"
 
-    aipw = run_all_methods(_heavily_censored_cohort(), RunSettings(methods=("rmst_aipw",)))
+    aipw = run_all_methods(_pair(_heavily_censored_cohort()),
+                           RunSettings(methods=("rmst_aipw",)))[0]
     assert aipw[0].converged and aipw[0].note == "IPCW weight capped"
 
     def failing(message):
@@ -447,11 +482,11 @@ def test_run_all_methods_aft_and_ipcw_notes(monkeypatch):
     # An AFT fit error outranks a propensity fit error, which outranks AFT
     # non-convergence.
     monkeypatch.setattr(methods_mod, "fit_logistic", failing("propensity"))
-    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    by_id = {e.method_id: e for e in _run_few_events()}
     assert by_id["rmst_aipw"].note == "LinAlgError: propensity"
     assert by_id["rmst_aft_regression"].note == "AFT did not converge"
     monkeypatch.setattr(methods_mod, "aft_fit", failing("aft"))
-    by_id = {e.method_id: e for e in run_all_methods(_few_events_cohort(5), RunSettings())}
+    by_id = {e.method_id: e for e in _run_few_events()}
     for m in aft_methods:
         assert by_id[m].note == "LinAlgError: aft" and by_id[m].n_used == 200
 
@@ -463,7 +498,7 @@ def test_run_all_methods_no_events():
         treated = np.arange(50) < 25
         features = np.random.default_rng(0).standard_normal((50, 2))
 
-    estimates = run_all_methods(Dummy(), RunSettings())
+    estimates = run_all_methods(_pair(Dummy()), RunSettings())[0]
     assert all(not e.converged for e in estimates)
     assert all("no observed events" in e.note for e in estimates)
 
@@ -475,8 +510,8 @@ def test_run_all_methods_subset_and_isolation():
         treated = np.array([True, False, True, False, True, False])
         features = np.full((6, 1), np.nan)  # propensity fit will blow up
 
-    estimates = run_all_methods(Broken(), RunSettings(methods=("cox_unadjusted",
-                                                               "cox_ipw_overlap")))
+    estimates = run_all_methods(_pair(Broken()), RunSettings(methods=("cox_unadjusted",
+                                                                      "cox_ipw_overlap")))[0]
     by_id = {e.method_id: e for e in estimates}
     assert set(by_id) == {"cox_unadjusted", "cox_ipw_overlap"}
     assert by_id["cox_unadjusted"].converged

@@ -5,7 +5,6 @@ import pytest
 
 from trialbench.cohort import PatientDB, build_cohort
 from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
-from trialbench.refset import DIRECTION_A, LABEL_STRONG, ReferenceEntry
 from trialbench.synth import (
     PlantedComparison,
     ScenarioConfig,
@@ -77,16 +76,15 @@ def test_gen_claims_round_trips_through_cohort():
     patients, dense_rows, arrays = gen_claims(config, np.random.default_rng(3))
     assert len(patients) == len(dense_rows) == 800
     db = PatientDB.from_records(patients, vocabulary(config)).with_dense_features(dense_rows)
-    entry = ReferenceEntry(config.drug_a, config.drug_b, config.outcome_code,
-                           LABEL_STRONG, DIRECTION_A, 2.0, 0.01, 0.02)
-    cohort = build_cohort(db, entry, seed=0)
+    cohort = build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed=0)
     assert len(cohort.treated) == 800
     # cohort reconstruction matches the generating arrays up to day rounding
     order = np.argsort([p["patient_id"] for p in patients])
+    time, event = cohort.outcomes[0]
     assert np.array_equal(cohort.treated, arrays.treated[order])
-    assert np.array_equal(cohort.event, arrays.event[order])
+    assert np.array_equal(event, arrays.event[order])
     expected_days = np.maximum(np.ceil(arrays.time[order]), 1)
-    assert np.array_equal(cohort.time, expected_days)
+    assert np.array_equal(time, expected_days)
     assert np.allclose(cohort.features, arrays.features[order])
 
 
