@@ -79,9 +79,9 @@ def _km_rmst_arm(times, events, weights, tau):
 
 
 def _km_diff_estimate(times, events, treated, tau, weights=None) -> Fit:
-    (ra, va), (rb, vb) = (_km_rmst_arm(times[arm], events[arm],
-                                       None if weights is None else weights[arm], tau)
-                          for arm in (treated, ~treated))
+    wa, wb = (None, None) if weights is None else (weights[treated], weights[~treated])
+    ra, va = _km_rmst_arm(times[treated], events[treated], wa, tau)
+    rb, vb = _km_rmst_arm(times[~treated], events[~treated], wb, tau)
     return Fit(ra - rb, math.sqrt(va + vb), True, len(times))
 
 
