@@ -106,10 +106,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _part_name(entry) -> str:
-    """The entry's part file name: the SHA-256 of its key, so no two keys share a
-    part and no code can point outside the parts directory."""
-    return hashlib.sha256(dump_json_line(entry.key).encode("utf-8")).hexdigest() + ".jsonl"
+def _part_name(key) -> str:
+    """A group's part file name: the SHA-256 of its key, so no two keys share a part
+    and no code can point outside the parts directory."""
+    return hashlib.sha256(dump_json_line(key).encode("utf-8")).hexdigest() + ".jsonl"
 
 
 def _estimate_record(entry, est: EffectEstimate) -> dict:
@@ -133,37 +133,21 @@ def cmd_evaluate(args) -> int:
     reference = refset_mod.load(refset_path)
     db = cohort_mod.load_patient_db(db_path, vocab_path, dense_features_path=dense_path)
 
-    methods = tuple(METHOD_REGISTRY)
-    if args.methods:
-        requested = tuple(args.methods.split(","))
-        unknown = [m for m in requested if m not in METHOD_REGISTRY]
-        if unknown:
-            raise InputError(f"unknown methods: {unknown}; registry: {tuple(METHOD_REGISTRY)}")
-        methods = requested
-
-    def setting(key, default, in_range, rule):
-        """The config value of key (default when absent), parsed as default's type."""
-        value = type(default)(settings_kv.get(key, default))
-        if not (math.isfinite(value) and in_range(value)):
-            raise InputError(f"{args.config}: {key} must be finite and {rule}, "
-                             f"got {settings_kv[key]!r}")
-        return value
+    methods = tuple(args.methods.split(",")) if args.methods else tuple(METHOD_REGISTRY)
+    unknown = [m for m in methods if m not in METHOD_REGISTRY]
+    if unknown:
+        raise InputError(f"--methods: unknown {unknown}; registry: {tuple(METHOD_REGISTRY)}")
+    if len(set(methods)) < len(methods):
+        raise InputError(f"--methods {args.methods!r}: a method id is repeated")
 
     with parsing(args.config):
         settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
         seed = args.seed if args.seed is not None else (
             seed_value(settings_kv["seed"]) if "seed" in settings_kv else None)
-        settings_base = RunSettings(
-            ridge=setting("ridge", RunSettings.ridge, lambda v: v >= 0, ">= 0"),
-            caliper_sd_logit=setting("caliper_sd_logit", RunSettings.caliper_sd_logit,
-                                     lambda v: v > 0, "> 0"),
-            weight_cap=setting("weight_cap", RunSettings.weight_cap, lambda v: v > 0, "> 0"),
-            tau_percentile=setting("tau_percentile", RunSettings.tau_percentile,
-                                   lambda v: 0 < v <= 1, "in (0, 1]"),
-            methods=methods,
-        )
-        max_per_arm = setting("max_per_arm", cohort_mod.MAX_ARM_SIZE, lambda v: v >= 0, ">= 0")
-        min_per_arm = setting("min_per_arm", cohort_mod.MIN_ARM_SIZE, lambda v: v >= 0, ">= 0")
+        # each config key is a field, parsed as its default's type; RunSettings checks it
+        settings = RunSettings(methods=methods, **{
+            f.name: type(f.default)(settings_kv[f.name]) for f in dataclasses.fields(RunSettings)
+            if f.name in settings_kv and f.name not in ("seed", "methods")})
     if seed is None:
         raise InputError("an explicit --seed (or seed= in the run config) is required")
 
@@ -190,36 +174,35 @@ def cmd_evaluate(args) -> int:
     parts_dir = Path(str(out_path) + ".parts")
     parts_dir.mkdir(parents=True, exist_ok=True)
 
-    records = []
-    pairs: dict[tuple, list] = {}  # the entries to estimate, by drug pair
+    groups: dict[tuple, list] = {}  # the entries by drug pair
     for entry in reference.entries:
-        part = parts_dir / _part_name(entry)
-        if args.resume and part.is_file():
-            found, recs = read_jsonl(part, expect_header=True)
-            if found == part_header:
-                records.extend(recs)
-                continue
         # an entry with a code the db does not know is a group of its own, skipped alone
         key = entry.key[:2] if all(c in db.vocabulary for c in entry.key) else entry.key
-        pairs.setdefault(key, []).append(entry)
-    for entries in pairs.values():
-        drug_a, drug_b = entries[0].drug_a, entries[0].drug_b
-        # 256 is no byte value, so it separates the two codes
-        cohort_seed, match_seed = np.random.SeedSequence(
-            [seed, *drug_a.encode("utf-8"), 256, *drug_b.encode("utf-8")]).spawn(2)
-        built = cohort_mod.build_cohort(db, drug_a, drug_b, [e.outcome_code for e in entries],
-                                        cohort_seed, max_per_arm=max_per_arm,
-                                        min_per_arm=min_per_arm)
-        if isinstance(built, cohort_mod.SkipSignal):
-            skipped = failed_estimates(methods, 0, f"cohort skipped: {built.reason}")
-            per_entry = [skipped] * len(entries)
-        else:
-            settings = dataclasses.replace(settings_base, seed=match_seed)
-            per_entry = run_all_methods(built, settings)
-        for entry, estimates in zip(entries, per_entry):
-            entry_records = [_estimate_record(entry, est) for est in estimates]
-            write_jsonl(parts_dir / _part_name(entry), entry_records, header=part_header)
-            records.extend(entry_records)
+        groups.setdefault(key, []).append(entry)
+    records = []
+    for key, entries in groups.items():
+        part = parts_dir / _part_name(key)
+        try:  # a missing or unreadable part is recomputed
+            found, rows = read_jsonl(part, expect_header=True) if args.resume else (None, [])
+        except (OSError, ValueError):  # InputError and UnicodeDecodeError are ValueErrors
+            found = None
+        if found != part_header:
+            drug_a, drug_b = key[:2]
+            # 256 is no byte value, so it separates the two codes
+            cohort_seed, match_seed = np.random.SeedSequence(
+                [seed, *drug_a.encode("utf-8"), 256, *drug_b.encode("utf-8")]).spawn(2)
+            built = cohort_mod.build_cohort(
+                db, drug_a, drug_b, [e.outcome_code for e in entries], cohort_seed,
+                max_per_arm=settings.max_per_arm, min_per_arm=settings.min_per_arm)
+            if isinstance(built, cohort_mod.SkipSignal):
+                skipped = failed_estimates(methods, 0, f"cohort skipped: {built.reason}")
+                per_entry = [skipped] * len(entries)
+            else:
+                per_entry = run_all_methods(built, dataclasses.replace(settings, seed=match_seed))
+            rows = [_estimate_record(entry, est)
+                    for entry, estimates in zip(entries, per_entry) for est in estimates]
+            write_jsonl(part, rows, header=part_header)
+        records.extend(rows)
 
     records.sort(key=lambda r: (r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]))
     write_jsonl(out_path, records, header=header)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cohort import MAX_ARM_SIZE, MIN_ARM_SIZE
 from .propensity import (
     DEFAULT_CALIPER,
     DEFAULT_RIDGE,
@@ -39,12 +40,25 @@ EffectEstimate = namedtuple("EffectEstimate", ("method_id", "scale", *Fit._field
 
 @dataclass
 class RunSettings:
+    """Every evaluate setting; the fields other than seed and methods are run-config keys."""
     seed: int | np.random.SeedSequence = 0  # of the matching order
     ridge: float = DEFAULT_RIDGE
     caliper_sd_logit: float = DEFAULT_CALIPER
     weight_cap: float = STANDARD_WEIGHT_CAP
     tau_percentile: float = 0.8
+    max_per_arm: int = MAX_ARM_SIZE
+    min_per_arm: int = MIN_ARM_SIZE
     methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHOD_REGISTRY))
+
+    def __post_init__(self):
+        for names, rule, in_range in [
+                (("ridge", "max_per_arm", "min_per_arm"), ">= 0", lambda v: v >= 0),
+                (("caliper_sd_logit", "weight_cap"), "> 0", lambda v: v > 0),
+                (("tau_percentile",), "in (0, 1]", lambda v: 0 < v <= 1)]:
+            for name in names:
+                value = getattr(self, name)
+                if not (math.isfinite(value) and in_range(value)):
+                    raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
 
 
 def failed_estimates(methods, n_used: int, note: str) -> list[EffectEstimate]:
@@ -147,7 +161,7 @@ def _fitted_once(scope):
 
 class _Nuisance:
     """One outcome's arrays and horizon tau, and lazily fitted nuisance models. The
-    propensity models are cached in pair_fits, which the pair's outcomes share."""
+    propensity models and weights are cached in pair_fits, shared by the pair's outcomes."""
 
     def __init__(self, cohort, outcome, settings: RunSettings, tau: float, pair_fits: dict):
         self.time, self.event = outcome
@@ -175,6 +189,11 @@ class _Nuisance:
     @_fitted_once("pair")
     def overlap_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "overlap")
+
+    @_fitted_once("pair")
+    def standard_weights(self):
+        return compute_weights(self.propensity.scores, self.treated, "standard_ipw",
+                               cap=self.settings.weight_cap)
 
     @_fitted_once("outcome")
     def aft(self):
@@ -210,8 +229,7 @@ METHOD_REGISTRY = {
     "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
         *nz.arms(), nz.overlap_weights)),
     "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
-        *nz.arms(), compute_weights(nz.propensity.scores, nz.treated, "standard_ipw",
-                                    cap=nz.settings.weight_cap))),
+        *nz.arms(), nz.standard_weights)),
     "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
         *nz.arms(), nz.tau)),
     "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(

@@ -49,7 +49,8 @@ def write_jsonl(path, records, header=None):
 
 
 def iter_jsonl(path):
-    """Yield the object on each non-blank line; a line of invalid JSON raises InputError."""
+    """Yield the object on each non-blank line; a line that is not a JSON object raises
+    InputError."""
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
@@ -59,6 +60,8 @@ def iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
+            if type(obj) is not dict:
+                raise InputError(f"{path}: line {i + 1}: not a JSON object: {line[:40]!r}")
             yield obj
 
 

@@ -75,13 +75,16 @@ def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
 
     A later record for the same entry replaces the earlier one. A record is
     available when it converged with a point estimate. Raises ValueError
-    unless each point is null or a finite number, each converged flag a
-    boolean, and each method's records share one known scale.
+    unless each method_id is a string, each point null or a finite number,
+    each converged flag a boolean, and each method's records share one known
+    scale.
     """
     grouped: dict[str, tuple[str, dict]] = {}
     for rec in records:
         key = (rec["drug_a"], rec["drug_b"], rec["outcome_code"])
         method_id, point, converged = rec["method_id"], rec["point"], rec["converged"]
+        if type(method_id) is not str:
+            raise ValueError(f"method_id {method_id!r} is not a string")
         scale, effects = grouped.setdefault(method_id, (rec["scale"], {}))
         if rec["scale"] != scale:
             raise ValueError(f"{method_id}: rows on both {scale!r} and {rec['scale']!r}")

@@ -170,7 +170,7 @@ def load(path) -> ReferenceSet:
     entry; missing direction defaults to a_higher for strong entries and
     none for weak, missing statistics to NaN. A strong entry's direction
     must be a_higher or b_higher and a weak entry's none. Drug and outcome
-    codes must be strings.
+    codes must be strings, and the header's provenance an object.
     """
     entries = []
     with parsing(path):
@@ -198,7 +198,10 @@ def load(path) -> ReferenceSet:
                     q_value=float(rec.get("q_value", math.nan)),
                 )
             )
-    return ReferenceSet(entries=entries, provenance=header.get("provenance", {}))
+        provenance = header.get("provenance", {})
+        if type(provenance) is not dict:
+            raise ValueError(f"provenance must be an object, got {provenance!r}")
+    return ReferenceSet(entries=entries, provenance=provenance)
 
 
 def save_drop_report(drops: Counter, path):

@@ -12,6 +12,7 @@ propensity matcher that the plain-list match_pairs replaced.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -59,31 +60,37 @@ def exact_p_strong(n1, n2, m, k) -> Fraction:
     )
 
 
-# log(n!) of each count, one math.lgamma call per element
-_log_factorial = np.vectorize(lambda n: math.lgamma(n + 1), otypes=[float])
+@functools.lru_cache(maxsize=1)  # the two nulls of one margins share it
+def _lgamma_log_binomials(n1, n2, m):
+    """The support k and log(C(n1, k) * C(n2, m - k)), every log-factorial from math.lgamma."""
+    k = np.arange(max(0, m - n2), min(m, n1) + 1)
+    lf = np.array([math.lgamma(v + 1) for v in range(max(n1, n2) + 1)])  # log(v!)
+    return k, lf[n1] - lf[k] - lf[n1 - k] + lf[n2] - lf[m - k] - lf[n2 - m + k]
 
 
 def lgamma_log_pmf(n1, n2, m, psi):
     """Normalized noncentral hypergeometric log-pmf, every log-factorial from math.lgamma."""
-    k = np.arange(max(0, m - n2), min(m, n1) + 1)
-    lf = _log_factorial
-    logw = (
-        lf(n1) - lf(k) - lf(n1 - k)
-        + lf(n2) - lf(m - k) - lf(n2 - m + k)
-        + k * math.log(psi)
-    )
+    k, base = _lgamma_log_binomials(n1, n2, m)
+    logw = base + k * math.log(psi)
     mx = logw.max()
     return logw - (mx + math.log(np.exp(logw - mx).sum()))
 
 
-def lgamma_family_p_all(n1, n2, m, family):
-    """Composite weak/strong p-value at every cell from all four tails at 0.8 and 1.25."""
+@functools.lru_cache(maxsize=1)  # the weak and strong calls for one margins share it
+def _lgamma_tails(n1, n2, m):
+    """P(K <= k) and P(K >= k) at every cell under psi = 0.8 and psi = 1.25."""
     pmf_low = np.exp(lgamma_log_pmf(n1, n2, m, 0.8))
     pmf_high = np.exp(lgamma_log_pmf(n1, n2, m, 1.25))
     lower_low = np.minimum(np.cumsum(pmf_low), 1.0)
     lower_high = np.minimum(np.cumsum(pmf_high), 1.0)
     upper_low = np.minimum(np.cumsum(pmf_low[::-1])[::-1], 1.0)
     upper_high = np.minimum(np.cumsum(pmf_high[::-1])[::-1], 1.0)
+    return lower_low, lower_high, upper_low, upper_high
+
+
+def lgamma_family_p_all(n1, n2, m, family):
+    """Composite weak/strong p-value at every cell from all four tails at 0.8 and 1.25."""
+    lower_low, lower_high, upper_low, upper_high = _lgamma_tails(n1, n2, m)
     if family == "weak":
         p = np.maximum(lower_high, upper_low)
     elif family == "strong":

@@ -6,6 +6,7 @@ hides the others.
 """
 
 import filecmp
+import functools
 import json
 import math
 from fractions import Fraction
@@ -13,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import naive_bh, nchg_weights, golden_section_max, breslow_loglik
-from trialbench import synth
+from oracles import (breslow_loglik, golden_section_max, lgamma_family_p_all, naive_bh,
+                     nchg_weights)
+from trialbench import exact, synth
 from trialbench.cli import main as cli_main
 from trialbench.cohort import Cohort
 from trialbench.estimators.methods import RunSettings, rmst_aipw, run_all_methods
@@ -25,12 +27,10 @@ from trialbench.exact import (
     _normalized,
     _tail,
     bh_reject,
-    min_achievable_p,
-    p_strong,
-    p_weak,
     support,
 )
 from trialbench.ingest import (
+    ContingencyTable,
     DrugDictionary,
     OutcomeDictionary,
     aggregate,
@@ -49,6 +49,7 @@ from trialbench.refset import (
     ReferenceSet,
     bucket,
     build_from_tables,
+    prefilter,
 )
 from trialbench.synth import PlantedComparison, ScenarioConfig, gen_survival_arrays
 
@@ -102,23 +103,35 @@ def test_criterion_01_exact_test_oracle():
 
 # 2 ------------------------------------------------------------------
 
-def test_criterion_02_prefilter_soundness():
-    violations = 0
-    worst_gap = math.inf
+def test_criterion_02_prefilter_soundness(monkeypatch):
+    """The prefilter keeps a table exactly when the oracle's minimum p over its margins'
+    cells is below alpha, and reads the kept table's p off the oracle's vector: at
+    alpha 0.05 and 0.001, and at each table's minimum itself, where it must drop it."""
+    # the library's vector of one margins is computed once and read at every alpha
+    monkeypatch.setattr(exact, "_family_p_all", functools.lru_cache(maxsize=128)(
+        exact._family_p_all))
+    violations = tables = kept = 0
     for n1 in range(1, 31):
         for n2 in range(1, 31):
+            cells = {"weak": [], "strong": []}  # (table, its p, the minimum p) per m
             for m in range(0, n1 + n2 + 1):
                 lo, hi = support(n1, n2, m)
-                floor_weak = min_achievable_p(n1, n2, m, "weak")
-                floor_strong = min_achievable_p(n1, n2, m, "strong")
-                for k in range(lo, hi + 1):
-                    gap_w = p_weak(n1, n2, m, k) - floor_weak
-                    gap_s = p_strong(n1, n2, m, k) - floor_strong
-                    worst_gap = min(worst_gap, gap_w, gap_s)
-                    if gap_w < 0 or gap_s < 0:
-                        violations += 1
-    _verdict(2, "min achievable p never exceeds any realized p",
-             violations == 0, f"{violations} violations, tightest slack {worst_gap:.2e}")
+                k = lo + (n1 + 2 * n2 + 3 * m) % (hi - lo + 1)  # spread over the supports
+                table = ContingencyTable("DRUG_A", "DRUG_B", "OUTCOME", k, n1, m - k, n2)
+                for family, cell in cells.items():
+                    oracle = lgamma_family_p_all(n1, n2, m, family)
+                    cell.append((table, float(oracle[k - lo]), oracle.min()))
+            tables += n1 + n2 + 1
+            for family, cell in cells.items():
+                for alpha in (0.05, 0.001):
+                    expected = [(t, p) for t, p, floor in cell if floor < alpha]
+                    violations += prefilter([t for t, _, _ in cell], family, alpha) != expected
+                    kept += len(expected)
+                for t, _, floor in cell:  # a minimum is not below itself
+                    violations += prefilter([t], family, floor) != []
+    _verdict(2, "prefilter keeps exactly the tables whose min achievable p is below alpha",
+             violations == 0, f"{violations} wrong decisions over {tables} margins "
+                              f"x 2 families x 3 alphas, {kept} kept")
 
 
 # 3 ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -253,20 +254,64 @@ def test_evaluate_fits_each_pair_once(two_outcome_db, tmp_path, monkeypatch):
     assert not unknown["converged"] and unknown["n_used"] == 0
 
 
-def test_evaluate_resume_recomputes_one_part_of_a_pair(two_outcome_db, tmp_path):
+def _part(parts_dir, key):
+    """The part file of a group key: a drug pair, or the entry key of an unknown code."""
+    return parts_dir / (hashlib.sha256(json.dumps(key, separators=(",", ":")).encode("utf-8"))
+                        .hexdigest() + ".jsonl")
+
+
+def test_evaluate_resume_recomputes_one_part_of_a_pair(two_outcome_db, tmp_path, monkeypatch):
+    """One part per drug pair and one for the entry with an unknown code, each holding
+    every row of its group; after one pair's part is lost, --resume rebuilds that pair
+    alone and writes the same estimates."""
+    from trialbench import cohort as cohort_mod
+
     out = tmp_path / "e.jsonl"
     _evaluate_keys(two_outcome_db, PAIR_KEYS, out)
     fresh = out.read_bytes()
-    parts = list((tmp_path / "e.jsonl.parts").iterdir())
-    assert len(parts) == len(PAIR_KEYS)
-    first_rows = {part: read_jsonl(part, expect_header=True)[1][0] for part in parts}
-    deleted = [part for part, row in first_rows.items()
-               if (row["drug_a"], row["outcome_code"]) == ("DRUG_A", "OUTCOME2")]
-    assert len(deleted) == 1
-    deleted[0].unlink()
+    parts_dir = tmp_path / "e.jsonl.parts"
+    entries = {("DRUG_A", "DRUG_B"): 2, ("DRUG_B", "DRUG_A"): 2,
+               ("DRUG_A", "DRUG_B", "UNKNOWN"): 1}  # per group key
+    assert set(parts_dir.iterdir()) == {_part(parts_dir, list(key)) for key in entries}
+    for key, n_entries in entries.items():
+        _, rows = read_jsonl(_part(parts_dir, list(key)), expect_header=True)
+        assert len(rows) == 9 * n_entries
+        assert {(r["drug_a"], r["drug_b"]) for r in rows} == {key[:2]}
+    _part(parts_dir, ["DRUG_A", "DRUG_B"]).unlink()
     out.unlink()
+    built = []
+    real_build_cohort = cohort_mod.build_cohort
+
+    def counted(db, drug_a, drug_b, *args, **kwargs):
+        built.append((drug_a, drug_b))
+        return real_build_cohort(db, drug_a, drug_b, *args, **kwargs)
+
+    monkeypatch.setattr(cohort_mod, "build_cohort", counted)
     _evaluate_keys(two_outcome_db, PAIR_KEYS, out, "--resume")
+    assert built == [("DRUG_A", "DRUG_B")]
     assert out.read_bytes() == fresh
+
+
+def _rows_as_second_line(part):
+    """A part whose header matches but whose one row is a JSON list."""
+    return part.read_text().split("\n", 1)[0] + "\n[1,2]\n"
+
+
+@pytest.mark.parametrize("damage", [lambda _: b"\xff\xfe", lambda _: b"not json\n",
+                                    lambda part: _rows_as_second_line(part).encode()],
+                         ids=["not_utf8", "not_json", "list_row_under_matching_header"])
+def test_evaluate_resume_recomputes_unreadable_parts(pipeline, tmp_path, damage):
+    _, sim, refset_path, _, _ = pipeline
+    argv = ["evaluate", "--refset", str(refset_path), "--db", str(sim / "claims.jsonl"),
+            "--vocab", str(sim / "vocab.txt"), "--seed", "23", "--out", str(tmp_path / "e.jsonl")]
+    assert main(argv) == 0
+    fresh = (tmp_path / "e.jsonl").read_bytes()
+    [part] = (tmp_path / "e.jsonl.parts").iterdir()
+    part.write_bytes(damage(part))
+    (tmp_path / "e.jsonl").unlink()
+    assert main(argv + ["--resume"]) == 0
+    assert (tmp_path / "e.jsonl").read_bytes() == fresh
+    assert read_jsonl(part, expect_header=True)[1]  # the part was rewritten
 
 
 def _evaluate_unknown_codes(sim, keys, out, *extra):
@@ -454,13 +499,16 @@ def test_negative_seeds_exit_2(pipeline, tmp_path, capsys, where):
     assert ("--seed" if where.endswith("flag") else str(config)) in capsys.readouterr().err
 
 
-def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path):
+def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path, capsys):
     _, sim, refset_path, _, _ = pipeline
     base = ["evaluate", "--refset", str(refset_path),
             "--db", str(sim / "claims.jsonl"), "--vocab", str(sim / "vocab.txt"),
             "--out", str(tmp_path / "o.jsonl")]
     assert main(base) == 2  # no seed anywhere
-    assert main(base + ["--seed", "1", "--methods", "cox_deluxe"]) == 2
+    for methods in ("cox_deluxe", "cox_psm,cox_psm"):
+        capsys.readouterr()
+        assert main(base + ["--seed", "1", "--methods", methods]) == 2
+        assert "--methods" in capsys.readouterr().err
 
 
 def test_provenance_mismatches(pipeline, tmp_path):
@@ -555,6 +603,9 @@ MALFORMED_INPUTS = {
     "negative_max_per_arm": ("--config", lambda _: "max_per_arm = -5\n"),
     "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
+    "refset_header_a_list": ("--refset", lambda text: "[1]\n" + text.split("\n", 1)[1]),
+    "refset_provenance_a_list": ("--refset", _edit_record(lambda record: record.update(
+        provenance=[1]))),
     "refset_numeric_drug_code": ("--refset", _edit_record(lambda record: record.update(drug_a=7),
                                                           line=1)),
     "refset_strong_entry_direction_up": (
@@ -629,6 +680,8 @@ MALFORMED_ESTIMATES = {
     "unknown_scale": _edit_record(
         lambda record: record.update(scale="risk_difference", point=None), line=1),
     "mixed_scales_in_one_method": _second_row_on_other_scale,
+    "header_a_list": lambda text: "[1]\n" + text.split("\n", 1)[1],
+    "integer_method_id": _edit_record(lambda record: record.update(method_id=5), line=1),
 }
 
 

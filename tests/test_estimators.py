@@ -397,6 +397,16 @@ def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
     assert len(predicted) == 2  # one array per drug, shared by both AFT methods
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tau_percentile", 1.5), ("tau_percentile", 0.0), ("max_per_arm", -1), ("min_per_arm", -1),
+    ("ridge", math.nan), ("ridge", -1e-6), ("caliper_sd_logit", 0.0),
+    ("weight_cap", math.inf), ("weight_cap", -1.0),
+])
+def test_run_settings_checks_each_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        RunSettings(**{name: value})
+
+
 def test_run_all_methods_fits_the_propensity_models_once_per_pair(monkeypatch):
     calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
     modes = []
@@ -412,7 +422,7 @@ def test_run_all_methods_fits_the_propensity_models_once_per_pair(monkeypatch):
     per_outcome = run_all_methods(pair, RunSettings(seed=5))
     assert [len(estimates) for estimates in per_outcome] == [len(METHOD_REGISTRY)] * 2
     assert calls == {"aft_fit": 2, "fit_logistic": 1, "match_pairs": 1}
-    assert sorted(modes) == ["overlap", "standard_ipw", "standard_ipw"]
+    assert sorted(modes) == ["overlap", "standard_ipw"]
     # both outcomes are adjusted on the one matched set
     psm = [next(e for e in estimates if e.method_id == "cox_psm") for estimates in per_outcome]
     assert psm[0].converged and psm[1].converged and psm[0].n_used == psm[1].n_used
