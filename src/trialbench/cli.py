@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -112,6 +113,20 @@ def _part_name(key) -> str:
     return hashlib.sha256(dump_json_line(key).encode("utf-8")).hexdigest() + ".jsonl"
 
 
+# the fields of an estimate row, and the key that orders the rows of an estimates file
+_ROW_FIELDS = {*EffectEstimate._fields, "drug_a", "drug_b", "outcome_code"}
+_row_key = operator.itemgetter("drug_a", "drug_b", "outcome_code", "method_id")
+
+
+def _holds_group(rows, entries, methods) -> bool:
+    """Whether rows are one whole estimate row for each (entry, method) of a group."""
+    if any(row.keys() != _ROW_FIELDS for row in rows):
+        return False
+    keys = list(map(_row_key, rows))
+    return (all(type(v) is str for key in keys for v in key)  # so the keys sort
+            and sorted(keys) == sorted((*e.key, m) for e in entries for m in methods))
+
+
 def _estimate_record(entry, est: EffectEstimate) -> dict:
     return {
         **est._asdict(),
@@ -186,7 +201,7 @@ def cmd_evaluate(args) -> int:
             found, rows = read_jsonl(part, expect_header=True) if args.resume else (None, [])
         except (OSError, ValueError):  # InputError and UnicodeDecodeError are ValueErrors
             found = None
-        if found != part_header:
+        if found != part_header or not _holds_group(rows, entries, methods):
             drug_a, drug_b = key[:2]
             # 256 is no byte value, so it separates the two codes
             cohort_seed, match_seed = np.random.SeedSequence(
@@ -204,7 +219,7 @@ def cmd_evaluate(args) -> int:
             write_jsonl(part, rows, header=part_header)
         records.extend(rows)
 
-    records.sort(key=lambda r: (r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]))
+    records.sort(key=_row_key)
     write_jsonl(out_path, records, header=header)
     print(f"wrote {len(records)} estimate rows to {out_path}")
     return EXIT_OK

@@ -41,10 +41,13 @@ class PatientDB:
     @classmethod
     def from_records(cls, records, vocabulary) -> PatientDB:
         """Build the table in one pass over claims records in any order, keeping only
-        their values in flat columns. Raises ValueError on a duplicate id, a day or
+        their values in flat columns; an event keeps only the number its (kind, code)
+        pair got when first parsed, and keys are then renumbered by first appearance in
+        id order. Raises ValueError on a duplicate id, a day or
         observation bound that is not an integer, a kind or code that is not a string,
         or an event out of day order or outside its patient's observation window."""
-        ids, start, end, count, day, kind, code = [], [], [], [], [], [], []
+        ids, start, end, count, day, pair = [], [], [], [], [], []
+        numbers = {}  # (kind, code) -> its number, in file order
         for rec in records:
             ids.append(str(rec["patient_id"]))
             start.append(rec["observation_start"])
@@ -52,8 +55,7 @@ class PatientDB:
             count.append(len(rec["events"]))
             for d, k, c in rec["events"]:
                 day.append(d)
-                kind.append(k)
-                code.append(c)
+                pair.append(numbers.setdefault((k, c), len(numbers)))
         order = sorted(range(len(ids)), key=ids.__getitem__)  # record index per row, id order
         patients = [ids[i] for i in order]
         unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
@@ -61,14 +63,13 @@ class PatientDB:
         owner = unsorted[by_patient]
         day = _integers(day)[by_patient]
         start, end = _integers(start)[order], _integers(end)[order]
-        (kinds, kind), (codes, code) = _interned(kind), _interned(code)
-        if not all(type(v) is str for v in kinds + codes):
+        if not all(type(k) is str and type(c) is str for k, c in numbers):
             raise ValueError("event kinds and codes must be strings")
-        pairs, first, key = np.unique((kind * len(codes) + code)[by_patient],
+        pairs, first, key = np.unique(np.array(pair, dtype=np.intp)[by_patient],
                                       return_index=True, return_inverse=True)
-        by_first = np.argsort(first)  # keys are numbered by first appearance in id order
-        keys = {(kinds[p // len(codes)], codes[p % len(codes)]): i
-                for i, p in enumerate(pairs[by_first].tolist())}
+        by_first = np.argsort(first)  # keys are renumbered by first appearance in id order
+        named = list(numbers)
+        keys = {named[p]: i for i, p in enumerate(pairs[by_first].tolist())}
         rules = {  # the patient rows that break each rule
             "duplicate patient_id":
                 np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
@@ -115,12 +116,6 @@ def _integers(values) -> np.ndarray:
                                               and max(values, default=0) < 1 << 63):
         raise ValueError("event days and observation bounds must be JSON integers")
     return np.array(values, dtype=np.int64)
-
-
-def _interned(values) -> tuple[list, np.ndarray]:
-    """The distinct values in first-appearance order, and each value's index among them."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 @dataclass

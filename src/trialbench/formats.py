@@ -50,16 +50,24 @@ def write_jsonl(path, records, header=None):
 
 def iter_jsonl(path):
     """Yield the object on each non-blank line; a line that is not a JSON object raises
-    InputError."""
+    InputError. The JSON scanner reads each stripped line directly; only a line it
+    rejects or does not read to the end goes through json.loads, which raises that
+    line's own JSONDecodeError."""
+    scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
+                obj, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
             if type(obj) is not dict:
                 raise InputError(f"{path}: line {i + 1}: not a JSON object: {line[:40]!r}")
             yield obj

@@ -5,8 +5,10 @@ arithmetic for the 2x2 tail probabilities, a per-call math.lgamma form of
 the floating-point composite p-values (the reference the shared
 log-factorial table must match bit for bit), a naive quadratic BH, a textbook
 loop-based Breslow partial likelihood, a direct recursive Kaplan-Meier,
-a per-threshold rescan for report precision/recall, and the skip-pointer
-propensity matcher that the plain-list match_pairs replaced.
+a per-threshold rescan for report precision/recall, the skip-pointer
+propensity matcher that the plain-list match_pairs replaced, and the claims
+table build that interned kinds and codes after parsing, which
+PatientDB.from_records replaced by numbering (kind, code) pairs while parsing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from trialbench.cohort import PatientDB
 from trialbench.estimators.propensity import DEFAULT_CALIPER, MatchingError
 
 
@@ -270,3 +273,60 @@ def skip_pointer_match_pairs(scores, treatment_labels,
     if not pairs:
         raise MatchingError("caliper excluded every candidate pair")
     return pairs
+
+
+def interned_patient_db(records, vocabulary) -> PatientDB:
+    """PatientDB.from_records as it was when each event's kind and code were kept in two
+    lists and interned after the pass: same fields, same checks, same messages."""
+    ids, start, end, count, day, kind, code = [], [], [], [], [], [], []
+    for rec in records:
+        ids.append(str(rec["patient_id"]))
+        start.append(rec["observation_start"])
+        end.append(rec["observation_end"])
+        count.append(len(rec["events"]))
+        for d, k, c in rec["events"]:
+            day.append(d)
+            kind.append(k)
+            code.append(c)
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # record index per row, id order
+    patients = [ids[i] for i in order]
+    unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
+    by_patient = np.argsort(unsorted, kind="stable")  # a patient's events keep file order
+    owner = unsorted[by_patient]
+    day = _json_integers(day)[by_patient]
+    start, end = _json_integers(start)[order], _json_integers(end)[order]
+    (kinds, kind), (codes, code) = _interned(kind), _interned(code)
+    if not all(type(v) is str for v in kinds + codes):
+        raise ValueError("event kinds and codes must be strings")
+    pairs, first, key = np.unique((kind * len(codes) + code)[by_patient],
+                                  return_index=True, return_inverse=True)
+    by_first = np.argsort(first)  # keys are numbered by first appearance in id order
+    keys = {(kinds[p // len(codes)], codes[p % len(codes)]): i
+            for i, p in enumerate(pairs[by_first].tolist())}
+    rules = {  # the patient rows that break each rule
+        "duplicate patient_id":
+            np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
+        "events not day-sorted": owner[1:][(owner[1:] == owner[:-1]) & (day[1:] < day[:-1])],
+        "event outside observation window": owner[(day < start[owner]) | (day > end[owner])],
+    }
+    for what, bad in rules.items():
+        if len(bad):
+            raise ValueError(f"{patients[bad[0]]}: {what}")
+    position = {code: i for i, code in enumerate(vocabulary)}
+    column = np.array([position.get(c, -1) for _, c in keys], dtype=np.intp)
+    return PatientDB(patients, end, owner, day, np.argsort(by_first)[key], keys, column,
+                     list(vocabulary))
+
+
+def _json_integers(values) -> np.ndarray:
+    """values as int64; ValueError unless each is a JSON integer (a boolean is not) that fits."""
+    if set(map(type, values)) - {int} or not (-1 << 63 <= min(values, default=0)
+                                              and max(values, default=0) < 1 << 63):
+        raise ValueError("event days and observation bounds must be JSON integers")
+    return np.array(values, dtype=np.int64)
+
+
+def _interned(values) -> tuple[list, np.ndarray]:
+    """The distinct values in first-appearance order, and each value's index among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))

@@ -292,15 +292,25 @@ def test_evaluate_resume_recomputes_one_part_of_a_pair(two_outcome_db, tmp_path,
     assert out.read_bytes() == fresh
 
 
-def _rows_as_second_line(part):
-    """A part whose header matches but whose one row is a JSON list."""
-    return part.read_text().split("\n", 1)[0] + "\n[1,2]\n"
+def _part_with_rows(part, rows, extra=""):
+    """The part's header line, then its rows at the indices in rows, then extra."""
+    header, *lines = part.read_text().splitlines(keepends=True)
+    assert len(lines) == 9  # one entry, nine methods
+    return (header + "".join(lines[i] for i in rows) + extra).encode()
 
 
-@pytest.mark.parametrize("damage", [lambda _: b"\xff\xfe", lambda _: b"not json\n",
-                                    lambda part: _rows_as_second_line(part).encode()],
-                         ids=["not_utf8", "not_json", "list_row_under_matching_header"])
+@pytest.mark.parametrize("damage", [
+    lambda _: b"\xff\xfe",
+    lambda _: b"not json\n",
+    lambda part: _part_with_rows(part, [], "[1,2]\n"),
+    lambda part: _part_with_rows(part, range(4)),
+    lambda part: _part_with_rows(part, [*range(8), 0]),
+    lambda part: _part_with_rows(part, [], '{"point": 1.0}\n'),
+], ids=["not_utf8", "not_json", "list_row_under_matching_header", "four_of_nine_rows",
+        "a_row_twice", "row_without_keys"])
 def test_evaluate_resume_recomputes_unreadable_parts(pipeline, tmp_path, damage):
+    """A part is reused only when it reads cleanly under the run's header and holds one
+    whole estimate row for each (entry, method) of its group."""
     _, sim, refset_path, _, _ = pipeline
     argv = ["evaluate", "--refset", str(refset_path), "--db", str(sim / "claims.jsonl"),
             "--vocab", str(sim / "vocab.txt"), "--seed", "23", "--out", str(tmp_path / "e.jsonl")]

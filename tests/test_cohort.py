@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from oracles import interned_patient_db
 from trialbench.cohort import Cohort, PatientDB, SkipSignal, build_cohort, load_patient_db
 
 PAIR = ("DRUG_A", "DRUG_B", ["OUT"])  # drug_a, drug_b and the outcome codes of build_cohort
@@ -282,3 +284,58 @@ def test_from_records_consumes_a_one_shot_generator():
     assert list(from_generator.keys.items()) == list(from_list.keys.items())
     empty = PatientDB.from_records(iter([]), vocab)
     assert empty.patients == [] and empty.owner.size == empty.key.size == 0
+
+
+def _assert_same_db(got, want):
+    for field in dataclasses.fields(PatientDB):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+    assert list(got.keys.items()) == list(want.keys.items())  # == on dicts ignores order
+
+
+@pytest.mark.parametrize("db_seed", range(6))
+def test_from_records_matches_the_interning_oracle(db_seed):
+    rng = np.random.default_rng(db_seed)
+    records = _random_records(rng, n=200, pid="p{}")
+    for i, rec in enumerate(records[::3]):
+        rec["patient_id"] = f"患者-é{i}"
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    vocab = DIAGNOSES[::-1] + DRUGS[:2]  # DRUG_C, UNKNOWN and every procedure stay unknown
+    kinds_of = {}
+    for rec in records:
+        for _, kind, code in rec["events"]:
+            kinds_of.setdefault(code, set()).add(kind)
+    assert any(not rec["events"] for rec in records)
+    assert max(map(len, kinds_of.values())) == 3
+    assert set(kinds_of) - set(vocab)
+    _assert_same_db(PatientDB.from_records(shuffled, vocab),
+                    interned_patient_db(shuffled, vocab))
+
+
+BROKEN_PATIENTS = {  # a patient z that breaks one rule of from_records
+    "duplicate_id": _patient("p0003", []),
+    "boolean_day": _patient("z", [(True, "diagnosis", "OUT")]),
+    "float_day": _patient("z", [(3.0, "diagnosis", "OUT")]),
+    "boolean_observation_start": _patient("z", [], start=False),
+    "integer_kind": _patient("z", [(3, 5, "OUT")]),
+    "null_code": _patient("z", [(3, "diagnosis", None)]),
+    "list_kind": _patient("z", [(3, ["diagnosis"], "OUT")]),
+    "unsorted_days": _patient("z", [(5, "diagnosis", "OUT"), (3, "drug_claim", "DRUG_A")]),
+    "day_after_observation_end": _patient("z", [(401, "diagnosis", "OUT")], end=400),
+    "day_before_observation_start": _patient("z", [(-1, "diagnosis", "OUT")], start=0),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_PATIENTS.values(), ids=BROKEN_PATIENTS)
+def test_from_records_raises_as_the_interning_oracle(broken):
+    records = _random_records(np.random.default_rng(9), n=30)
+    records.insert(11, broken)
+    vocab = DRUGS + DIAGNOSES
+    with pytest.raises((TypeError, ValueError)) as want:
+        interned_patient_db(records, vocab)
+    with pytest.raises((TypeError, ValueError)) as got:
+        PatientDB.from_records(records, vocab)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

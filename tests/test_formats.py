@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -43,6 +44,60 @@ def test_jsonl_header_is_line_one_only(tmp_path):
     path.write_text('{"i": 0}\n\n{"i": 1\n')
     with pytest.raises(InputError, match=r"records\.jsonl: line 3: invalid JSON"):
         read_jsonl(path, expect_header=True)
+
+
+def _read_with_json_loads(path):
+    """json.loads on each stripped non-blank line, the reader iter_jsonl must match:
+    the objects read, then the InputError text of the first bad line or None."""
+    objects = []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return objects, f"{path}: line {i + 1}: invalid JSON: {exc}"
+            if type(obj) is not dict:
+                return objects, f"{path}: line {i + 1}: not a JSON object: {line[:40]!r}"
+            objects.append(obj)
+    return objects, None
+
+
+JSONL_CASES = {  # file text, and the line whose error stops the read or None
+    "utf8_bom_first_line": ('\ufeff{"a": 1}\n{"b": 2}\n', 1),
+    "text_after_the_object": ('{"a": 1}\n{"a":1} x\n', 2),
+    "two_objects_on_a_line": ('{"a":1}{"b":2}\n', 1),
+    "nan_and_infinity": ('{"a": NaN, "b": [Infinity, -Infinity]}\n', None),
+    "nested_objects": ('{"a": {"b": [1, {"c": null}], "d": {}}, "e": "f"}\n', None),
+    "a_list": ('{"a": 1}\n[1]\n', 2),
+    "a_string": ('"s"\n', 1),
+    "blank_and_whitespace_only_lines": ('\n  \t \n{"a": 1}\n\n \n{"b": 2}\n', None),
+    "crlf_endings": ('{"a": 1}\r\n\r\n{"b": 2}\r\n', None),
+    "crlf_then_a_cut_line": ('{"a": 1}\r\n{"b": [2\r\n', 2),
+    "raw_u2028_in_a_string": ('{"a": "x\u2028y"}\n{"b": 1}\n', None),
+    "trailing_comma": ('{"a": 1,}\n', 1),
+}
+
+
+@pytest.mark.parametrize("text, bad_line", JSONL_CASES.values(), ids=JSONL_CASES)
+def test_iter_jsonl_matches_json_loads(tmp_path, text, bad_line):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    objects, error = [], None
+    try:
+        for obj in iter_jsonl(path):
+            objects.append(obj)
+    except InputError as exc:
+        error = str(exc)
+    want_objects, want_error = _read_with_json_loads(path)
+    assert repr(objects) == repr(want_objects)  # repr, since NaN != NaN
+    assert error == want_error
+    if bad_line is None:
+        assert error is None and objects
+    else:
+        assert error.startswith(f"{path}: line {bad_line}: ")
 
 
 def test_read_kv_config(tmp_path):
