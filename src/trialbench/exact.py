@@ -70,21 +70,78 @@ def _log_binomials(n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(lo, hi + 1), base
 
 
-def _normalized(logw: np.ndarray) -> np.ndarray:
+# exp(x) is exactly 0.0 for x below about -745.13, so a cell whose log-weight lies
+# more than _DEAD_BELOW under its null's maximum has a pmf of exactly 0.0.
+_DEAD_BELOW = 760.0
+
+# Rows reused by every table, grown to the longest support seen: a null's
+# log-weights, then one row per tail side, which holds its null's zero-padded
+# exp, then its log-pmf, its pmf and last its tail.
+_SCRATCH = np.zeros((3, 0))
+
+
+def _live_log_pmf(k: np.ndarray, base: np.ndarray, psi: float,
+                  row: int = 1) -> tuple[int, np.ndarray]:
+    """(i0, log-pmf of cells i0, i0 + 1, ...) under odds ratio psi: its live window.
+
+    The window runs from the first to the last cell whose log-weight
+    logw = base + k log psi is within _DEAD_BELOW of its maximum mx, so
+    exp(logw - mx) is exactly 0.0 outside it. When both end cells are live
+    the window is the whole support, found without a search: logw is
+    concave in k, so every cell between them is live. The normalizer sums a
+    full-length array of exp(logw - mx) on the window and 0.0 elsewhere --
+    the array exp would give over the whole support -- so numpy's pairwise
+    sum, and the log-pmf logw - (mx + log sum), keep every bit. The result
+    is a view of _SCRATCH[row], which is 0.0 outside the window.
+    """
+    global _SCRATCH
+    n = k.size
+    if n > _SCRATCH.shape[1]:
+        _SCRATCH = np.zeros((3, n))
+    logw, padded = _SCRATCH[0, :n], _SCRATCH[row, :n]
+    np.multiply(k, math.log(psi), out=logw)
+    np.add(base, logw, out=logw)
     mx = logw.max()
-    return logw - (mx + math.log(np.exp(logw - mx).sum()))
+    cut = mx - _DEAD_BELOW
+    if logw[0] >= cut and logw[-1] >= cut:
+        i0, window = 0, padded
+    else:
+        live = logw >= cut
+        i0, i1 = int(live.argmax()), n - int(live[::-1].argmax())
+        padded[:i0] = 0.0
+        padded[i1:] = 0.0
+        window, logw = padded[i0:i1], logw[i0:i1]
+    np.exp(np.subtract(logw, mx, out=window), out=window)
+    return i0, np.subtract(logw, mx + math.log(padded.sum()), out=window)
 
 
 def _tail(k: np.ndarray, base: np.ndarray, psi: float, side: str) -> np.ndarray:
     """P(K <= k) ("lower") or P(K >= k) ("upper") under odds ratio psi, capped at 1.
 
     k and base are the support and log-binomials from _log_binomials; the
-    tail is a cumulative sum of the normalized pmf, one value per cell.
+    tail is a cumulative sum of the normalized pmf, one value per cell. Only
+    the live window of _live_log_pmf is exponentiated and summed: the pmf is
+    exactly 0.0 outside it and the sum adds in order, so the lower tail is
+    0.0 left of the window and holds its last value right of it (the upper
+    tail mirrors that), bit for bit the sum over the whole support. The
+    result is a view of _SCRATCH, one row per side, valid until the next
+    call for the same side.
     """
-    pmf = np.exp(_normalized(base + k * math.log(psi)))
+    row = 1 if side == "lower" else 2
+    i0, pmf = _live_log_pmf(k, base, psi, row)
+    np.exp(pmf, out=pmf)
+    n, i1 = k.size, i0 + pmf.size
+    tail = _SCRATCH[row, :n]  # 0.0 outside the window
+    # np.add.accumulate is np.cumsum without its wrapper's per-call cost
     if side == "lower":
-        return np.minimum(np.cumsum(pmf), 1.0)
-    return np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+        np.add.accumulate(pmf, out=pmf)
+        if i1 < n:
+            tail[i1:] = pmf[-1]
+    else:
+        np.add.accumulate(pmf[::-1], out=pmf[::-1])
+        if i0:
+            tail[:i0] = pmf[0]
+    return np.minimum(tail, 1.0, out=tail)
 
 
 def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
@@ -92,8 +149,10 @@ def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
 
     One log-binomial base serves both nulls. The family reads a lower tail
     P(K <= k) at one null and an upper tail P(K >= k) at the other, each a
-    cumulative sum of that null's pmf, so the per-k values and the minimum
-    over k share one code path.
+    cumulative sum of that null's pmf over its live window (see _tail), so
+    the per-k values and the minimum over k share one code path. The tails
+    are scratch rows; the returned vector is freshly allocated, so callers
+    may keep it.
     """
     if family not in _FAMILY_TAIL_NULLS:
         raise ValueError(f"unknown family {family!r}")
@@ -102,10 +161,11 @@ def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:
     lower = _tail(k, base, lower_psi, "lower")
     upper = _tail(k, base, upper_psi, "upper")
     if family == "weak":
-        p = np.maximum(lower, upper)
+        p = np.maximum(lower, upper, out=lower)
     else:
-        p = 0.5 * np.minimum(lower, upper)
-    return np.clip(p, _P_FLOOR, 1.0)
+        p = np.minimum(lower, upper, out=lower)
+        p *= 0.5
+    return np.maximum(p, _P_FLOOR)  # fresh; each tail is already capped at 1
 
 
 def _p_at(n1: int, n2: int, m: int, k: int, family: str) -> float:

@@ -15,8 +15,8 @@ from oracles import (
 from trialbench import exact
 from trialbench.exact import (
     _family_p_all,
+    _live_log_pmf,
     _log_binomials,
-    _normalized,
     _tail,
     bh_qvalues,
     bh_reject,
@@ -36,7 +36,20 @@ def test_support_bounds():
 
 def _pmf(n1, n2, m, psi):
     k, base = _log_binomials(n1, n2, m)
-    return np.exp(_normalized(base + k * math.log(psi)))
+    i0, log_pmf = _live_log_pmf(k, base, psi)
+    pmf = np.zeros(k.size)
+    pmf[i0:i0 + log_pmf.size] = np.exp(log_pmf)
+    return pmf
+
+
+def _assert_live_log_pmf_is_oracle(n1, n2, m, psi):
+    """The live window's log-pmf is bit for bit the oracle's, whose pmf is 0.0 outside it."""
+    k, base = _log_binomials(n1, n2, m)
+    i0, log_pmf = _live_log_pmf(k, base, psi)
+    oracle = lgamma_log_pmf(n1, n2, m, psi)
+    i1 = i0 + log_pmf.size
+    assert np.array_equal(log_pmf, oracle[i0:i1]), (n1, n2, m, psi)
+    assert not np.exp(oracle[:i0]).any() and not np.exp(oracle[i1:]).any(), (n1, n2, m, psi)
 
 
 def _tail_at(n1, n2, m, k, psi, side):
@@ -139,12 +152,54 @@ def test_log_factorial_table_is_bit_identical_to_lgamma(monkeypatch):
             for family in ("weak", "strong"):
                 assert np.array_equal(_family_p_all(n1, n2, m, family),
                                       lgamma_family_p_all(n1, n2, m, family)), (n1, n2, m, family)
-            k, base = _log_binomials(n1, n2, m)
             for psi in (0.8, 1.0, 1.25):
-                assert np.array_equal(_normalized(base + k * math.log(psi)),
-                                      lgamma_log_pmf(n1, n2, m, psi)), (n1, n2, m, psi)
+                _assert_live_log_pmf_is_oracle(n1, n2, m, psi)
         sizes[phase] = exact._LOG_FACTORIAL.size
     assert 0 < sizes["small"] <= 2 * 51 < 40_000 < sizes["large"] == sizes["small again"]
+
+
+def _live_runs(pmf):
+    """Whether each run of nonzero or zero pmf cells is live, in order: (False, True, False)
+    is a live window with dead cells on both sides."""
+    live = pmf > 0
+    return tuple(live[np.r_[0, np.flatnonzero(np.diff(live)) + 1]].tolist())
+
+
+# name -> (margins, the live runs of the pmf at both nulls 0.8 and 1.25)
+LIVE_WINDOWS = {
+    "inside_support": ((30_000, 30_000, 30_000), (False, True, False)),
+    "at_lower_end": ((400, 40_000, 400), (True, False)),
+    "at_upper_end": ((400, 40_000, 40_000), (False, True)),
+    "live_everywhere": ((60, 70, 65), (True,)),
+    "one_cell": ((5, 3, 0), (True,)),
+}
+
+
+@pytest.mark.parametrize("name", LIVE_WINDOWS)
+def test_live_window_edges_are_bit_identical_to_oracle(name):
+    (n1, n2, m), runs = LIVE_WINDOWS[name]
+    lo, hi = support(n1, n2, m)
+    assert (hi - lo == 0) == (name == "one_cell")
+    for psi in (0.8, 1.25):
+        # the margins still put the window where the name says
+        assert _live_runs(np.exp(lgamma_log_pmf(n1, n2, m, psi))) == runs, psi
+        _assert_live_log_pmf_is_oracle(n1, n2, m, psi)
+    for family in ("weak", "strong"):
+        assert np.array_equal(_family_p_all(n1, n2, m, family),
+                              lgamma_family_p_all(n1, n2, m, family)), family
+
+
+def test_family_p_all_returns_fresh_vectors():
+    """Large, small, then large margins again: each returned vector stays as it was
+    returned, and none reads a cell an earlier, longer support left in the scratch."""
+    returned = []
+    for n1, n2, m in ((30_000, 30_000, 30_000), (60, 70, 65), (25_000, 35_000, 20_000)):
+        for family in ("weak", "strong"):
+            p = _family_p_all(n1, n2, m, family)
+            assert np.array_equal(p, lgamma_family_p_all(n1, n2, m, family)), (n1, n2, m)
+            returned.append((p, p.copy()))
+    for p, copy in returned:
+        assert np.array_equal(p, copy)
 
 
 @pytest.mark.parametrize("n1, n2, m", [(-1, 5, 2), (5, -1, 2), (4, 3, 8), (4, 3, -1)],
