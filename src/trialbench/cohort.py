@@ -9,11 +9,13 @@ status for each of the pair's outcomes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import iter_jsonl, parsing, read_jsonl
+# read_jsonl is unused here, but perfbench/tracer.py hooks cohort.read_jsonl by name
+from .formats import iter_jsonl, parsing, read_jsonl  # noqa: F401
 
 MAX_ARM_SIZE = 100_000
 MIN_ARM_SIZE = 100
@@ -85,21 +87,35 @@ class PatientDB:
                    list(vocabulary))
 
     def with_dense_features(self, rows) -> PatientDB:
-        """Attach one equal-length feature row per patient from {patient_id, features} records.
-        Raises ValueError on a duplicate id or a boolean feature value."""
-        by_id = {}
-        for r in rows:
+        """Attach one feature row per patient from {patient_id, features} records in any
+        order, each written straight into its patient's row of the matrix; rows of ids
+        not in the table are checked, then dropped. Raises ValueError on a duplicate id,
+        a feature that is not a finite JSON number (a boolean is not), rows of unequal
+        length or a patient without a row."""
+        row_of = {pid: i for i, pid in enumerate(self.patients)}
+        matrix = np.empty((len(self.patients), 0))
+        seen = set()
+        for n, r in enumerate(rows):
             pid, features = str(r["patient_id"]), r["features"]
-            if pid in by_id:
+            if pid in seen:
                 raise ValueError(f"{pid}: duplicate patient_id")
-            if bool in map(type, features):
+            seen.add(pid)
+            kinds = set(map(type, features)) if type(features) is list else {type(features)}
+            if bool in kinds:
                 raise ValueError(f"{pid}: dense features must be numbers, not booleans")
-            by_id[pid] = features
-        missing = [p for p in self.patients if p not in by_id]
+            if not kinds <= {int, float} or not all(map(math.isfinite, features)):
+                raise ValueError(f"{pid}: dense features must be a list of finite numbers")
+            if n == 0:
+                matrix = np.empty((len(self.patients), len(features)))
+            if len(features) != matrix.shape[1]:
+                raise ValueError(f"{pid}: {len(features)} dense features, but the first row "
+                                 f"has {matrix.shape[1]}")
+            if pid in row_of:
+                matrix[row_of[pid]] = features
+        missing = [p for p in self.patients if p not in seen]
         if missing:
             raise ValueError(f"no dense-feature row for {len(missing)} patients, "
                              f"first {missing[0]}")
-        matrix = np.array([by_id[p] for p in self.patients], dtype=float)  # rows of equal length
         return dataclasses.replace(self, dense_features=matrix)
 
     def earliest_day(self, kind, code, where=True) -> np.ndarray:
@@ -141,9 +157,8 @@ def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
     with parsing(db_path):  # streamed: one parsed record is alive at a time
         db = PatientDB.from_records(iter_jsonl(db_path), vocabulary)
     if dense_features_path is not None:
-        with parsing(dense_features_path):
-            _, rows = read_jsonl(dense_features_path)
-            db = db.with_dense_features(rows)
+        with parsing(dense_features_path):  # streamed, like the claims
+            db = db.with_dense_features(iter_jsonl(dense_features_path))
     return db
 
 

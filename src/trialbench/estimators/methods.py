@@ -161,7 +161,12 @@ def _fitted_once(scope):
 
 class _Nuisance:
     """One outcome's arrays and horizon tau, and lazily fitted nuisance models. The
-    propensity models and weights are cached in pair_fits, shared by the pair's outcomes."""
+    propensity models and weights are cached in pair_fits, shared by the pair's outcomes.
+
+    The survival methods see rows in the outcome's stable time order: a subset taken
+    in that order is the subset's own stable time order, so cox_fit and km_curve need
+    not sort again, and every sum they take sees its rows in the order it always has.
+    """
 
     def __init__(self, cohort, outcome, settings: RunSettings, tau: float, pair_fits: dict):
         self.time, self.event = outcome
@@ -170,9 +175,15 @@ class _Nuisance:
         self.tau = tau
         self._fits = {"pair": pair_fits, "outcome": {}}
 
-    def arms(self, rows=slice(None)):
-        """(time, event, treated), restricted to rows."""
-        return self.time[rows], self.event[rows], self.treated[rows]
+    def arms(self, rows=None):
+        """(time, event, treated) in stable time order, of the rows where the mask rows
+        is true, or of every row."""
+        order = self.order if rows is None else self.order[rows[self.order]]
+        return self.time[order], self.event[order], self.treated[order]
+
+    def in_time_order(self, values):
+        """A per-row array in the order arms() gives every row."""
+        return values[self.order]
 
     @_fitted_once("pair")
     def propensity(self):
@@ -180,11 +191,13 @@ class _Nuisance:
 
     @_fitted_once("pair")
     def matched(self):
-        """Sorted row indices of every propensity-matched pair."""
+        """Row mask of every propensity-matched pair."""
         pairs = match_pairs(self.propensity.scores, self.treated,
                             caliper_sd_logit=self.settings.caliper_sd_logit,
                             seed=self.settings.seed)
-        return np.array(sorted({i for pair in pairs for i in pair}), dtype=int)
+        mask = np.zeros(len(self.treated), dtype=bool)
+        mask[np.ravel(pairs)] = True
+        return mask
 
     @_fitted_once("pair")
     def overlap_weights(self):
@@ -194,6 +207,11 @@ class _Nuisance:
     def standard_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "standard_ipw",
                                cap=self.settings.weight_cap)
+
+    @_fitted_once("outcome")
+    def order(self):
+        """The rows in stable time order."""
+        return np.argsort(self.time, kind="stable")
 
     @_fitted_once("outcome")
     def aft(self):
@@ -212,9 +230,10 @@ class _Nuisance:
 
 def _aipw(nz: _Nuisance) -> Fit:
     # An AFT fit error outranks a propensity fit error, which outranks AFT
-    # non-convergence: the note names the first of them.
+    # non-convergence: the note names the first of them. Its means take the rows
+    # in cohort order, not in the time order of arms().
     nz.aft
-    return rmst_aipw(*nz.arms(), nz.propensity, *nz.predicted_rmst, nz.tau)
+    return rmst_aipw(nz.time, nz.event, nz.treated, nz.propensity, *nz.predicted_rmst, nz.tau)
 
 
 # One row of the method table: the effect scale and estimate(nuisance) -> Fit.
@@ -227,15 +246,15 @@ METHOD_REGISTRY = {
     "cox_unadjusted": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms())),
     "cox_psm": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms(nz.matched))),
     "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
-        *nz.arms(), nz.overlap_weights)),
+        *nz.arms(), nz.in_time_order(nz.overlap_weights))),
     "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
-        *nz.arms(), nz.standard_weights)),
+        *nz.arms(), nz.in_time_order(nz.standard_weights))),
     "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
         *nz.arms(), nz.tau)),
     "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
         *nz.arms(nz.matched), nz.tau)),
     "rmst_km_ipw_overlap": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
-        *nz.arms(), nz.tau, nz.overlap_weights)),
+        *nz.arms(), nz.tau, nz.in_time_order(nz.overlap_weights))),
     "rmst_aft_regression": Method(SCALE_RMST_DAYS, lambda nz: rmst_regression(
         *nz.predicted_rmst)),
     "rmst_aipw": Method(SCALE_RMST_DAYS, _aipw),

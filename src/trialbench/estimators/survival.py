@@ -62,28 +62,51 @@ class SurvivalCurve:
         return padded[idx]
 
 
+def _in_time_order(times, *columns):
+    """times and each column in stable time order. Times that are already
+    non-decreasing are returned as they are, since a stable sort leaves them so."""
+    if np.all(times[1:] >= times[:-1]):
+        return (times, *columns)
+    order = np.argsort(times, kind="stable")
+    return tuple(a[order] for a in (times, *columns))
+
+
+def _event_tie_groups(t, d):
+    """For non-decreasing times t and event flags d: per row, the number of distinct
+    event times at or before its own time; and the first row of each distinct event
+    time. A tie group starts where a time differs from the one before it."""
+    new = np.empty(len(t), dtype=bool)
+    new[:1] = True
+    np.not_equal(t[1:], t[:-1], out=new[1:])
+    start = np.flatnonzero(new)[np.cumsum(new) - 1]  # per row, the first row of its tie group
+    opens = np.zeros(len(t), dtype=bool)  # the first row of each tie group holding an event
+    opens[start[d]] = True
+    return np.cumsum(opens), np.flatnonzero(opens)
+
+
 def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     """Weighted Cox partial likelihood for one binary covariate.
 
     Breslow handling of ties; Newton-Raphson from beta = 0. se_model is
     the inverse observed information; se_robust the Lin-Wei sandwich,
-    appropriate whenever the weights are not all one.
+    appropriate whenever the weights are not all one. Rows are taken in
+    stable time order; NaN times are not supported.
     """
     t = np.asarray(times, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t, d = t[order], np.asarray(events, dtype=bool)[order]
-    x = np.asarray(treatment, dtype=float)[order]
-    w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)[order]
+    w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)
+    t, d, x, w = _in_time_order(t, np.asarray(events, dtype=bool),
+                                np.asarray(treatment, dtype=float), w)
     n = len(t)
     if not (d & (x > 0)).any() or not (d & (x <= 0)).any():
         return CoxResult(beta=math.inf if (d & (x > 0)).any() else -math.inf,
                          se_model=math.inf, se_robust=math.inf,
                          converged=False, iterations=0, n_used=n)
 
-    # distinct event times and group boundaries (times sorted ascending)
     event_idx = np.nonzero(d)[0]
-    # each death contributes at the first index of its tie group
-    first = np.searchsorted(t, t[event_idx], side="left")
+    # upto: per row, the distinct event times <= t_i; pos: first row of each of them
+    upto, pos = _event_tie_groups(t, d)
+    own = upto[event_idx] - 1            # each death's distinct event time
+    first = pos[own]                     # each death counts from the start of its tie group
 
     def suffix_sums(beta):
         r = np.exp(beta * x)
@@ -114,16 +137,13 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     se_model = math.sqrt(1.0 / info) if info > 0 else math.inf
 
     # Lin-Wei robust variance from weighted score residuals
-    ev_times, own = np.unique(t[event_idx], return_inverse=True)
-    dws = np.bincount(own, weights=w[event_idx], minlength=len(ev_times))
-    pos = np.searchsorted(t, ev_times, side="left")
+    dws = np.bincount(own, weights=w[event_idx], minlength=len(pos))
     s0e, mbe = s0[pos], s1[pos] / s0[pos]
     c1 = np.cumsum(dws / s0e)          # sum of d_w / S0 over event times
     c2 = np.cumsum(dws * mbe / s0e)    # sum of d_w * mbar / S0
     # cumulative values at each subject's own time (event times <= t_i)
-    upto = np.searchsorted(ev_times, t, side="right") - 1
-    c1_i = np.where(upto >= 0, c1[np.maximum(upto, 0)], 0.0)
-    c2_i = np.where(upto >= 0, c2[np.maximum(upto, 0)], 0.0)
+    c1_i = np.concatenate([[0.0], c1])[upto]
+    c2_i = np.concatenate([[0.0], c2])[upto]
     m_at_own = np.zeros(n)
     m_at_own[event_idx] = mbe[own]
     resid = d * (x - m_at_own) - r * (x * c1_i - c2_i)
@@ -136,20 +156,18 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
 
 
 def km_curve(times, events, row_weights=None) -> SurvivalCurve:
-    """Weighted Kaplan-Meier product-limit estimator."""
+    """Weighted Kaplan-Meier product-limit estimator. Rows are taken in stable time
+    order; NaN times are not supported."""
     t = np.asarray(times, dtype=float)
-    d = np.asarray(events, dtype=bool)
     w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t, d, w = t[order], d[order], w[order]
+    t, d, w = _in_time_order(t, np.asarray(events, dtype=bool), w)
     at_risk_after = np.cumsum(w[::-1])[::-1]  # total weight with t_j >= t_i
-    ev_times, inverse = np.unique(t[d], return_inverse=True)
-    deaths = np.bincount(inverse, weights=w[d], minlength=len(ev_times))
-    pos = np.searchsorted(t, ev_times, side="left")
+    upto, pos = _event_tie_groups(t, d)
+    deaths = np.bincount(upto[d] - 1, weights=w[d], minlength=len(pos))
     at_risk = at_risk_after[pos]
     factors = 1.0 - deaths / at_risk
     surv = np.cumprod(np.clip(factors, 0.0, 1.0))
-    return SurvivalCurve(times=ev_times, survival=surv, deaths=deaths, at_risk=at_risk)
+    return SurvivalCurve(times=t[pos], survival=surv, deaths=deaths, at_risk=at_risk)
 
 
 def rmst(curve: SurvivalCurve, tau: float) -> float:

@@ -20,7 +20,7 @@ def parsing(path):
         yield
     except InputError:  # already names its file
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from exc
 
 

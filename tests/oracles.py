@@ -6,9 +6,12 @@ the floating-point composite p-values (the reference the shared
 log-factorial table must match bit for bit), a naive quadratic BH, a textbook
 loop-based Breslow partial likelihood, a direct recursive Kaplan-Meier,
 a per-threshold rescan for report precision/recall, the skip-pointer
-propensity matcher that the plain-list match_pairs replaced, and the claims
+propensity matcher that the plain-list match_pairs replaced, the claims
 table build that interned kinds and codes after parsing, which
-PatientDB.from_records replaced by numbering (kind, code) pairs while parsing.
+PatientDB.from_records replaced by numbering (kind, code) pairs while parsing,
+and cox_fit and km_curve as they were when each call sorted its times and
+found tie groups with np.unique and searchsorted, which reading tie groups off
+the sorted times replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from trialbench.cohort import PatientDB
 from trialbench.estimators.propensity import DEFAULT_CALIPER, MatchingError
+from trialbench.estimators.survival import COX_MAX_ITER, COX_TOL, CoxResult, SurvivalCurve
 
 
 def nchg_weights(n1: int, n2: int, m: int, psi_num: int, psi_den: int) -> tuple[int, list[int]]:
@@ -164,6 +168,86 @@ def km_recursive(times, events) -> list[tuple[float, float]]:
         surv *= 1.0 - deaths / at_risk
         out.append((dt, surv))
     return out
+
+
+def searchsorted_cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
+    """survival.cox_fit as it was when each call argsorted its times, took each death's
+    tie-group start with searchsorted and its distinct event times with np.unique."""
+    t = np.asarray(times, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t, d = t[order], np.asarray(events, dtype=bool)[order]
+    x = np.asarray(treatment, dtype=float)[order]
+    w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)[order]
+    n = len(t)
+    if not (d & (x > 0)).any() or not (d & (x <= 0)).any():
+        return CoxResult(beta=math.inf if (d & (x > 0)).any() else -math.inf,
+                         se_model=math.inf, se_robust=math.inf,
+                         converged=False, iterations=0, n_used=n)
+    event_idx = np.nonzero(d)[0]
+    first = np.searchsorted(t, t[event_idx], side="left")
+
+    def suffix_sums(beta):
+        r = np.exp(beta * x)
+        s0 = np.cumsum((w * r)[::-1])[::-1]
+        s1 = np.cumsum((w * r * x)[::-1])[::-1]
+        return r, s0, s1
+
+    beta = 0.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, COX_MAX_ITER + 1):
+        _, s0, s1 = suffix_sums(beta)
+        mbar = s1[first] / s0[first]
+        score = float(np.sum(w[event_idx] * (x[event_idx] - mbar)))
+        info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))
+        if info <= 0:
+            break
+        step = score / info
+        step = float(np.clip(step, -5.0, 5.0))
+        beta += step
+        if abs(step) < COX_TOL:
+            converged = True
+            break
+
+    r, s0, s1 = suffix_sums(beta)
+    mbar = s1[first] / s0[first]
+    info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))
+    se_model = math.sqrt(1.0 / info) if info > 0 else math.inf
+    ev_times, own = np.unique(t[event_idx], return_inverse=True)
+    dws = np.bincount(own, weights=w[event_idx], minlength=len(ev_times))
+    pos = np.searchsorted(t, ev_times, side="left")
+    s0e, mbe = s0[pos], s1[pos] / s0[pos]
+    c1 = np.cumsum(dws / s0e)
+    c2 = np.cumsum(dws * mbe / s0e)
+    upto = np.searchsorted(ev_times, t, side="right") - 1
+    c1_i = np.where(upto >= 0, c1[np.maximum(upto, 0)], 0.0)
+    c2_i = np.where(upto >= 0, c2[np.maximum(upto, 0)], 0.0)
+    m_at_own = np.zeros(n)
+    m_at_own[event_idx] = mbe[own]
+    resid = d * (x - m_at_own) - r * (x * c1_i - c2_i)
+    bread = 1.0 / info if info > 0 else math.inf
+    meat = float(np.sum((w * resid) ** 2))
+    se_robust = math.sqrt(bread * meat * bread) if info > 0 else math.inf
+    return CoxResult(beta=float(beta), se_model=se_model, se_robust=se_robust,
+                     converged=converged, iterations=iterations, n_used=n)
+
+
+def searchsorted_km_curve(times, events, row_weights=None) -> SurvivalCurve:
+    """survival.km_curve as it was when each call argsorted its times, took its distinct
+    event times with np.unique and their at-risk rows with searchsorted."""
+    t = np.asarray(times, dtype=float)
+    d = np.asarray(events, dtype=bool)
+    w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t, d, w = t[order], d[order], w[order]
+    at_risk_after = np.cumsum(w[::-1])[::-1]
+    ev_times, inverse = np.unique(t[d], return_inverse=True)
+    deaths = np.bincount(inverse, weights=w[d], minlength=len(ev_times))
+    pos = np.searchsorted(t, ev_times, side="left")
+    at_risk = at_risk_after[pos]
+    factors = 1.0 - deaths / at_risk
+    surv = np.cumprod(np.clip(factors, 0.0, 1.0))
+    return SurvivalCurve(times=ev_times, survival=surv, deaths=deaths, at_risk=at_risk)
 
 
 def naive_score(effects, entries, threshold) -> dict:

@@ -584,6 +584,24 @@ def _edit_first_event(change):
     return _edit_record(lambda record: record["events"].__setitem__(0, change(record["events"][0])))
 
 
+def _first_dense_feature_as(literal):
+    """Edit for a dense-features JSONL text: the first row's first value written as the
+    JSON text literal."""
+    def edit(text):
+        text = _edit_record(lambda record: record["features"].__setitem__(0, "<value>"))(text)
+        return text.replace('"<value>"', literal, 1)
+    return edit
+
+
+def _every_dense_row(change):
+    """Edit for a dense-features JSONL text: replace each row's features by change(features)."""
+    def edit(text):
+        records = [json.loads(line) for line in text.splitlines()]
+        return "".join(json.dumps({**r, "features": change(r["features"])}) + "\n"
+                       for r in records)
+    return edit
+
+
 # case -> (evaluate flag whose file is broken, edit of that file's text)
 MALFORMED_INPUTS = {
     "truncated_claims_line": ("--db", lambda text: text.rstrip("\n")[:-5] + "\n"),
@@ -606,6 +624,15 @@ MALFORMED_INPUTS = {
     "duplicate_dense_row": ("--dense-features", lambda text: text + text.split("\n", 1)[0] + "\n"),
     "boolean_dense_feature": (
         "--dense-features", _edit_record(lambda record: record["features"].__setitem__(0, True))),
+    "string_number_dense_feature": ("--dense-features", _first_dense_feature_as('"1.5"')),
+    "nan_dense_feature": ("--dense-features", _first_dense_feature_as("NaN")),
+    "overflowing_dense_feature": ("--dense-features", _first_dense_feature_as("1e400")),
+    "infinite_dense_feature": ("--dense-features", _first_dense_feature_as("-Infinity")),
+    "integer_dense_feature_beyond_float": ("--dense-features",
+                                           _first_dense_feature_as("9" * 400)),
+    "nested_dense_rows": ("--dense-features", _every_dense_row(lambda f: [[v] for v in f])),
+    # a string of digits given as each whole row reads as one number per row
+    "dense_rows_strings": ("--dense-features", _every_dense_row(lambda _: "12")),
     "config_line_without_equals": ("--config", lambda _: "ridge 1e-6\n"),
     "non_numeric_config_value": ("--config", lambda _: "ridge = abc\n"),
     "tau_percentile_above_one": ("--config", lambda _: "tau_percentile = 1.5\n"),

@@ -152,6 +152,38 @@ def test_dense_features_used_when_present():
     assert np.all(cohort.features == 5.0)
 
 
+def test_dense_rows_in_any_order_fill_the_matrix_in_patient_order():
+    db = _db([_patient("p2", []), _patient("p1", [])])
+    rows = [{"patient_id": "p9", "features": [7, 7.5]},  # not in the table: dropped
+            {"patient_id": "p2", "features": [3, -1.0]},
+            {"patient_id": "p1", "features": [0.5, 2]}]
+    assert db.with_dense_features(iter(rows)).dense_features.tolist() == [[0.5, 2.0],
+                                                                           [3.0, -1.0]]
+
+
+@pytest.mark.parametrize("features, message", [
+    ([1.5, True], "p1: dense features must be numbers, not booleans"),
+    ([1.5, "2.0"], "p1: dense features must be a list of finite numbers"),
+    ([1.5, float("nan")], "p1: dense features must be a list of finite numbers"),
+    ([float("-inf"), 2.0], "p1: dense features must be a list of finite numbers"),
+    ([[1.5], [2.0]], "p1: dense features must be a list of finite numbers"),
+    ("12", "p1: dense features must be a list of finite numbers"),
+    ({"a": 1.0}, "p1: dense features must be a list of finite numbers"),
+    ([1.5], "p1: 1 dense features, but the first row has 2"),
+    (None, "no dense-feature row for 1 patients, first p1"),
+], ids=["boolean", "string", "nan", "infinite", "nested", "string_row", "object", "shorter",
+        "missing"])
+def test_with_dense_features_names_the_bad_row(features, message):
+    db = _db([_patient("p1", []), _patient("p2", [])])
+    rows = [{"patient_id": "p2", "features": [0.5, 1.0]}]
+    if features is not None:
+        rows.append({"patient_id": "p1", "features": features})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        db.with_dense_features(rows)
+    with pytest.raises(ValueError, match="^p2: duplicate patient_id$"):
+        db.with_dense_features(rows[:1] * 2)
+
+
 def test_claims_line_order_does_not_change_the_cohort():
     patients = _bulk_patients(n_a=180, n_b=150)
     shuffled = [patients[i] for i in np.random.default_rng(4).permutation(len(patients))]

@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import gammainc
 
-from oracles import breslow_loglik, golden_section_max, km_recursive, skip_pointer_match_pairs
+from oracles import (breslow_loglik, golden_section_max, km_recursive, searchsorted_cox_fit,
+                     searchsorted_km_curve, skip_pointer_match_pairs)
 from test_acceptance import PIPELINE_SCENARIO
-from trialbench.cohort import Cohort
+from trialbench import synth
+from trialbench.cohort import Cohort, PatientDB, build_cohort
 from trialbench.estimators import methods as methods_mod
 from trialbench.estimators.methods import (
     EffectEstimate,
@@ -218,6 +220,83 @@ def test_km_matches_recursive_oracle():
     assert curve.survival[0] == pytest.approx(expected[0][1])
     assert curve.left_limit(t0) == 1.0
     assert curve.left_limit(expected[1][0]) == pytest.approx(expected[0][1])
+
+
+SURVIVAL_CASES = ("ties", "zero_and_inf", "distinct", "single_row", "all_censored",
+                  "all_events", "one_arm_without_events")
+
+
+def _survival_case(rng, kind):
+    """Seeded (times, events, treated) of one kind. Integer days in a small range give
+    heavy ties that mix events and censorings; sizes reach past the sorts' small-array
+    cutoff, below which an unstable sort keeps ties in order."""
+    n = 1 if kind == "single_row" else int(rng.integers(2, 300))
+    times = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+    events = rng.random(n) < rng.uniform(0.2, 0.9)
+    treated = rng.random(n) < 0.5
+    if kind == "zero_and_inf":
+        times[rng.random(n) < 0.15] = math.inf
+    elif kind == "distinct":
+        times = rng.exponential(100.0, n)
+    elif kind in ("all_censored", "all_events"):
+        events[:] = kind == "all_events"
+    elif kind == "one_arm_without_events":
+        events[treated == (rng.random() < 0.5)] = False
+    return times, events, treated
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("presorted", [False, True], ids=["shuffled", "presorted"])
+@pytest.mark.parametrize("kind", SURVIVAL_CASES)
+def test_cox_fit_and_km_curve_equal_the_searchsorted_oracles(kind, presorted, weighted):
+    """Tie groups read off the sorted times give bit for bit the fits and curves of
+    the argsort, np.unique and searchsorted forms, on input in any order."""
+    rng = np.random.default_rng(SURVIVAL_CASES.index(kind) * 4 + presorted * 2 + weighted)
+    for _ in range(20):
+        times, events, treated = _survival_case(rng, kind)
+        weights = rng.uniform(0.05, 3.0, len(times)) if weighted else None
+        order = np.argsort(times, kind="stable") if presorted else rng.permutation(len(times))
+        times, events, treated = times[order], events[order], treated[order]
+        weights = None if weights is None else weights[order]
+        assert cox_fit(times, events, treated, weights) == searchsorted_cox_fit(
+            times, events, treated, weights)
+        curve = km_curve(times, events, weights)
+        expected = searchsorted_km_curve(times, events, weights)
+        for field in ("times", "survival", "deaths", "at_risk"):
+            assert np.array_equal(getattr(curve, field), getattr(expected, field)), field
+
+
+def _claims_cohort(seed, dense):
+    """One drug pair's cohort built from seeded claims, on dense or on count features."""
+    config = ScenarioConfig(n_patients=1200, gamma=[0.8, 0.8, 0.6, 0.6], beta=0.4,
+                            eta=[0.5, 0.5, 0.3, 0.3], lambda0=0.003, censoring_rate=0.001)
+    patients, dense_rows, _ = synth.gen_claims(config, np.random.default_rng(seed))
+    db = PatientDB.from_records(patients, synth.vocabulary(config))
+    if dense:
+        db = db.with_dense_features(dense_rows)
+    return build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "counts"])
+def test_run_all_methods_in_time_order_equals_the_cohort_order_oracles(monkeypatch, dense):
+    """The matched set, each arm and each weighting, taken in the outcome's one stable
+    time order, give the rows of the cohort-order subsets that the searchsorted
+    oracles sorted per call."""
+    def rows():
+        return [repr(run_all_methods(_claims_cohort(seed, dense), RunSettings(seed=seed)))
+                for seed in (3, 4)]
+
+    def cohort_order_arms(nz, rows=None):
+        rows = slice(None) if rows is None else rows
+        return nz.time[rows], nz.event[rows], nz.treated[rows]
+
+    in_time_order = rows()
+    assert not any("nan" in run for run in in_time_order)  # every method has an estimate
+    monkeypatch.setattr(methods_mod._Nuisance, "arms", cohort_order_arms)
+    monkeypatch.setattr(methods_mod._Nuisance, "in_time_order", lambda nz, values: values)
+    monkeypatch.setattr(methods_mod, "cox_fit", searchsorted_cox_fit)
+    monkeypatch.setattr(methods_mod, "km_curve", searchsorted_km_curve)
+    assert rows() == in_time_order
 
 
 def test_rmst_hand_fixture():
