@@ -119,12 +119,18 @@ _row_key = operator.itemgetter("drug_a", "drug_b", "outcome_code", "method_id")
 
 
 def _holds_group(rows, entries, methods) -> bool:
-    """Whether rows are one whole estimate row for each (entry, method) of a group."""
+    """Whether rows are one whole estimate row for each (entry, method) of a group, each
+    on its method's scale and read by report."""
     if any(row.keys() != _ROW_FIELDS for row in rows):
+        return False
+    try:
+        metrics_mod.effects_by_method(rows)
+    except (KeyError, TypeError, ValueError):
         return False
     keys = list(map(_row_key, rows))
     return (all(type(v) is str for key in keys for v in key)  # so the keys sort
-            and sorted(keys) == sorted((*e.key, m) for e in entries for m in methods))
+            and sorted(keys) == sorted((*e.key, m) for e in entries for m in methods)
+            and all(row["scale"] == METHOD_REGISTRY[row["method_id"]].scale for row in rows))
 
 
 def _estimate_record(entry, est: EffectEstimate) -> dict:
@@ -157,17 +163,24 @@ def cmd_evaluate(args) -> int:
 
     with parsing(args.config):
         settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
+        default = {f.name: f.default for f in dataclasses.fields(RunSettings)
+                   if f.name != "methods"}  # the config keys; methods come from --methods
+        unknown = [key for key in settings_kv if key not in default]
+        if unknown:
+            raise InputError(f"{args.config}: unknown config key {unknown[0]!r}; "
+                             f"the keys are {list(default)}")
         seed = args.seed if args.seed is not None else (
             seed_value(settings_kv["seed"]) if "seed" in settings_kv else None)
-        # each config key is a field, parsed as its default's type; RunSettings checks it
+        # each config key is parsed as its default's type; RunSettings checks it
         settings = RunSettings(methods=methods, **{
-            f.name: type(f.default)(settings_kv[f.name]) for f in dataclasses.fields(RunSettings)
-            if f.name in settings_kv and f.name not in ("seed", "methods")})
+            key: type(default[key])(value) for key, value in settings_kv.items()
+            if key != "seed"})
     if seed is None:
         raise InputError("an explicit --seed (or seed= in the run config) is required")
 
+    vocab_sha256 = sha256_file(vocab_path)
     expected_vocab = reference.provenance.get("db_vocab_sha256")
-    if expected_vocab is not None and expected_vocab != sha256_file(vocab_path):
+    if expected_vocab is not None and expected_vocab != vocab_sha256:
         raise ProvenanceError("reference set was built against a different db vocabulary")
 
     header = {
@@ -182,7 +195,7 @@ def cmd_evaluate(args) -> int:
     part_header = {
         **header,
         "db_sha256": sha256_file(db_path),
-        "vocab_sha256": sha256_file(vocab_path),
+        "vocab_sha256": vocab_sha256,
         "dense_features_sha256": sha256_file(dense_path) if dense_path else None,
     }
     out_path = Path(args.out)

@@ -35,7 +35,7 @@ class PatientDB:
     owner: np.ndarray              # per event: row in patients
     day: np.ndarray                # per event
     key: np.ndarray                # per event: value in keys
-    keys: dict[tuple[str, str], int]  # interned (kind, code) pairs
+    keys: dict[tuple[str, str], int]  # (kind, code) -> number, in the order parsing met them
     column: np.ndarray             # per key: vocabulary position of its code, or -1
     vocabulary: list[str]          # fixed feature ordering
     dense_features: np.ndarray | None = None  # (patients, d)
@@ -43,11 +43,11 @@ class PatientDB:
     @classmethod
     def from_records(cls, records, vocabulary) -> PatientDB:
         """Build the table in one pass over claims records in any order, keeping only
-        their values in flat columns; an event keeps only the number its (kind, code)
-        pair got when first parsed, and keys are then renumbered by first appearance in
-        id order. Raises ValueError on a duplicate id, a day or
-        observation bound that is not an integer, a kind or code that is not a string,
-        or an event out of day order or outside its patient's observation window."""
+        their values in flat columns; each (kind, code) pair is numbered in the order
+        parsing first meets it, and an event keeps only that number. Raises ValueError
+        on a duplicate id, a day or observation bound that is not an integer, a kind or
+        code that is not a string, or an event out of day order or outside its patient's
+        observation window."""
         ids, start, end, count, day, pair = [], [], [], [], [], []
         numbers = {}  # (kind, code) -> its number, in file order
         for rec in records:
@@ -67,11 +67,6 @@ class PatientDB:
         start, end = _integers(start)[order], _integers(end)[order]
         if not all(type(k) is str and type(c) is str for k, c in numbers):
             raise ValueError("event kinds and codes must be strings")
-        pairs, first, key = np.unique(np.array(pair, dtype=np.intp)[by_patient],
-                                      return_index=True, return_inverse=True)
-        by_first = np.argsort(first)  # keys are renumbered by first appearance in id order
-        named = list(numbers)
-        keys = {named[p]: i for i, p in enumerate(pairs[by_first].tolist())}
         rules = {  # the patient rows that break each rule
             "duplicate patient_id":
                 np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
@@ -82,9 +77,9 @@ class PatientDB:
             if len(bad):
                 raise ValueError(f"{patients[bad[0]]}: {what}")
         position = {code: i for i, code in enumerate(vocabulary)}
-        column = np.array([position.get(c, -1) for _, c in keys], dtype=np.intp)
-        return cls(patients, end, owner, day, np.argsort(by_first)[key], keys, column,
-                   list(vocabulary))
+        column = np.array([position.get(c, -1) for _, c in numbers], dtype=np.intp)
+        return cls(patients, end, owner, day, np.array(pair, dtype=np.intp)[by_patient],
+                   numbers, column, list(vocabulary))
 
     def with_dense_features(self, rows) -> PatientDB:
         """Attach one feature row per patient from {patient_id, features} records in any

@@ -299,6 +299,15 @@ def _part_with_rows(part, rows, extra=""):
     return (header + "".join(lines[i] for i in rows) + extra).encode()
 
 
+def _part_with_first_row(**fields):
+    """A damage: the part with fields set in its first row."""
+    def damage(part):
+        header, first, *rest = part.read_text().splitlines(keepends=True)
+        return (header + json.dumps({**json.loads(first), **fields}) + "\n"
+                + "".join(rest)).encode()
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     lambda _: b"\xff\xfe",
     lambda _: b"not json\n",
@@ -306,11 +315,17 @@ def _part_with_rows(part, rows, extra=""):
     lambda part: _part_with_rows(part, range(4)),
     lambda part: _part_with_rows(part, [*range(8), 0]),
     lambda part: _part_with_rows(part, [], '{"point": 1.0}\n'),
+    _part_with_first_row(point="x"),
+    _part_with_first_row(converged=1),
+    _part_with_first_row(scale="risk_difference"),
+    lambda part: _part_with_rows(part, range(9)).replace(b"log_hazard_ratio",
+                                                         b"rmst_difference_days"),
 ], ids=["not_utf8", "not_json", "list_row_under_matching_header", "four_of_nine_rows",
-        "a_row_twice", "row_without_keys"])
+        "a_row_twice", "row_without_keys", "string_point", "integer_converged",
+        "unknown_scale", "scale_not_the_methods"])
 def test_evaluate_resume_recomputes_unreadable_parts(pipeline, tmp_path, damage):
     """A part is reused only when it reads cleanly under the run's header and holds one
-    whole estimate row for each (entry, method) of its group."""
+    whole estimate row for each (entry, method) of its group, each a row report reads."""
     _, sim, refset_path, _, _ = pipeline
     argv = ["evaluate", "--refset", str(refset_path), "--db", str(sim / "claims.jsonl"),
             "--vocab", str(sim / "vocab.txt"), "--seed", "23", "--out", str(tmp_path / "e.jsonl")]
@@ -639,6 +654,8 @@ MALFORMED_INPUTS = {
     "tau_percentile_nan": ("--config", lambda _: "tau_percentile = nan\n"),
     "negative_max_per_arm": ("--config", lambda _: "max_per_arm = -5\n"),
     "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
+    "misspelt_config_key": ("--config", lambda _: "calipr_sd_logit = 0.0001\n"),
+    "methods_config_key": ("--config", lambda _: "methods = cox_psm\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
     "refset_header_a_list": ("--refset", lambda text: "[1]\n" + text.split("\n", 1)[1]),
     "refset_provenance_a_list": ("--refset", _edit_record(lambda record: record.update(

@@ -136,10 +136,11 @@ def test_load_patient_db(tmp_path):
     assert db.observation_end.tolist() == [90, 100]
     assert db.owner.tolist() == [0, 0, 1, 1]
     assert db.day.tolist() == [10, 11, 3, 10]
-    assert [list(db.keys)[k] for k in db.key] == [
-        ("drug_claim", "DRUG_A"), ("procedure", "OTHER"),
-        ("diagnosis", "OUT"), ("drug_claim", "DRUG_A")]
-    assert db.column.tolist() == [0, -1, 2]  # per key; OTHER is not in the vocabulary
+    assert _named(db) == {
+        "key": [("drug_claim", "DRUG_A"), ("procedure", "OTHER"),
+                ("diagnosis", "OUT"), ("drug_claim", "DRUG_A")],
+        "column": {("drug_claim", "DRUG_A"): 0, ("procedure", "OTHER"): -1,  # not in vocab
+                   ("diagnosis", "OUT"): 2}}
     assert db.dense_features.tolist() == [[0.5, -1.0], [1.5, 2.0]]
 
 
@@ -195,6 +196,34 @@ def test_claims_line_order_does_not_change_the_cohort():
         assert np.array_equal(getattr(a, field), getattr(b, field))
     for got, want in zip(a.outcomes[0], b.outcomes[0]):  # time, then event
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("db_seed", range(3))
+def test_line_order_renumbers_keys_but_not_the_cohort(db_seed):
+    rng = np.random.default_rng(db_seed)
+    records = _random_records(rng)
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    vocab = DIAGNOSES[::-1] + DRUGS  # UNKNOWN stays outside the vocabulary
+    kinds_of = {}
+    for rec in records:
+        for _, kind, code in rec["events"]:
+            kinds_of.setdefault(code, set()).add(kind)
+    assert max(map(len, kinds_of.values())) == 3 and set(kinds_of) - set(vocab)
+    dense = [{"patient_id": rec["patient_id"], "features": rng.normal(size=3).tolist()}
+             for rec in shuffled]
+    dbs = [_db(recs, vocab) for recs in (records, shuffled)]
+    assert set(dbs[0].keys) == set(dbs[1].keys) and dbs[0].keys != dbs[1].keys
+    for drug_a, drug_b in [("DRUG_A", "DRUG_B"), ("DRUG_C", "DRUG_A")]:
+        for features in (None, dense):
+            a, b = (build_cohort(db if features is None else db.with_dense_features(features),
+                                 drug_a, drug_b, DIAGNOSES, seed=db_seed, max_per_arm=40,
+                                 min_per_arm=10) for db in dbs)
+            assert isinstance(a, Cohort) and len(a.outcomes) == len(DIAGNOSES) >= 2
+            assert a.patient_ids == b.patient_ids and a.features.any()
+            for field in ("treated", "features"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            for got, want in zip(a.outcomes, b.outcomes):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def _reference_cohort(records, vocab, drug_a, drug_b, outcome_code, seed, max_per_arm,
@@ -267,22 +296,28 @@ def test_build_cohort_matches_per_patient_reference(db_seed):
 
 def _reference_table(records, vocabulary):
     """The list-of-records build that the streamed from_records replaces, kept as its
-    reference: sort the record dicts by id, then intern (kind, code) per event."""
+    reference: sort the record dicts by id; key fields go by (kind, code), as in _named."""
     records = sorted(records, key=lambda rec: str(rec["patient_id"]))
     events = [rec["events"] for rec in records]
-    keys = {}
-    key = [keys.setdefault((k, c), len(keys)) for ev in events for _, k, c in ev]
     position = {code: i for i, code in enumerate(vocabulary)}
     return {
         "patients": [str(rec["patient_id"]) for rec in records],
         "observation_end": [rec["observation_end"] for rec in records],
         "owner": [row for row, ev in enumerate(events) for _ in ev],
         "day": [e[0] for ev in events for e in ev],
-        "key": key,
-        "keys": list(keys.items()),
-        "column": [position.get(c, -1) for _, c in keys],
+        "key": [(k, c) for ev in events for _, k, c in ev],
+        "column": {(k, c): position.get(c, -1) for ev in events for _, k, c in ev},
         "vocabulary": list(vocabulary),
     }
+
+
+def _named(db):
+    """db's key fields by (kind, code) rather than by number: each event's pair, and each
+    pair's vocabulary column. Checks that keys are numbered 0, 1, ... in dict order."""
+    names = list(db.keys)
+    assert list(db.keys.values()) == list(range(len(names))) and len(db.column) == len(names)
+    return {"key": [names[k] for k in db.key.tolist()],
+            "column": dict(zip(names, db.column.tolist()))}
 
 
 @pytest.mark.parametrize("db_seed", range(4))
@@ -299,8 +334,9 @@ def test_streamed_load_matches_record_list_reference(tmp_path, db_seed):
     assert db.patients == expected["patients"]
     for field in ("observation_end", "owner", "day", "key", "column"):
         assert getattr(db, field).dtype.kind == "i", field
+    for field in ("observation_end", "owner", "day"):
         assert getattr(db, field).tolist() == expected[field], field
-    assert list(db.keys.items()) == expected["keys"]
+    assert _named(db) == {"key": expected["key"], "column": expected["column"]}
     assert db.vocabulary == expected["vocabulary"]
     assert db.dense_features is None
 
@@ -319,13 +355,17 @@ def test_from_records_consumes_a_one_shot_generator():
 
 
 def _assert_same_db(got, want):
+    """Every field equal, except that key numbers may differ: key, keys and column are
+    compared by (kind, code)."""
     for field in dataclasses.fields(PatientDB):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
+            assert a.dtype == b.dtype, field.name
+            if field.name not in ("key", "column"):
+                assert np.array_equal(a, b), field.name
+        elif field.name != "keys":
             assert a == b, field.name
-    assert list(got.keys.items()) == list(want.keys.items())  # == on dicts ignores order
+    assert _named(got) == _named(want)
 
 
 @pytest.mark.parametrize("db_seed", range(6))
