@@ -24,7 +24,7 @@ from . import synth
 from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimates,
                          run_all_methods)
 from .formats import (InputError, dump_json_line, parsing, read_jsonl, read_kv_config,
-                      sha256_file, write_jsonl)
+                      sha256_file, write_jsonl, write_lines)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,10 +54,8 @@ def cmd_build_refset(args) -> int:
     refset_mod.save(built, args.out)
     refset_mod.save_drop_report(drops, str(args.out) + ".drops.tsv")
     if parsed.diagnostics:
-        diag_path = Path(str(args.out) + ".diagnostics.tsv")
-        lines = ["line_number\tmessage"]
-        lines += [f"{d.line_number}\t{d.message}" for d in parsed.diagnostics]
-        diag_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(str(args.out) + ".diagnostics.tsv", ["line_number\tmessage", *(
+            f"{d.line_number}\t{d.message}" for d in parsed.diagnostics)])
     print(f"wrote {len(built.entries)} reference entries to {args.out}")
     return EXIT_OK
 
@@ -81,28 +79,23 @@ def cmd_simulate(args) -> int:
         if config is not None:  # raises ValueError on a draw that leaves one arm empty
             patients, dense_rows, _ = synth.gen_claims(config, rng)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     drugs, outcomes = set(), set()
     if config is not None:
         write_jsonl(out_dir / "claims.jsonl", patients)
         write_jsonl(out_dir / "dense_features.jsonl", dense_rows)
-        (out_dir / "vocab.txt").write_text(
-            "\n".join(synth.vocabulary(config)) + "\n", encoding="utf-8")
+        write_lines(out_dir / "vocab.txt", synth.vocabulary(config))
         truth = synth.ground_truth(config, rng, n_mc=n_mc)
-        (out_dir / "ground_truth.json").write_text(
-            dump_json_line(dataclasses.asdict(truth)) + "\n", encoding="utf-8")
+        write_jsonl(out_dir / "ground_truth.json", [dataclasses.asdict(truth)])
         drugs |= {config.drug_a, config.drug_b}
         outcomes.add(config.outcome_code)
     if planted is not None:
         drugs |= {drug for comp in planted for drug in (comp.drug_a, comp.drug_b)}
         outcomes |= {comp.outcome for comp in planted}
-        lines = synth.gen_trial_dump(planted, seed=args.seed + 1)
-        (out_dir / "trial_dump.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out_dir / "drug_dict.tsv").write_text(
-        "\n".join(synth.make_drug_dictionary_rows(drugs)) + "\n", encoding="utf-8")
-    (out_dir / "outcome_dict.tsv").write_text(
-        "\n".join(synth.make_outcome_dictionary_rows(outcomes)) + "\n", encoding="utf-8")
+        write_lines(out_dir / "trial_dump.jsonl",
+                    synth.gen_trial_dump(planted, seed=args.seed + 1))
+    write_lines(out_dir / "drug_dict.tsv", synth.make_drug_dictionary_rows(drugs))
+    write_lines(out_dir / "outcome_dict.tsv", synth.make_outcome_dictionary_rows(outcomes))
     print(f"simulation outputs written to {out_dir}")
     return EXIT_OK
 
@@ -200,7 +193,6 @@ def cmd_evaluate(args) -> int:
     }
     out_path = Path(args.out)
     parts_dir = Path(str(out_path) + ".parts")
-    parts_dir.mkdir(parents=True, exist_ok=True)
 
     groups: dict[tuple, list] = {}  # the entries by drug pair
     for entry in reference.entries:
@@ -298,13 +290,9 @@ def cmd_report(args) -> int:
             continue
         curve_lines += [line(method_id, scale, fmt(row.threshold), row=row) for row in curve]
 
-    out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(str(out_prefix) + ".table.tsv").write_text(
-        "\n".join(table_lines) + "\n", encoding="utf-8")
-    Path(str(out_prefix) + ".pr_curve.tsv").write_text(
-        "\n".join(curve_lines) + "\n", encoding="utf-8")
-    print(f"wrote report files with prefix {out_prefix}")
+    write_lines(args.out + ".table.tsv", table_lines)
+    write_lines(args.out + ".pr_curve.tsv", curve_lines)
+    print(f"wrote report files with prefix {args.out}")
     return EXIT_OK
 
 

@@ -264,10 +264,6 @@ def _lower_gamma_p(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _aft_design(features, treatment):
-    treatment = np.asarray(treatment, dtype=float)
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[:, None]
     return np.column_stack([np.ones(len(treatment)), treatment, features])
 
 
@@ -291,9 +287,10 @@ def aft_fit(features, treatment, times, events) -> AFTModel:
         if params[0] <= 0:
             return -math.inf, None
         z = W @ params
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # each exp(z), or only their sum, may overflow
             u = np.exp(z)
-        ll = float(d @ z + n_events * math.log(params[0]) - u.sum())
+            total = u.sum()
+        ll = float(d @ z + n_events * math.log(params[0]) - total)
         return (ll if math.isfinite(ll) else -math.inf), u
 
     params = np.zeros(W.shape[1])

@@ -1,8 +1,10 @@
-"""Shared file-format helpers: line-delimited JSON, checksums, key=value configs."""
+"""Shared file-format helpers: the one atomic output writer, line-delimited JSON,
+checksums, key=value configs."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -36,16 +38,26 @@ def dump_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(path, records, header=None):
+def write_lines(path, lines):
+    """Write each line and a newline, in UTF-8, to <path>.tmp and rename it over path, so
+    a write that fails or is stopped leaves the previous file whole; a write that raises
+    removes its .tmp. Missing parent directories are made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(dump_json_line(header) + "\n")
-        for rec in records:
-            fh.write(dump_json_line(rec) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path, records, header=None):
+    head = () if header is None else (header,)
+    write_lines(path, map(dump_json_line, itertools.chain(head, records)))
 
 
 def iter_jsonl(path):
@@ -82,7 +94,7 @@ def read_jsonl(path, expect_header: bool = False):
 
 
 def read_kv_config(path) -> dict[str, str]:
-    """Plain key = value text; '#' starts a comment."""
+    """Plain key = value text; '#' starts a comment. A repeated key raises InputError."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -91,6 +103,8 @@ def read_kv_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise InputError(f"{path}: bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise InputError(f"{path}: config key {key!r} is repeated")
+            out[key] = value
     return out

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 from . import exact, ingest
 from .exact import WEAK_OR_LOW, WEAK_OR_HIGH
-from .formats import InputError, parsing, read_jsonl, sha256_file, write_jsonl
+from .formats import InputError, parsing, read_jsonl, sha256_file, write_jsonl, write_lines
 
 DEFAULT_ALPHA = 0.05
 
@@ -205,9 +204,4 @@ def load(path) -> ReferenceSet:
 
 
 def save_drop_report(drops: Counter, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["rule\tcount"]
-    for rule in sorted(drops):
-        lines.append(f"{rule}\t{drops[rule]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["rule\tcount", *(f"{rule}\t{drops[rule]}" for rule in sorted(drops))])

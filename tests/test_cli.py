@@ -656,6 +656,7 @@ MALFORMED_INPUTS = {
     "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
     "misspelt_config_key": ("--config", lambda _: "calipr_sd_logit = 0.0001\n"),
     "methods_config_key": ("--config", lambda _: "methods = cox_psm\n"),
+    "repeated_config_key": ("--config", lambda _: "max_per_arm = 5\nmax_per_arm = 500\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
     "refset_header_a_list": ("--refset", lambda text: "[1]\n" + text.split("\n", 1)[1]),
     "refset_provenance_a_list": ("--refset", _edit_record(lambda record: record.update(
@@ -701,7 +702,8 @@ def test_invalid_claims_line_is_reported_once(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("flag, text", [
     ("--drug-dict", "text_pattern\tingredient_id\tmatch_score\nalphazine\tALPHA\tabc\n"),
     ("--outcome-dict", "source_term_code\ttarget_outcome_code\nT1\tMI\nT1\tSTROKE\n"),
-], ids=["bad_match_score", "conflicting_outcome_targets"])
+    ("--drug-dict", "text_pattern\tingredient_id\tmatch_score\nalphazine\tALPHA\n"),
+], ids=["bad_match_score", "conflicting_outcome_targets", "wrong_column_count"])
 def test_dictionary_errors_name_the_file(pipeline, tmp_path, capsys, flag, text):
     _, sim, _, _, _ = pipeline
     inputs = {"--dump": sim / "trial_dump.jsonl", "--drug-dict": sim / "drug_dict.tsv",
@@ -736,6 +738,7 @@ MALFORMED_ESTIMATES = {
     "mixed_scales_in_one_method": _second_row_on_other_scale,
     "header_a_list": lambda text: "[1]\n" + text.split("\n", 1)[1],
     "integer_method_id": _edit_record(lambda record: record.update(method_id=5), line=1),
+    "header_without_rows": lambda text: text.split("\n", 1)[0] + "\n",
 }
 
 

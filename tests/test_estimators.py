@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ def test_aft_requires_events():
     model = aft_fit(np.zeros((20, 1)), np.zeros(20), np.ones(20) * 5,
                     np.zeros(20, dtype=bool))
     assert not model.converged
+
+
+def test_aft_step_whose_exp_sum_overflows_is_halved_without_a_warning():
+    # each exp(z) of an early trial step is finite but their sum passes 1.8e308; the
+    # step is halved, and the sum must not leak numpy's overflow warning
+    rng = np.random.default_rng(75)
+    n = 40
+    x = (rng.random((n, 1)) < 0.5) * 10.0
+    trt = rng.random(n) < 0.5
+    t = np.exp(4 * rng.standard_normal(n) + 3 * x[:, 0] + 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = aft_fit(x, trt, t, np.ones(n))
+    assert model.converged
+    score = _weibull_score(model.theta, model.log_sigma, x, trt, t, np.ones(n))
+    assert np.abs(score).max() < 1e-6 * n
 
 
 def test_aft_predicted_rmst_matches_numeric_integration():

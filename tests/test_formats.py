@@ -11,6 +11,7 @@ from trialbench.formats import (
     read_kv_config,
     sha256_file,
     write_jsonl,
+    write_lines,
 )
 
 
@@ -34,6 +35,29 @@ def test_jsonl_round_trip(tmp_path):
     _, all_records = read_jsonl(path)
     assert len(all_records) == 3
     assert not path.with_suffix(".jsonl.tmp").exists()
+
+
+def test_write_lines_makes_parents_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "new" / "nested" / "out.tsv"
+    write_lines(path, ["a\tb", "é"])
+    assert path.read_bytes() == "a\tb\né\n".encode("utf-8")
+    write_lines(path, iter([]))
+    assert path.read_bytes() == b""
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.tsv"]
+
+
+def test_write_lines_that_raise_leave_the_target_whole(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"previous\tgood\n")
+
+    def lines():
+        yield "first"
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"previous\tgood\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
 
 
 def test_jsonl_header_is_line_one_only(tmp_path):
@@ -108,3 +132,8 @@ def test_read_kv_config(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         read_kv_config(bad)
+    # the last of two values would silently win
+    bad.write_text("max_per_arm = 5\nmax_per_arm = 500\n")
+    with pytest.raises(InputError) as excinfo:
+        read_kv_config(bad)
+    assert str(excinfo.value) == f"{bad}: config key 'max_per_arm' is repeated"

@@ -95,3 +95,33 @@ def test_no_src_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.relative_to(SRC).as_posix())
     assert importers == []
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether call writes to the file system: Path.write_text/write_bytes, any mkdir,
+    os.replace/rename, or open in a mode other than reading (a mode that is not a
+    literal counts as writing)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return True
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id == "os" and name in ("replace", "rename")):
+        return True
+    if name != "open":
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_formats_writes_files():
+    """Every output goes through formats.write_lines, which writes <path>.tmp and renames
+    it over the target; a module writing on its own could leave a cut-off file."""
+    writers = sorted(
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in SRC.rglob("*.py") if path.name != "formats.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node))
+    assert writers == []
