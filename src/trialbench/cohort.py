@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ NEVER = np.iinfo(np.int64).max  # first day of a claim the patient never had
 
 @dataclass(frozen=True)
 class PatientDB:
-    """The claims DB as columns: patients in id order, events by patient then day."""
-    patients: list[str]            # sorted, unique patient ids
+    """The claims DB as columns: patients and their events in file order."""
+    patients: list[str]            # unique patient ids, in file order
     observation_end: np.ndarray    # per patient
-    owner: np.ndarray              # per event: row in patients
+    owner: np.ndarray              # per event: row in patients; a patient's events are adjacent
     day: np.ndarray                # per event
     key: np.ndarray                # per event: value in keys
     keys: dict[tuple[str, str], int]  # (kind, code) -> number, in the order parsing met them
@@ -43,43 +44,40 @@ class PatientDB:
     @classmethod
     def from_records(cls, records, vocabulary) -> PatientDB:
         """Build the table in one pass over claims records in any order, keeping only
-        their values in flat columns; each (kind, code) pair is numbered in the order
-        parsing first meets it, and an event keeps only that number. Raises ValueError
-        on a duplicate id, a day or observation bound that is not an integer, a kind or
-        code that is not a string, or an event out of day order or outside its patient's
-        observation window."""
-        ids, start, end, count, day, pair = [], [], [], [], [], []
+        their values in flat columns, in file order; each (kind, code) pair is numbered
+        in the order parsing first meets it, and an event keeps only that number. Raises
+        ValueError on a duplicate id, a day or observation bound that is not an integer,
+        a kind or code that is not a string, or an event out of day order or outside its
+        patient's observation window; of several patients that break a rule, the error
+        names the smallest id."""
+        patients, start, end, count, day, pair = [], [], [], [], [], []
         numbers = {}  # (kind, code) -> its number, in file order
         for rec in records:
-            ids.append(str(rec["patient_id"]))
+            patients.append(str(rec["patient_id"]))
             start.append(rec["observation_start"])
             end.append(rec["observation_end"])
             count.append(len(rec["events"]))
             for d, k, c in rec["events"]:
                 day.append(d)
                 pair.append(numbers.setdefault((k, c), len(numbers)))
-        order = sorted(range(len(ids)), key=ids.__getitem__)  # record index per row, id order
-        patients = [ids[i] for i in order]
-        unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
-        by_patient = np.argsort(unsorted, kind="stable")  # a patient's events keep file order
-        owner = unsorted[by_patient]
-        day = _integers(day)[by_patient]
-        start, end = _integers(start)[order], _integers(end)[order]
+        owner = np.repeat(np.arange(len(patients)), np.array(count, dtype=np.intp))
+        day, start, end = _integers(day), _integers(start), _integers(end)
         if not all(type(k) is str and type(c) is str for k, c in numbers):
             raise ValueError("event kinds and codes must be strings")
+        if len(set(patients)) < len(patients):
+            twice = min(p for p, n in Counter(patients).items() if n > 1)
+            raise ValueError(f"{twice}: duplicate patient_id")
         rules = {  # the patient rows that break each rule
-            "duplicate patient_id":
-                np.flatnonzero([a == b for a, b in zip(patients, patients[1:])]),
             "events not day-sorted": owner[1:][(owner[1:] == owner[:-1]) & (day[1:] < day[:-1])],
             "event outside observation window": owner[(day < start[owner]) | (day > end[owner])],
         }
         for what, bad in rules.items():
             if len(bad):
-                raise ValueError(f"{patients[bad[0]]}: {what}")
+                raise ValueError(f"{min(patients[i] for i in bad.tolist())}: {what}")
         position = {code: i for i, code in enumerate(vocabulary)}
         column = np.array([position.get(c, -1) for _, c in numbers], dtype=np.intp)
-        return cls(patients, end, owner, day, np.array(pair, dtype=np.intp)[by_patient],
-                   numbers, column, list(vocabulary))
+        return cls(patients, end, owner, day, np.array(pair, dtype=np.intp), numbers, column,
+                   list(vocabulary))
 
     def with_dense_features(self, rows) -> PatientDB:
         """Attach one feature row per patient from {patient_id, features} records in any
@@ -110,7 +108,7 @@ class PatientDB:
         missing = [p for p in self.patients if p not in seen]
         if missing:
             raise ValueError(f"no dense-feature row for {len(missing)} patients, "
-                             f"first {missing[0]}")
+                             f"first {min(missing)}")
         return dataclasses.replace(self, dense_features=matrix)
 
     def earliest_day(self, kind, code, where=True) -> np.ndarray:
@@ -123,16 +121,19 @@ class PatientDB:
 
 def _integers(values) -> np.ndarray:
     """values as int64; ValueError unless each is a JSON integer (a boolean is not) that fits."""
-    if set(map(type, values)) - {int} or not (-1 << 63 <= min(values, default=0)
-                                              and max(values, default=0) < 1 << 63):
-        raise ValueError("event days and observation bounds must be JSON integers")
-    return np.array(values, dtype=np.int64)
+    message = "event days and observation bounds must be JSON integers"
+    if set(map(type, values)) - {int}:
+        raise ValueError(message)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(message) from None
 
 
 @dataclass
 class Cohort:
-    """One drug pair's new users. Per outcome, time is the days from index to event or
-    censoring, and event is True where the outcome occurred."""
+    """One drug pair's new users, in patient-id order. Per outcome, time is the days from
+    index to event or censoring, and event is True where the outcome occurred."""
     patient_ids: list[str]
     treated: np.ndarray   # True where treatment == drug_a
     features: np.ndarray  # (n, p)
@@ -174,27 +175,34 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
 
     day_a = db.earliest_day(KIND_DRUG, drug_a)
     day_b = db.earliest_day(KIND_DRUG, drug_b)
+    # the patients with a first claim of one drug before the other, in patient-id order
+    rows = np.array(sorted(np.flatnonzero(day_a != day_b).tolist(), key=db.patients.__getitem__),
+                    dtype=np.intp)
+    treated = day_a[rows] < day_b[rows]
     rng = np.random.default_rng(seed)
-    arms = []
-    for arm in (np.flatnonzero(day_a < day_b), np.flatnonzero(day_b < day_a)):
+    arms = []  # positions in rows
+    for arm in (np.flatnonzero(treated), np.flatnonzero(~treated)):
         if len(arm) > max_per_arm:
             arm = arm[rng.choice(len(arm), size=max_per_arm, replace=False)]
         arms.append(arm)
     if min(map(len, arms)) < min_per_arm:
         return SkipSignal(reason=f"arm below minimum size: {len(arms[0])} vs {len(arms[1])}")
 
-    in_cohort = np.zeros(len(db.patients), dtype=bool)
-    in_cohort[np.concatenate(arms)] = True
-    rows = np.flatnonzero(in_cohort)  # patient-id order
-    index_day = np.where(in_cohort, np.minimum(day_a, day_b), NEVER)
+    kept = np.sort(np.concatenate(arms))
+    rows, treated = rows[kept], treated[kept]
+    position = np.full(len(db.patients), -1)  # per patient: its row in the cohort, or -1
+    position[rows] = np.arange(len(rows))
+    index_day = np.full(len(db.patients), NEVER)
+    index_day[rows] = np.minimum(day_a[rows], day_b[rows])
     after = db.day >= index_day[db.owner]  # per event; never true outside the cohort
     if db.dense_features is not None:
         features = db.dense_features[rows]
     else:  # pre-index event counts per code, scattered into (rows, vocabulary)
         column = db.column[db.key]
-        pre = in_cohort[db.owner] & ~after & (column >= 0)
+        at = position[db.owner]
+        pre = (at >= 0) & ~after & (column >= 0)
         width = len(db.vocabulary)
-        cell = (np.cumsum(in_cohort) - 1)[db.owner[pre]] * width + column[pre]
+        cell = at[pre] * width + column[pre]
         features = np.bincount(cell, minlength=len(rows) * width).reshape(len(rows), width)
     follow_up = []
     for outcome in outcomes:
@@ -203,7 +211,7 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
         follow_up.append(((end - index_day[rows]).astype(float), day != NEVER))
     return Cohort(
         patient_ids=[db.patients[i] for i in rows],
-        treated=day_a[rows] < day_b[rows],
+        treated=treated,
         features=features.astype(float),
         outcomes=follow_up,
     )

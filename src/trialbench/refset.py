@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from . import exact, ingest
 from .exact import WEAK_OR_LOW, WEAK_OR_HIGH
@@ -159,7 +159,7 @@ def build(dump_path, drug_dict_path, outcome_dict_path,
 
 def save(refset: ReferenceSet, path):
     header = {"kind": "reference_set", "provenance": refset.provenance}
-    write_jsonl(path, (asdict(e) for e in refset.entries), header=header)
+    write_jsonl(path, map(vars, refset.entries), header=header)
 
 
 def load(path) -> ReferenceSet:

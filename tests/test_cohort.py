@@ -19,6 +19,20 @@ def _db(patients, vocab=("DRUG_A", "DRUG_B", "OUT", "COV0")):
     return PatientDB.from_records(list(patients), list(vocab))
 
 
+def _in_id_order(db):
+    """db with its patients in id order and its events grouped by patient in that order,
+    each patient's events in file order: the layout of a table that sorts by id on load.
+    Every field keeps its dtype."""
+    order = sorted(range(len(db.patients)), key=db.patients.__getitem__)
+    row = np.argsort(order).astype(db.owner.dtype)  # per file row, its row in id order
+    by_patient = np.argsort(row[db.owner], kind="stable")
+    return dataclasses.replace(
+        db, patients=[db.patients[i] for i in order],
+        observation_end=db.observation_end[order], owner=row[db.owner][by_patient],
+        day=db.day[by_patient], key=db.key[by_patient],
+        dense_features=None if db.dense_features is None else db.dense_features[order])
+
+
 def test_stream_validation():
     with pytest.raises(ValueError, match="p: events not day-sorted"):
         _db([_patient("p", [(5, "diagnosis", "X"), (3, "diagnosis", "Y")])])
@@ -130,8 +144,13 @@ def test_load_patient_db(tmp_path):
     dense_path = tmp_path / "dense.jsonl"
     dense_path.write_text(json.dumps({"patient_id": "p2", "features": [1.5, 2.0]}) + "\n"
                           + json.dumps({"patient_id": "p1", "features": [0.5, -1.0]}) + "\n")
-    db = load_patient_db(db_path, vocab_path, dense_path)
-    assert db.patients == ["p1", "p2"]  # id order, whatever the line order
+    loaded = load_patient_db(db_path, vocab_path, dense_path)
+    assert loaded.patients == ["p2", "p1"]  # line order
+    assert loaded.owner.tolist() == [0, 0, 1, 1]
+    assert loaded.day.tolist() == [3, 10, 10, 11]
+    assert loaded.dense_features.tolist() == [[1.5, 2.0], [0.5, -1.0]]
+    db = _in_id_order(loaded)
+    assert db.patients == ["p1", "p2"]
     assert db.vocabulary == ["DRUG_A", "DRUG_B", "OUT"]
     assert db.observation_end.tolist() == [90, 100]
     assert db.owner.tolist() == [0, 0, 1, 1]
@@ -158,8 +177,9 @@ def test_dense_rows_in_any_order_fill_the_matrix_in_patient_order():
     rows = [{"patient_id": "p9", "features": [7, 7.5]},  # not in the table: dropped
             {"patient_id": "p2", "features": [3, -1.0]},
             {"patient_id": "p1", "features": [0.5, 2]}]
-    assert db.with_dense_features(iter(rows)).dense_features.tolist() == [[0.5, 2.0],
-                                                                           [3.0, -1.0]]
+    db = db.with_dense_features(iter(rows))
+    assert db.dense_features.tolist() == [[3.0, -1.0], [0.5, 2.0]]  # rows of p2, p1
+    assert _in_id_order(db).dense_features.tolist() == [[0.5, 2.0], [3.0, -1.0]]
 
 
 @pytest.mark.parametrize("features, message", [
@@ -329,7 +349,9 @@ def test_streamed_load_matches_record_list_reference(tmp_path, db_seed):
     db_path.write_text("".join(json.dumps(rec) + "\n" for rec in shuffled))
     vocab = DIAGNOSES[::-1] + DRUGS[:2]  # DRUG_C and the procedure codes stay unknown
     vocab_path.write_text("\n".join(vocab) + "\n")
-    db = load_patient_db(db_path, vocab_path)
+    loaded = load_patient_db(db_path, vocab_path)
+    assert loaded.patients == [str(rec["patient_id"]) for rec in shuffled]
+    db = _in_id_order(loaded)
     expected = _reference_table(shuffled, vocab)
     assert db.patients == expected["patients"]
     for field in ("observation_end", "owner", "day", "key", "column"):
@@ -383,8 +405,21 @@ def test_from_records_matches_the_interning_oracle(db_seed):
     assert any(not rec["events"] for rec in records)
     assert max(map(len, kinds_of.values())) == 3
     assert set(kinds_of) - set(vocab)
-    _assert_same_db(PatientDB.from_records(shuffled, vocab),
+    _assert_same_db(_in_id_order(PatientDB.from_records(shuffled, vocab)),
                     interned_patient_db(shuffled, vocab))
+
+
+@pytest.mark.parametrize("db_seed", range(3))
+def test_patients_and_events_keep_file_order(db_seed):
+    rng = np.random.default_rng(db_seed)
+    records = _random_records(rng, n=100, pid="p{}")
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    db = PatientDB.from_records(shuffled, DRUGS + DIAGNOSES)
+    assert db.patients == [rec["patient_id"] for rec in shuffled] != sorted(db.patients)
+    assert db.observation_end.tolist() == [rec["observation_end"] for rec in shuffled]
+    assert db.owner.tolist() == [row for row, rec in enumerate(shuffled) for _ in rec["events"]]
+    assert db.day.tolist() == [d for rec in shuffled for d, _, _ in rec["events"]]
+    assert _named(db)["key"] == [(k, c) for rec in shuffled for _, k, c in rec["events"]]
 
 
 BROKEN_PATIENTS = {  # a patient z that breaks one rule of from_records
@@ -398,6 +433,8 @@ BROKEN_PATIENTS = {  # a patient z that breaks one rule of from_records
     "unsorted_days": _patient("z", [(5, "diagnosis", "OUT"), (3, "drug_claim", "DRUG_A")]),
     "day_after_observation_end": _patient("z", [(401, "diagnosis", "OUT")], end=400),
     "day_before_observation_start": _patient("z", [(-1, "diagnosis", "OUT")], start=0),
+    "day_above_int64": _patient("z", [(2**63, "diagnosis", "OUT")]),
+    "observation_end_below_int64": _patient("z", [], end=-2**63 - 1),
 }
 
 
@@ -411,3 +448,38 @@ def test_from_records_raises_as_the_interning_oracle(broken):
     with pytest.raises((TypeError, ValueError)) as got:
         PatientDB.from_records(records, vocab)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+TWO_BROKEN_PATIENTS = {  # two patients that break one rule, the larger id first
+    "duplicate_ids": [_patient("p0020", []), _patient("p0010", [])],
+    "unsorted_days": [_patient(pid, [(5, "diagnosis", "OUT"), (3, "diagnosis", "OUT")])
+                      for pid in ("z2", "z1")],
+    "day_outside_window": [_patient(pid, [(401, "diagnosis", "OUT")], end=400)
+                           for pid in ("z2", "z1")],
+}
+
+
+@pytest.mark.parametrize("broken", TWO_BROKEN_PATIENTS.values(), ids=TWO_BROKEN_PATIENTS)
+def test_of_two_broken_patients_the_error_names_the_smaller_id(broken):
+    records = _random_records(np.random.default_rng(9), n=30)[::-1]
+    records[11:11] = broken
+    vocab = DRUGS + DIAGNOSES
+    with pytest.raises(ValueError) as want:
+        interned_patient_db(records, vocab)
+    with pytest.raises(ValueError) as got:
+        PatientDB.from_records(records, vocab)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(("p0010: ", "z1: "))
+
+
+def test_of_two_patients_without_dense_rows_the_error_names_the_smaller_id():
+    records = _random_records(np.random.default_rng(9), n=30)[::-1]
+    vocab = DRUGS + DIAGNOSES
+    rows = [{"patient_id": rec["patient_id"], "features": [1.0]} for rec in records
+            if rec["patient_id"] not in ("p0010", "p0020")]
+    with pytest.raises(ValueError) as want:
+        interned_patient_db(records, vocab).with_dense_features(rows)
+    with pytest.raises(ValueError) as got:
+        PatientDB.from_records(records, vocab).with_dense_features(rows)
+    assert str(got.value) == str(want.value) == \
+        "no dense-feature row for 2 patients, first p0010"

@@ -315,6 +315,8 @@ def test_event_time_horizon_nearest_rank():
     events = [True, True, True, True, True, False]
     assert event_time_horizon(times, events, 0.8) == 4.0  # ceil(0.8*5) = 4th of 5
     assert event_time_horizon(times, events, 0.5) == 3.0
+    in_order = np.argsort(times, kind="stable")  # already in time order: not sorted again
+    assert event_time_horizon(np.array(times)[in_order], np.array(events)[in_order]) == 4.0
     with pytest.raises(ValueError):
         event_time_horizon([1.0], [False], 0.8)
 
