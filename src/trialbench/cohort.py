@@ -111,12 +111,17 @@ class PatientDB:
                              f"first {min(missing)}")
         return dataclasses.replace(self, dense_features=matrix)
 
-    def earliest_day(self, kind, code, where=True) -> np.ndarray:
-        """Per patient, the earliest day of a (kind, code) event among where, or NEVER."""
-        mask = (self.key == self.keys.get((kind, code), -1)) & where
-        first = np.full(len(self.patients), NEVER)
-        np.minimum.at(first, self.owner[mask], self.day[mask])
-        return first
+    def earliest_day(self, kind, code) -> np.ndarray:
+        """Per patient, the earliest day of a (kind, code) event, or NEVER."""
+        hit = self.key == self.keys.get((kind, code), -1)
+        return _first_day(len(self.patients), self.owner[hit], self.day[hit])
+
+
+def _first_day(n, owner, day) -> np.ndarray:
+    """Per row in range(n), the earliest of the days whose owner it is, or NEVER."""
+    first = np.full(n, NEVER)
+    np.minimum.at(first, owner, day)
+    return first
 
 
 def _integers(values) -> np.ndarray:
@@ -190,25 +195,27 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
 
     kept = np.sort(np.concatenate(arms))
     rows, treated = rows[kept], treated[kept]
+    index_day = np.minimum(day_a[rows], day_b[rows])
     position = np.full(len(db.patients), -1)  # per patient: its row in the cohort, or -1
     position[rows] = np.arange(len(rows))
-    index_day = np.full(len(db.patients), NEVER)
-    index_day[rows] = np.minimum(day_a[rows], day_b[rows])
-    after = db.day >= index_day[db.owner]  # per event; never true outside the cohort
+    at = position[db.owner]  # per event: its patient's cohort row, or -1
+    mine = np.flatnonzero(at >= 0)  # the cohort's events, gathered once
+    at, day, key = at[mine], db.day[mine], db.key[mine]
+    after = day >= index_day[at]
     if db.dense_features is not None:
         features = db.dense_features[rows]
     else:  # pre-index event counts per code, scattered into (rows, vocabulary)
-        column = db.column[db.key]
-        at = position[db.owner]
-        pre = (at >= 0) & ~after & (column >= 0)
+        column = db.column[key]
+        pre = ~after & (column >= 0)
         width = len(db.vocabulary)
         cell = at[pre] * width + column[pre]
         features = np.bincount(cell, minlength=len(rows) * width).reshape(len(rows), width)
     follow_up = []
     for outcome in outcomes:
-        day = db.earliest_day(KIND_DIAGNOSIS, outcome, after)[rows]
-        end = np.where(day != NEVER, day, db.observation_end[rows])
-        follow_up.append(((end - index_day[rows]).astype(float), day != NEVER))
+        hit = after & (key == db.keys.get((KIND_DIAGNOSIS, outcome), -1))
+        first = _first_day(len(rows), at[hit], day[hit])
+        end = np.where(first != NEVER, first, db.observation_end[rows])
+        follow_up.append(((end - index_day).astype(float), first != NEVER))
     return Cohort(
         patient_ids=[db.patients[i] for i in rows],
         treated=treated,

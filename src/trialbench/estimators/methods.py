@@ -106,14 +106,14 @@ def rmst_regression(m1, m0) -> Fit:
                len(diff))
 
 
-def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float, order=None) -> Fit:
+def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float, order) -> Fit:
     """Augmented IPW on the tau-restricted outcome with IPCW for censoring.
 
     m1 and m0 are each row's outcome-model RMST at tau on drug A and drug B.
     Z = min(T, tau); the correction term is applied only to rows whose Z
     is fully observed (event before tau, or follow-up reaching tau) and
     reweighted by the Kaplan-Meier estimate of the censoring survival at
-    Z-minus. order is the rows in stable time order, sorted here if not given.
+    Z-minus. order is the rows in stable time order.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(events, dtype=bool)
@@ -121,8 +121,6 @@ def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float, order=None
     e = np.asarray(propensity.scores, dtype=float)
     z = np.minimum(t, tau)
     observed = (d & (t < tau)) | (t >= tau)
-    if order is None:
-        order = np.argsort(t, kind="stable")
     g_curve = km_curve(t[order], ~d[order])
     g_at = g_curve.left_limit(z)
     capped = g_at < 1.0 / G_WEIGHT_CAP
@@ -170,10 +168,8 @@ class _Nuisance:
     not sort again, and every sum they take sees its rows in the order it always has.
     """
 
-    def __init__(self, cohort, outcome, order, settings: RunSettings, tau: float,
-                 pair_fits: dict):
+    def __init__(self, cohort, outcome, settings: RunSettings, tau: float, pair_fits: dict):
         self.time, self.event = outcome
-        self.order = order  # the rows in stable time order
         self.treated, self.features = cohort.treated, cohort.features
         self.settings = settings
         self.tau = tau
@@ -211,6 +207,11 @@ class _Nuisance:
     def standard_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "standard_ipw",
                                cap=self.settings.weight_cap)
+
+    @_fitted_once("outcome")
+    def order(self):
+        """The rows in stable time order."""
+        return np.argsort(self.time, kind="stable")
 
     @_fitted_once("outcome")
     def aft(self):
@@ -268,14 +269,13 @@ def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]
     wanted = [m for m in METHOD_REGISTRY if m in settings.methods]
     pair_fits: dict = {}
     per_outcome = []
-    for time, event in cohort.outcomes:
-        order = np.argsort(time, kind="stable")
+    for outcome in cohort.outcomes:
         try:
-            tau = event_time_horizon(time[order], event[order], settings.tau_percentile)
+            tau = event_time_horizon(*outcome, settings.tau_percentile)
         except ValueError:
             per_outcome.append(failed_estimates(wanted, n, "no observed events"))
             continue
-        nuisance = _Nuisance(cohort, (time, event), order, settings, tau, pair_fits)
+        nuisance = _Nuisance(cohort, outcome, settings, tau, pair_fits)
         out: list[EffectEstimate] = []
         for method_id in wanted:
             method = METHOD_REGISTRY[method_id]

@@ -182,15 +182,12 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
 
 
 def event_time_horizon(times, events, percentile: float = 0.8) -> float:
-    """Nearest-rank percentile of pooled observed event times. Times that are already
-    non-decreasing are not sorted again."""
+    """Nearest-rank percentile of pooled observed event times."""
     t = np.asarray(times, dtype=float)[np.asarray(events, dtype=bool)]
-    if not np.all(t[1:] >= t[:-1]):
-        t = np.sort(t)
     if len(t) == 0:
         raise ValueError("no observed events")
     rank = max(1, math.ceil(percentile * len(t)))
-    return float(t[rank - 1])
+    return float(np.partition(t, rank - 1)[rank - 1])
 
 
 @dataclass

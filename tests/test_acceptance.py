@@ -322,10 +322,12 @@ def test_criterion_09_double_robustness():
     arrays = gen_survival_arrays(config, np.random.default_rng(7))
     n = config.n_patients
     no_features = np.empty((n, 0))
+    order = np.argsort(arrays.time, kind="stable")
 
     def aipw(features, propensity, outcome):
         m1, m0 = (outcome.predicted_rmst(features, np.full(n, arm), tau) for arm in (1.0, 0.0))
-        return rmst_aipw(arrays.time, arrays.event, arrays.treated, propensity, m1, m0, tau)
+        return rmst_aipw(arrays.time, arrays.event, arrays.treated, propensity, m1, m0, tau,
+                         order)
 
     # (a) outcome model ignores the confounder; propensity is correct
     outcome_wrong = aft_fit(no_features, arrays.treated, arrays.time, arrays.event)

@@ -315,8 +315,12 @@ def test_event_time_horizon_nearest_rank():
     events = [True, True, True, True, True, False]
     assert event_time_horizon(times, events, 0.8) == 4.0  # ceil(0.8*5) = 4th of 5
     assert event_time_horizon(times, events, 0.5) == 3.0
-    in_order = np.argsort(times, kind="stable")  # already in time order: not sorted again
-    assert event_time_horizon(np.array(times)[in_order], np.array(events)[in_order]) == 4.0
+    rng = np.random.default_rng(5)  # tied times, every rank from the first to the last
+    tied, observed = rng.integers(0, 20, 101).astype(float), rng.random(101) < 0.7
+    ranked = np.sort(tied[observed])
+    for q in (0.01, 0.25, 0.5, 0.8, 1.0):
+        rank = max(1, math.ceil(q * len(ranked)))
+        assert event_time_horizon(tied, observed, q) == ranked[rank - 1]
     with pytest.raises(ValueError):
         event_time_horizon([1.0], [False], 0.8)
 
@@ -435,7 +439,8 @@ def test_rmst_regression_and_aipw_unconfounded():
     m1, m0 = (model.predicted_rmst(arrays.features, np.full(config.n_patients, arm), gt.tau)
               for arm in (1.0, 0.0))
     reg = rmst_regression(m1, m0)
-    aipw = rmst_aipw(arrays.time, arrays.event, arrays.treated, prop, m1, m0, gt.tau)
+    aipw = rmst_aipw(arrays.time, arrays.event, arrays.treated, prop, m1, m0, gt.tau,
+                     np.argsort(arrays.time, kind="stable"))
     assert model.converged and reg.converged and aipw.converged
     assert reg.point == pytest.approx(truth, abs=0.05 * abs(truth) + 2.0)
     assert aipw.point == pytest.approx(truth, abs=0.05 * abs(truth) + 2.0)
