@@ -73,8 +73,7 @@ class _MethodFailure(Exception):
 
 def _cox_estimate(times, events, treated, weights=None) -> Fit:
     res = cox_fit(times, events, treated, weights)
-    se = res.se_robust if weights is not None else res.se_model
-    return Fit(res.beta if res.converged else math.nan, se, res.converged, res.n_used)
+    return Fit(res.beta if res.converged else math.nan, res.se, res.converged, res.n_used)
 
 
 def _km_rmst_arm(times, events, weights, tau):
@@ -135,61 +134,39 @@ def rmst_aipw(times, events, treated, propensity, m1, m0, tau: float, order) -> 
                len(t), note)
 
 
-def _fitted_once(scope):
-    """A cached property whose fit runs at most once per drug pair (scope "pair")
-    or per outcome (scope "outcome"), even when it raises.
+def _fitted_once(fit):
+    """A cached property whose fit runs at most once per object, even when it raises.
 
     A fit that raised is re-raised to every method that needs it, so each
     of them records the same failure.
     """
-    def cached(fit):
-        def get(self):
-            fits = self._fits[scope]
-            if fit not in fits:
-                try:
-                    fits[fit] = fit(self)
-                except Exception as exc:  # noqa: BLE001 -- reported per method
-                    fits[fit] = exc
-            if isinstance(fits[fit], Exception):
-                raise fits[fit]
-            return fits[fit]
+    def get(self):
+        fits = self.__dict__.setdefault("_fits", {})
+        if fit not in fits:
+            try:
+                fits[fit] = fit(self)
+            except Exception as exc:  # noqa: BLE001 -- reported per method
+                fits[fit] = exc
+        if isinstance(fits[fit], Exception):
+            raise fits[fit]
+        return fits[fit]
 
-        return property(get, doc=fit.__doc__)
-
-    return cached
+    return property(get, doc=fit.__doc__)
 
 
-class _Nuisance:
-    """One outcome's arrays and horizon tau, and lazily fitted nuisance models. The
-    propensity models and weights are cached in pair_fits, shared by the pair's outcomes.
+class _PairFits:
+    """One drug pair's cohort arrays and settings, and its lazily fitted propensity
+    model, matched set and weights, shared by every outcome of the pair."""
 
-    The survival methods see rows in the outcome's stable time order: a subset taken
-    in that order is the subset's own stable time order, so cox_fit and km_curve need
-    not sort again, and every sum they take sees its rows in the order it always has.
-    """
-
-    def __init__(self, cohort, outcome, settings: RunSettings, tau: float, pair_fits: dict):
-        self.time, self.event = outcome
+    def __init__(self, cohort, settings: RunSettings):
         self.treated, self.features = cohort.treated, cohort.features
         self.settings = settings
-        self.tau = tau
-        self._fits = {"pair": pair_fits, "outcome": {}}
 
-    def arms(self, rows=None):
-        """(time, event, treated) in stable time order, of the rows where the mask rows
-        is true, or of every row."""
-        order = self.order if rows is None else self.order[rows[self.order]]
-        return self.time[order], self.event[order], self.treated[order]
-
-    def in_time_order(self, values):
-        """A per-row array in the order arms() gives every row."""
-        return values[self.order]
-
-    @_fitted_once("pair")
+    @_fitted_once
     def propensity(self):
         return fit_logistic(self.features, self.treated, ridge=self.settings.ridge)
 
-    @_fitted_once("pair")
+    @_fitted_once
     def matched(self):
         """Row mask of every propensity-matched pair."""
         pairs = match_pairs(self.propensity.scores, self.treated,
@@ -199,45 +176,70 @@ class _Nuisance:
         mask[np.ravel(pairs)] = True
         return mask
 
-    @_fitted_once("pair")
+    @_fitted_once
     def overlap_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "overlap")
 
-    @_fitted_once("pair")
+    @_fitted_once
     def standard_weights(self):
         return compute_weights(self.propensity.scores, self.treated, "standard_ipw",
                                cap=self.settings.weight_cap)
 
-    @_fitted_once("outcome")
+
+class _OutcomeFits:
+    """One outcome's arrays and horizon tau, its drug pair's fits, and its own lazily
+    fitted time order, AFT and AFT-predicted RMST.
+
+    The survival methods see rows in the outcome's stable time order: a subset taken
+    in that order is the subset's own stable time order, so cox_fit and km_curve need
+    not sort again, and every sum they take sees its rows in the order it always has.
+    """
+
+    def __init__(self, pair: _PairFits, outcome, tau: float):
+        self.pair = pair
+        self.time, self.event = outcome
+        self.tau = tau
+
+    def arms(self, rows=None):
+        """(time, event, treated) in stable time order, of the rows where the mask rows
+        is true, or of every row."""
+        order = self.order if rows is None else self.order[rows[self.order]]
+        return self.time[order], self.event[order], self.pair.treated[order]
+
+    def in_time_order(self, values):
+        """A per-row array in the order arms() gives every row."""
+        return values[self.order]
+
+    @_fitted_once
     def order(self):
         """The rows in stable time order."""
         return np.argsort(self.time, kind="stable")
 
-    @_fitted_once("outcome")
+    @_fitted_once
     def aft(self):
-        return aft_fit(self.features, self.treated, self.time, self.event)
+        return aft_fit(self.pair.features, self.pair.treated, self.time, self.event)
 
-    @_fitted_once("outcome")
+    @_fitted_once
     def predicted_rmst(self):
         """Each row's AFT-predicted RMST at tau on drug A and on drug B."""
         model = self.aft
         if not model.converged:
             raise _MethodFailure("AFT did not converge")
         n = len(self.time)
-        return (model.predicted_rmst(self.features, np.ones(n), self.tau),
-                model.predicted_rmst(self.features, np.zeros(n), self.tau))
+        return (model.predicted_rmst(self.pair.features, np.ones(n), self.tau),
+                model.predicted_rmst(self.pair.features, np.zeros(n), self.tau))
 
 
-def _aipw(nz: _Nuisance) -> Fit:
+def _aipw(nz: _OutcomeFits) -> Fit:
     # An AFT fit error outranks a propensity fit error, which outranks AFT
     # non-convergence: the note names the first of them. Its means take the rows
     # in cohort order; only its censoring curve takes them in the time order of arms().
     nz.aft
-    return rmst_aipw(nz.time, nz.event, nz.treated, nz.propensity, *nz.predicted_rmst, nz.tau,
-                     nz.order)
+    return rmst_aipw(nz.time, nz.event, nz.pair.treated, nz.pair.propensity,
+                     *nz.predicted_rmst, nz.tau, nz.order)
 
 
-# One row of the method table: the effect scale and estimate(nuisance) -> Fit.
+# One row of the method table: the effect scale and estimate(outcome fits) -> Fit.
 Method = namedtuple("Method", "scale estimate")
 
 # The method table, in output order. Estimators look cox_fit, rmst_aipw and
@@ -245,17 +247,17 @@ Method = namedtuple("Method", "scale estimate")
 # replacement installed on this module (a tracing hook) is the one called.
 METHOD_REGISTRY = {
     "cox_unadjusted": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms())),
-    "cox_psm": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms(nz.matched))),
+    "cox_psm": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(*nz.arms(nz.pair.matched))),
     "cox_ipw_overlap": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
-        *nz.arms(), nz.in_time_order(nz.overlap_weights))),
+        *nz.arms(), nz.in_time_order(nz.pair.overlap_weights))),
     "cox_ipw_standard": Method(SCALE_LOG_HR, lambda nz: _cox_estimate(
-        *nz.arms(), nz.in_time_order(nz.standard_weights))),
+        *nz.arms(), nz.in_time_order(nz.pair.standard_weights))),
     "rmst_km_unadjusted": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
         *nz.arms(), nz.tau)),
     "rmst_km_psm": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
-        *nz.arms(nz.matched), nz.tau)),
+        *nz.arms(nz.pair.matched), nz.tau)),
     "rmst_km_ipw_overlap": Method(SCALE_RMST_DAYS, lambda nz: _km_diff_estimate(
-        *nz.arms(), nz.tau, nz.in_time_order(nz.overlap_weights))),
+        *nz.arms(), nz.tau, nz.in_time_order(nz.pair.overlap_weights))),
     "rmst_aft_regression": Method(SCALE_RMST_DAYS, lambda nz: rmst_regression(
         *nz.predicted_rmst)),
     "rmst_aipw": Method(SCALE_RMST_DAYS, _aipw),
@@ -267,7 +269,7 @@ def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]
     estimates per outcome; failures never abort the batch."""
     n = len(cohort.treated)
     wanted = [m for m in METHOD_REGISTRY if m in settings.methods]
-    pair_fits: dict = {}
+    pair = _PairFits(cohort, settings)
     per_outcome = []
     for outcome in cohort.outcomes:
         try:
@@ -275,7 +277,7 @@ def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]
         except ValueError:
             per_outcome.append(failed_estimates(wanted, n, "no observed events"))
             continue
-        nuisance = _Nuisance(cohort, outcome, settings, tau, pair_fits)
+        nuisance = _OutcomeFits(pair, outcome, tau)
         out: list[EffectEstimate] = []
         for method_id in wanted:
             method = METHOD_REGISTRY[method_id]

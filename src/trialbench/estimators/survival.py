@@ -32,8 +32,7 @@ _LENTZ_TINY = 1e-300  # stands in for a zero Lentz denominator
 @dataclass
 class CoxResult:
     beta: float
-    se_model: float
-    se_robust: float
+    se: float  # the Lin-Wei sandwich of a weighted fit; else the inverse information
     converged: bool
     iterations: int
     n_used: int
@@ -87,10 +86,10 @@ def _event_tie_groups(t, d):
 def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     """Weighted Cox partial likelihood for one binary covariate.
 
-    Breslow handling of ties; Newton-Raphson from beta = 0. se_model is
-    the inverse observed information; se_robust the Lin-Wei sandwich,
-    appropriate whenever the weights are not all one. Rows are taken in
-    stable time order; NaN times are not supported.
+    Breslow handling of ties; Newton-Raphson from beta = 0. se is the
+    Lin-Wei sandwich when row_weights is given (weights not all one call
+    for it) and the inverse observed information otherwise. Rows are taken
+    in stable time order; NaN times are not supported.
     """
     t = np.asarray(times, dtype=float)
     w = np.ones_like(t) if row_weights is None else np.asarray(row_weights, dtype=float)
@@ -99,8 +98,7 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     n = len(t)
     if not (d & (x > 0)).any() or not (d & (x <= 0)).any():
         return CoxResult(beta=math.inf if (d & (x > 0)).any() else -math.inf,
-                         se_model=math.inf, se_robust=math.inf,
-                         converged=False, iterations=0, n_used=n)
+                         se=math.inf, converged=False, iterations=0, n_used=n)
 
     event_idx = np.nonzero(d)[0]
     # upto: per row, the distinct event times <= t_i; pos: first row of each of them
@@ -134,7 +132,9 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     r, s0, s1 = suffix_sums(beta)
     mbar = s1[first] / s0[first]
     info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))
-    se_model = math.sqrt(1.0 / info) if info > 0 else math.inf
+    if row_weights is None or not info > 0:  # a NaN information too has an infinite se
+        return CoxResult(beta=float(beta), se=math.sqrt(1.0 / info) if info > 0 else math.inf,
+                         converged=converged, iterations=iterations, n_used=n)
 
     # Lin-Wei robust variance from weighted score residuals
     dws = np.bincount(own, weights=w[event_idx], minlength=len(pos))
@@ -147,11 +147,9 @@ def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
     m_at_own = np.zeros(n)
     m_at_own[event_idx] = mbe[own]
     resid = d * (x - m_at_own) - r * (x * c1_i - c2_i)
-    bread = 1.0 / info if info > 0 else math.inf
+    bread = 1.0 / info
     meat = float(np.sum((w * resid) ** 2))
-    se_robust = math.sqrt(bread * meat * bread) if info > 0 else math.inf
-
-    return CoxResult(beta=float(beta), se_model=se_model, se_robust=se_robust,
+    return CoxResult(beta=float(beta), se=math.sqrt(bread * meat * bread),
                      converged=converged, iterations=iterations, n_used=n)
 
 

@@ -20,6 +20,13 @@ from .estimators.survival import cox_fit, event_time_horizon
 from .formats import dump_json_line
 
 
+def _require_strings(config, *names):
+    """Raise ValueError naming the first of the fields names that is not a str."""
+    for name in names:
+        if type(getattr(config, name)) is not str:
+            raise ValueError(f"{name} must be a string, got {getattr(config, name)!r}")
+
+
 @dataclass
 class ScenarioConfig:
     n_patients: int
@@ -41,6 +48,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if type(self.n_patients) is not int or self.n_patients < 1:
             raise ValueError(f"n_patients must be a positive integer, got {self.n_patients!r}")
+        _require_strings(self, "drug_a", "drug_b", "outcome_code")
         if not 0 <= self.code_prob <= 1:
             raise ValueError(f"code_prob must lie in [0, 1], got {self.code_prob!r}")
         for name in ("lambda0", "shape", "horizon_days"):
@@ -141,7 +149,7 @@ def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
     return GroundTruth(
         conditional_log_hr=config.beta,
         marginal_log_hr=res.beta,
-        marginal_log_hr_se=res.se_model,
+        marginal_log_hr_se=res.se,
         tau=tau,
         marginal_rmst_diff=rmst_diff,
         n_mc=n_mc,
@@ -211,7 +219,9 @@ class PlantedComparison:
     n_trials: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.p_a <= 1 and 0 <= self.p_b <= 1):
+        _require_strings(self, "drug_a", "drug_b", "outcome")
+        # a JSON true is not a probability
+        if not all(type(p) is not bool and 0 <= p <= 1 for p in (self.p_a, self.p_b)):
             raise ValueError("event probabilities must lie in [0, 1]")
         if not all(type(n) is int and n >= 0 for n in (self.n_a, self.n_b)):
             raise ValueError(f"arm sizes must be non-negative integers, got {self.n_a!r}, "

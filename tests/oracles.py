@@ -181,8 +181,7 @@ def searchsorted_cox_fit(times, events, treatment, row_weights=None) -> CoxResul
     n = len(t)
     if not (d & (x > 0)).any() or not (d & (x <= 0)).any():
         return CoxResult(beta=math.inf if (d & (x > 0)).any() else -math.inf,
-                         se_model=math.inf, se_robust=math.inf,
-                         converged=False, iterations=0, n_used=n)
+                         se=math.inf, converged=False, iterations=0, n_used=n)
     event_idx = np.nonzero(d)[0]
     first = np.searchsorted(t, t[event_idx], side="left")
 
@@ -228,8 +227,9 @@ def searchsorted_cox_fit(times, events, treatment, row_weights=None) -> CoxResul
     bread = 1.0 / info if info > 0 else math.inf
     meat = float(np.sum((w * resid) ** 2))
     se_robust = math.sqrt(bread * meat * bread) if info > 0 else math.inf
-    return CoxResult(beta=float(beta), se_model=se_model, se_robust=se_robust,
-                     converged=converged, iterations=iterations, n_used=n)
+    se = se_model if row_weights is None else se_robust
+    return CoxResult(beta=float(beta), se=se, converged=converged, iterations=iterations,
+                     n_used=n)
 
 
 def searchsorted_km_curve(times, events, row_weights=None) -> SurvivalCurve:

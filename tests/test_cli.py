@@ -434,10 +434,17 @@ def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
     ("claims", {"lambda0": math.nan}),
     ("claims", {"beta": math.nan}),
     ("claims", {"eta": [0.3, math.nan, 0.2, 0.2]}),
+    ("trials", {"drug_a": 5}),
+    ("trials", {"outcome": 7}),
+    ("trials", {"p_a": True}),
+    ("claims", {"drug_a": 5}),
+    ("claims", {"outcome_code": 7}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
         "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
-        "infinite_shape", "infinite_gamma", "nan_lambda0", "nan_beta", "nan_eta_entry"])
+        "infinite_shape", "infinite_gamma", "nan_lambda0", "nan_beta", "nan_eta_entry",
+        "numeric_trial_drug", "numeric_trial_outcome", "boolean_probability",
+        "numeric_claims_drug", "numeric_claims_outcome"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)

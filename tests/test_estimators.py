@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,8 +204,10 @@ def test_cox_robust_se_close_to_model_se_unweighted():
     config = ScenarioConfig(n_patients=4000, beta=0.5, censoring_rate=0.001)
     arrays = gen_survival_arrays(config, rng)
     res = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float))
+    robust = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float),
+                     np.ones(len(arrays.time)))
     assert res.converged
-    assert res.se_robust == pytest.approx(res.se_model, rel=0.15)
+    assert robust.se == pytest.approx(res.se, rel=0.15)
 
 
 def test_km_matches_recursive_oracle():
@@ -289,12 +292,12 @@ def test_run_all_methods_in_time_order_equals_the_cohort_order_oracles(monkeypat
 
     def cohort_order_arms(nz, rows=None):
         rows = slice(None) if rows is None else rows
-        return nz.time[rows], nz.event[rows], nz.treated[rows]
+        return nz.time[rows], nz.event[rows], nz.pair.treated[rows]
 
     in_time_order = rows()
     assert not any("nan" in run for run in in_time_order)  # every method has an estimate
-    monkeypatch.setattr(methods_mod._Nuisance, "arms", cohort_order_arms)
-    monkeypatch.setattr(methods_mod._Nuisance, "in_time_order", lambda nz, values: values)
+    monkeypatch.setattr(methods_mod._OutcomeFits, "arms", cohort_order_arms)
+    monkeypatch.setattr(methods_mod._OutcomeFits, "in_time_order", lambda nz, values: values)
     monkeypatch.setattr(methods_mod, "cox_fit", searchsorted_cox_fit)
     monkeypatch.setattr(methods_mod, "km_curve", searchsorted_km_curve)
     assert rows() == in_time_order
@@ -484,6 +487,19 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _count_weight_modes(monkeypatch):
+    """The mode of each compute_weights call, in call order."""
+    modes = []
+    real_compute_weights = methods_mod.compute_weights
+
+    def counted_compute_weights(scores, treated, mode, **kwargs):
+        modes.append(mode)
+        return real_compute_weights(scores, treated, mode, **kwargs)
+
+    monkeypatch.setattr(methods_mod, "compute_weights", counted_compute_weights)
+    return modes
+
+
 def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
     calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
     predicted = []
@@ -512,14 +528,7 @@ def test_run_settings_checks_each_field(name, value):
 
 def test_run_all_methods_fits_the_propensity_models_once_per_pair(monkeypatch):
     calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
-    modes = []
-    real_compute_weights = methods_mod.compute_weights
-
-    def counted_compute_weights(scores, treated, mode, **kwargs):
-        modes.append(mode)
-        return real_compute_weights(scores, treated, mode, **kwargs)
-
-    monkeypatch.setattr(methods_mod, "compute_weights", counted_compute_weights)
+    modes = _count_weight_modes(monkeypatch)
     arrays = _registry_cohort()
     pair = _pair(arrays, (arrays.time[::-1], arrays.event[::-1]))  # two outcomes
     per_outcome = run_all_methods(pair, RunSettings(seed=5))
@@ -529,6 +538,38 @@ def test_run_all_methods_fits_the_propensity_models_once_per_pair(monkeypatch):
     # both outcomes are adjusted on the one matched set
     psm = [next(e for e in estimates if e.method_id == "cox_psm") for estimates in per_outcome]
     assert psm[0].converged and psm[1].converged and psm[0].n_used == psm[1].n_used
+
+
+# What each method fits when it runs alone on a pair with two outcomes: fit_logistic,
+# match_pairs and aft_fit calls, and compute_weights calls by mode.
+SINGLE_METHOD_FITS = {
+    "cox_unadjusted": {},
+    "cox_psm": {"fit_logistic": 1, "match_pairs": 1},
+    "cox_ipw_overlap": {"fit_logistic": 1, "overlap": 1},
+    "cox_ipw_standard": {"fit_logistic": 1, "standard_ipw": 1},
+    "rmst_km_unadjusted": {},
+    "rmst_km_psm": {"fit_logistic": 1, "match_pairs": 1},
+    "rmst_km_ipw_overlap": {"fit_logistic": 1, "overlap": 1},
+    "rmst_aft_regression": {"aft_fit": 2},
+    "rmst_aipw": {"aft_fit": 2, "fit_logistic": 1},
+}
+
+
+@pytest.mark.parametrize("method_id", list(METHOD_REGISTRY))
+def test_each_method_alone_fits_only_what_it_reads(monkeypatch, method_id):
+    """A method subset fits no nuisance model its methods do not read, and writes the
+    rows the full run writes for those methods."""
+    arrays = _registry_cohort()
+    pair = _pair(arrays, (arrays.time[::-1], arrays.event[::-1]))  # two outcomes
+    full = run_all_methods(pair, RunSettings(seed=5))
+    calls = _count_calls(monkeypatch, ["aft_fit", "fit_logistic", "match_pairs"])
+    modes = _count_weight_modes(monkeypatch)
+    alone = run_all_methods(pair, RunSettings(seed=5, methods=(method_id,)))
+    fitted = {name: n for name, n in calls.items() if n}
+    assert {**fitted, **Counter(modes)} == SINGLE_METHOD_FITS[method_id]
+    assert len(alone) == 2 and all(len(estimates) == 1 for estimates in alone)
+    assert repr(alone) == repr([[e for e in estimates if e.method_id == method_id]
+                                for estimates in full])
 
 
 def test_run_all_methods_shares_a_failed_fit(monkeypatch):
