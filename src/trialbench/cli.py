@@ -162,8 +162,8 @@ def cmd_evaluate(args) -> int:
         if unknown:
             raise InputError(f"{args.config}: unknown config key {unknown[0]!r}; "
                              f"the keys are {list(default)}")
-        seed = args.seed if args.seed is not None else (
-            seed_value(settings_kv["seed"]) if "seed" in settings_kv else None)
+        seed = seed_value(settings_kv["seed"]) if "seed" in settings_kv else None
+        seed = args.seed if args.seed is not None else seed  # checked, then overridden
         # each config key is parsed as its default's type; RunSettings checks it
         settings = RunSettings(methods=methods, **{
             key: type(default[key])(value) for key, value in settings_kv.items()
@@ -280,15 +280,12 @@ def cmd_report(args) -> int:
 
     for method_id, (scale, effects) in sorted(by_method.items()):
         raw_thresholds = hr_thresholds if scale == metrics_mod.SCALE_LOG_HR else rmst_thresholds
-        for raw in raw_thresholds:
-            mag = metrics_mod.threshold_to_magnitude(scale, raw)
-            row = metrics_mod.score(effects, reference, mag, method_id)
-            table_lines.append(line(method_id, scale, fmt(raw), fmt(mag), row=row))
-        try:
-            curve = metrics_mod.pr_curve(effects, reference, scale, method_id)
-        except ValueError:
-            continue
-        curve_lines += [line(method_id, scale, fmt(row.threshold), row=row) for row in curve]
+        rows = metrics_mod.score(effects, reference, [
+            metrics_mod.threshold_to_magnitude(scale, raw) for raw in raw_thresholds])
+        table_lines += [line(method_id, scale, fmt(raw), fmt(row.threshold), row=row)
+                        for raw, row in zip(raw_thresholds, rows)]
+        curve_lines += [line(method_id, scale, fmt(row.threshold), row=row)
+                        for row in metrics_mod.pr_curve(effects, reference, scale)]
 
     write_lines(args.out + ".table.tsv", table_lines)
     write_lines(args.out + ".pr_curve.tsv", curve_lines)
@@ -304,6 +301,14 @@ def seed_value(text) -> int:
     return seed
 
 
+def alpha_value(text) -> float:
+    """A --alpha: a finite family-wise level in (0, 1]."""
+    alpha = float(text)
+    if not 0 < alpha <= 1:  # NaN fails every comparison
+        raise ValueError(f"alpha must be in (0, 1], got {text!r}")
+    return alpha
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trialbench",
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True)
     p.add_argument("--drug-dict", required=True)
     p.add_argument("--outcome-dict", required=True)
-    p.add_argument("--alpha", type=float, default=refset_mod.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=alpha_value, default=refset_mod.DEFAULT_ALPHA)
     p.add_argument("--no-prefilter", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_refset)

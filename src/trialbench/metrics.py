@@ -23,7 +23,6 @@ FIXED_HR_THRESHOLDS = (2.0, 1.5, 1.25)
 
 @dataclass
 class MetricsRow:
-    method_id: str
     threshold: float  # magnitude scale: |log HR| or |RMST delta| in days
     weighted_precision: float | None  # None when no strong predictions exist
     recall: float            # denominator: all strong entries in the set
@@ -62,16 +61,14 @@ def threshold_to_magnitude(scale: str, threshold: float) -> float:
 
 @dataclass(frozen=True)
 class ScoredEffect:
-    """One converged-or-not estimate attached to a reference entry."""
-    entry_key: tuple[str, str, str]
-    method_id: str
+    """One converged-or-not estimate of a reference entry."""
     available: bool
     direction: str       # direction implied by the effect sign
     magnitude: float     # |log HR| or |RMST delta|
 
 
-def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
-    """Group estimate records into {method_id: (scale, scored effects)}.
+def effects_by_method(records) -> dict[str, tuple[str, dict[tuple, ScoredEffect]]]:
+    """Group estimate records into {method_id: (scale, {entry key: scored effect})}.
 
     A later record for the same entry replaces the earlier one. A record is
     available when it converged with a point estimate. Raises ValueError
@@ -97,16 +94,16 @@ def effects_by_method(records) -> dict[str, tuple[str, list[ScoredEffect]]]:
         if type(converged) is not bool:
             raise ValueError(f"{method_id}: converged {converged!r} is not a boolean")
         if converged and point is not None:
-            effects[key] = ScoredEffect(key, method_id, True, direction_of(scale, point),
-                                        abs(point))
+            effects[key] = ScoredEffect(True, direction_of(scale, point), abs(point))
         else:
-            effects[key] = ScoredEffect(key, method_id, False, DIRECTION_NONE, math.nan)
-    return {m: (scale, list(effects.values())) for m, (scale, effects) in grouped.items()}
+            effects[key] = ScoredEffect(False, DIRECTION_NONE, math.nan)
+    return grouped
 
 
-def _tally(effects: list[ScoredEffect], reference_set):
-    """Sort the evaluable entries by descending magnitude once; return a reader that
-    scores any magnitude threshold off running counts of the predictions above it.
+def score(effects: dict[tuple, ScoredEffect], reference_set,
+          thresholds: list[float]) -> list[MetricsRow]:
+    """Weighted precision / recall at each magnitude threshold, in the order given, read
+    off running counts over one descending sort of the evaluable entries by magnitude.
 
     Strong entries are weighted by N_weak / N_strong (counts over evaluable
     entries) so the two families balance; precision requires a correct
@@ -117,29 +114,25 @@ def _tally(effects: list[ScoredEffect], reference_set):
     entries = reference_set.entries
     if not entries:
         raise ValueError("empty reference set")
-    by_key = {e.entry_key: e for e in effects}
     pairs = [(entry, eff) for entry in entries
-             if (eff := by_key.get(entry.key)) is not None and eff.available]
+             if (eff := effects.get(entry.key)) is not None and eff.available]
     magnitude = np.array([eff.magnitude for _, eff in pairs], dtype=float)
     strong = np.array([entry.label == LABEL_STRONG for entry, _ in pairs], dtype=bool)
     hit = strong & np.array([eff.direction == entry.direction for entry, eff in pairs], bool)
     order = np.argsort(-magnitude)  # NaN sorts last, so no threshold reaches it
-    descending = -magnitude[order]
     # counts[:, k]: correct-strong, wrong-direction-strong and weak among the k largest
     counts = np.pad(np.cumsum(np.array([hit, strong & ~hit, ~strong])[:, order], axis=1),
                     ((0, 0), (1, 0)))
+    above = np.searchsorted(-magnitude[order], -np.array(thresholds, dtype=float), side="right")
     n_strong_eval, n_weak_eval = int(strong.sum()), int((~strong).sum())
     n_strong_total = sum(1 for e in entries if e.label == LABEL_STRONG)
     # unweighted fallback when either family has no evaluable entries
     strong_weight = (n_weak_eval / n_strong_eval) if (n_strong_eval and n_weak_eval) else 1.0
-
-    def read(magnitude_threshold: float, method_id: str) -> MetricsRow:
-        k = int(np.searchsorted(descending, -magnitude_threshold, side="right"))
-        tp, fp_strong, fp_weak = counts[:, k].tolist()
+    rows = []
+    for threshold, (tp, fp_strong, fp_weak) in zip(thresholds, counts[:, above].T.tolist()):
         tp_w, fp_w = tp * strong_weight, fp_strong * strong_weight + fp_weak
-        return MetricsRow(
-            method_id=method_id,
-            threshold=magnitude_threshold,
+        rows.append(MetricsRow(
+            threshold=threshold,
             weighted_precision=(tp_w / (tp_w + fp_w)) if tp_w + fp_w > 0 else None,
             recall=tp / n_strong_total if n_strong_total else 0.0,
             recall_evaluable=tp / n_strong_eval if n_strong_eval else 0.0,
@@ -149,23 +142,17 @@ def _tally(effects: list[ScoredEffect], reference_set):
             fp=fp_strong + fp_weak,
             fn=n_strong_total - tp,
             n_evaluable=len(pairs),
-        )
-    return read
+        ))
+    return rows
 
 
-def score(effects: list[ScoredEffect], reference_set, magnitude_threshold: float,
-          method_id: str = "") -> MetricsRow:
-    """Weighted precision / recall at one magnitude threshold (see _tally)."""
-    return _tally(effects, reference_set)(magnitude_threshold, method_id)
-
-
-def pr_curve(effects: list[ScoredEffect], reference_set, scale: str,
-             method_id: str = "") -> list[MetricsRow]:
-    """One row per distinct finite magnitude (descending) plus the fixed HR cuts."""
-    thresholds = {e.magnitude for e in effects if e.available and math.isfinite(e.magnitude)}
+def pr_curve(effects: dict[tuple, ScoredEffect], reference_set, scale: str) -> list[MetricsRow]:
+    """One row per distinct finite magnitude (descending) plus the fixed HR cuts;
+    [] when no available effect has a finite magnitude."""
+    thresholds = {e.magnitude for e in effects.values()
+                  if e.available and math.isfinite(e.magnitude)}
     if not thresholds:
-        raise ValueError("no converged predictions")
+        return []
     if scale == SCALE_LOG_HR:
         thresholds |= {threshold_to_magnitude(scale, t) for t in FIXED_HR_THRESHOLDS}
-    read = _tally(effects, reference_set)
-    return [read(t, method_id) for t in sorted(thresholds, reverse=True)]
+    return score(effects, reference_set, sorted(thresholds, reverse=True))

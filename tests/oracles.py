@@ -251,15 +251,15 @@ def searchsorted_km_curve(times, events, row_weights=None) -> SurvivalCurve:
 
 
 def naive_score(effects, entries, threshold) -> dict:
-    """Weighted precision/recall at one magnitude threshold by rescanning every entry.
+    """Weighted precision/recall at one magnitude threshold by rescanning every entry
+    against effects, a {entry key: ScoredEffect} dict.
 
     Strong entries weigh n_weak/n_strong over entries with an available
     effect (1 when either family has none); a hit is a strong entry
     predicted at or above the threshold in its own direction.
     """
-    by_key = {e.entry_key: e for e in effects}
-    evaluable = [(entry, by_key[entry.key]) for entry in entries
-                 if entry.key in by_key and by_key[entry.key].available]
+    evaluable = [(entry, effects[entry.key]) for entry in entries
+                 if entry.key in effects and effects[entry.key].available]
     n_strong_eval = sum(1 for entry, _ in evaluable if entry.label == "strong")
     n_weak_eval = len(evaluable) - n_strong_eval
     n_strong = sum(1 for entry in entries if entry.label == "strong")

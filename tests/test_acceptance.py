@@ -366,11 +366,11 @@ def test_criterion_10_metrics_baseline():
     refset = ReferenceSet(entries)
     precisions, recalls = [], []
     for _ in range(20):
-        effects = [ScoredEffect(e.key, "guess", True,
-                                DIRECTION_A if rng.random() < 0.5 else DIRECTION_B,
-                                1.0)
-                   for e in entries]  # every entry called strong, coin-flip direction
-        row = score(effects, refset, magnitude_threshold=0.5)
+        effects = {e.key: ScoredEffect(True,
+                                       DIRECTION_A if rng.random() < 0.5 else DIRECTION_B,
+                                       1.0)
+                   for e in entries}  # every entry called strong, coin-flip direction
+        [row] = score(effects, refset, [0.5])
         precisions.append(row.weighted_precision)
         recalls.append(row.recall)
     mean_precision = float(np.mean(precisions))
@@ -383,13 +383,13 @@ def test_criterion_10_metrics_baseline():
         _entry(2, LABEL_WEAK, DIRECTION_NONE),
         _entry(3, LABEL_WEAK, DIRECTION_NONE),
     ]
-    fixture_effects = [
-        ScoredEffect(fixture_entries[0].key, "m", True, DIRECTION_A, 2.0),  # TP
-        ScoredEffect(fixture_entries[1].key, "m", True, DIRECTION_B, 0.1),  # miss
-        ScoredEffect(fixture_entries[2].key, "m", True, DIRECTION_A, 2.0),  # FP
-        ScoredEffect(fixture_entries[3].key, "m", True, DIRECTION_B, 2.0),  # FP
-    ]
-    row = score(fixture_effects, ReferenceSet(fixture_entries), 1.0)
+    fixture_effects = {
+        fixture_entries[0].key: ScoredEffect(True, DIRECTION_A, 2.0),  # TP
+        fixture_entries[1].key: ScoredEffect(True, DIRECTION_B, 0.1),  # miss
+        fixture_entries[2].key: ScoredEffect(True, DIRECTION_A, 2.0),  # FP
+        fixture_entries[3].key: ScoredEffect(True, DIRECTION_B, 2.0),  # FP
+    }
+    [row] = score(fixture_effects, ReferenceSet(fixture_entries), [1.0])
     fixture_ok = row.weighted_precision == pytest.approx(1 / 3, abs=1e-12) \
         and row.recall == pytest.approx(1 / 2, abs=1e-12)
     _verdict(10, "random guessing scores 25% precision / <=50% recall; fixture exact",

@@ -57,10 +57,11 @@ def pipeline(tmp_path_factory):
     return root, sim, refset, estimates, report
 
 
-def _run_python(code, *args):
-    """Run code in a fresh interpreter that imports trialbench from src/."""
+def _run_python(code, *args, **env):
+    """Run code in a fresh interpreter that imports trialbench from src/, with the
+    environment variables in env set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
@@ -71,6 +72,31 @@ def test_import_leaves_scipy_out():
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# An AFT fit large enough for OpenBLAS to split its products across threads: the
+# information matrix is 32 x 32 over 1,125 rows. The import comes before numpy's.
+AFT_FIT_BYTES = """
+from trialbench.estimators.survival import aft_fit
+import numpy as np
+rng = np.random.default_rng(1)
+features = rng.poisson(0.3, size=(1125, 30)).astype(float)
+treated = rng.random(1125) < 0.5
+time = np.ceil(rng.exponential(300, size=1125))
+event = rng.random(1125) < 0.6
+model = aft_fit(features, treated, time, event)
+print(model.theta.tobytes().hex(), np.float64(model.log_sigma).tobytes().hex())
+"""
+
+
+def test_aft_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    """Importing trialbench runs BLAS on one thread, so a fit writes the same bytes at
+    OPENBLAS_NUM_THREADS=1 and =2. On a one-core machine OpenBLAS runs one thread
+    whatever the variable says, so there this test cannot fail."""
+    runs = [_run_python(AFT_FIT_BYTES, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_pipeline_runs_with_scipy_blocked(pipeline, tmp_path):
@@ -531,6 +557,32 @@ def test_negative_seeds_exit_2(pipeline, tmp_path, capsys, where):
     assert ("--seed" if where.endswith("flag") else str(config)) in capsys.readouterr().err
 
 
+def test_seed_flag_overrides_config_seed(pipeline, tmp_path):
+    _, sim, refset_path, _, _ = pipeline
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 7\n")
+    out = tmp_path / "o.jsonl"
+    evaluate = ["evaluate", "--refset", str(refset_path), "--db", str(sim / "claims.jsonl"),
+                "--vocab", str(sim / "vocab.txt"), "--methods", "cox_unadjusted",
+                "--config", str(config), "--out", str(out)]
+    for extra, seed in (([], 7), (["--seed", "23"], 23)):
+        assert main(evaluate + extra) == 0
+        assert read_jsonl(out, expect_header=True)[0]["seed"] == seed
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "2"])
+def test_alpha_outside_unit_interval_exits_2(pipeline, tmp_path, capsys, alpha):
+    _, sim, _, _, _ = pipeline
+    out = tmp_path / "refset.jsonl"
+    capsys.readouterr()
+    assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
+                 "--drug-dict", str(sim / "drug_dict.tsv"),
+                 "--outcome-dict", str(sim / "outcome_dict.tsv"),
+                 "--alpha", alpha, "--out", str(out)]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path, capsys):
     _, sim, refset_path, _, _ = pipeline
     base = ["evaluate", "--refset", str(refset_path),
@@ -664,6 +716,9 @@ MALFORMED_INPUTS = {
     "misspelt_config_key": ("--config", lambda _: "calipr_sd_logit = 0.0001\n"),
     "methods_config_key": ("--config", lambda _: "methods = cox_psm\n"),
     "repeated_config_key": ("--config", lambda _: "max_per_arm = 5\nmax_per_arm = 500\n"),
+    # the run passes --seed too, which must not keep the config seed from being checked
+    "negative_config_seed": ("--config", lambda _: "seed = -1\n"),
+    "non_numeric_config_seed": ("--config", lambda _: "seed = abc\n"),
     "refset_record_without_label": ("--refset", _without("label", line=1)),
     "refset_header_a_list": ("--refset", lambda text: "[1]\n" + text.split("\n", 1)[1]),
     "refset_provenance_a_list": ("--refset", _edit_record(lambda record: record.update(

@@ -29,8 +29,8 @@ def _entry(i, label, direction):
     return ReferenceEntry("A", "B", f"E{i:04d}", label, direction, 1.0, 0.01, 0.02)
 
 
-def _effect(entry, available=True, direction=DIRECTION_A, magnitude=1.0):
-    return ScoredEffect(entry.key, "m", available, direction, magnitude)
+def _effect(direction=DIRECTION_A, magnitude=1.0):
+    return ScoredEffect(True, direction, magnitude)
 
 
 def test_direction_conventions():
@@ -69,15 +69,17 @@ def test_effects_by_method():
     assert list(grouped) == ["cox", "km"]
     scale, effects = grouped["cox"]
     assert scale == SCALE_LOG_HR
-    assert effects[0] == ScoredEffect(("A", "B", "E1"), "cox", True, DIRECTION_A,
-                                      math.log(1.8))
-    assert effects[1].direction == DIRECTION_B and effects[1].magnitude == 0.2
-    for unavailable in effects[2:]:
+    assert list(effects) == [("A", "B", f"E{i}") for i in range(1, 5)]
+    assert effects["A", "B", "E1"] == ScoredEffect(True, DIRECTION_A, math.log(1.8))
+    second = effects["A", "B", "E2"]
+    assert second.direction == DIRECTION_B and second.magnitude == 0.2
+    for key in (("A", "B", "E3"), ("A", "B", "E4")):
+        unavailable = effects[key]
         assert not unavailable.available and unavailable.direction == DIRECTION_NONE
         assert math.isnan(unavailable.magnitude)
     scale, effects = grouped["km"]
     assert scale == SCALE_RMST_DAYS
-    assert effects == [ScoredEffect(("A", "B", "E1"), "km", True, DIRECTION_B, 7.0)]
+    assert effects == {("A", "B", "E1"): ScoredEffect(True, DIRECTION_B, 7.0)}
 
 
 def _hand_fixture():
@@ -88,18 +90,18 @@ def _hand_fixture():
         _entry(2, LABEL_WEAK, DIRECTION_NONE),
         _entry(3, LABEL_WEAK, DIRECTION_NONE),
     ]
-    effects = [
-        _effect(entries[0], direction=DIRECTION_A, magnitude=2.0),   # TP
-        _effect(entries[1], direction=DIRECTION_B, magnitude=0.1),   # predicted weak: miss
-        _effect(entries[2], direction=DIRECTION_A, magnitude=2.0),   # FP
-        _effect(entries[3], direction=DIRECTION_B, magnitude=2.0),   # FP
-    ]
+    effects = {
+        entries[0].key: _effect(direction=DIRECTION_A, magnitude=2.0),   # TP
+        entries[1].key: _effect(direction=DIRECTION_B, magnitude=0.1),   # predicted weak: miss
+        entries[2].key: _effect(direction=DIRECTION_A, magnitude=2.0),   # FP
+        entries[3].key: _effect(direction=DIRECTION_B, magnitude=2.0),   # FP
+    }
     return ReferenceSet(entries), effects
 
 
 def test_score_hand_fixture():
     refset, effects = _hand_fixture()
-    row = score(effects, refset, magnitude_threshold=1.0)
+    [row] = score(effects, refset, [1.0])
     assert row.weighted_precision == pytest.approx(1 / 3)
     assert row.recall == pytest.approx(1 / 2)
     assert row.recall_evaluable == pytest.approx(1 / 2)
@@ -109,10 +111,10 @@ def test_score_hand_fixture():
 
 def test_score_requires_direction_match():
     refset, effects = _hand_fixture()
-    flipped = [ScoredEffect(e.entry_key, e.method_id, e.available,
-                            DIRECTION_B if e.direction == DIRECTION_A else DIRECTION_A,
-                            e.magnitude) for e in effects]
-    row = score(flipped, refset, 1.0)
+    flipped = {key: ScoredEffect(e.available,
+                                 DIRECTION_B if e.direction == DIRECTION_A else DIRECTION_A,
+                                 e.magnitude) for key, e in effects.items()}
+    [row] = score(flipped, refset, [1.0])
     assert row.tp == 0 and row.recall == 0.0
 
 
@@ -120,8 +122,8 @@ def test_score_family_weighting():
     # 1 strong + 3 weak evaluable: strong entries carry weight 3
     entries = [_entry(0, LABEL_STRONG, DIRECTION_A)] + [
         _entry(i, LABEL_WEAK, DIRECTION_NONE) for i in (1, 2, 3)]
-    effects = [_effect(e, magnitude=2.0) for e in entries]  # all predicted strong
-    row = score(effects, ReferenceSet(entries), 1.0)
+    effects = {e.key: _effect(magnitude=2.0) for e in entries}  # all predicted strong
+    [row] = score(effects, ReferenceSet(entries), [1.0])
     assert row.tp_weighted == pytest.approx(3.0)
     assert row.fp_weighted == pytest.approx(3.0)
     assert row.weighted_precision == pytest.approx(0.5)
@@ -130,12 +132,12 @@ def test_score_family_weighting():
 def test_score_unavailable_entries():
     entries = [_entry(0, LABEL_STRONG, DIRECTION_A), _entry(1, LABEL_STRONG, DIRECTION_A),
                _entry(2, LABEL_WEAK, DIRECTION_NONE)]
-    effects = [
-        _effect(entries[0], magnitude=2.0),
-        ScoredEffect(entries[1].key, "m", False, DIRECTION_NONE, math.nan),
-        _effect(entries[2], magnitude=0.0),
-    ]
-    row = score(effects, ReferenceSet(entries), 1.0)
+    effects = {
+        entries[0].key: _effect(magnitude=2.0),
+        entries[1].key: ScoredEffect(False, DIRECTION_NONE, math.nan),
+        entries[2].key: _effect(magnitude=0.0),
+    }
+    [row] = score(effects, ReferenceSet(entries), [1.0])
     assert row.n_evaluable == 2
     assert row.recall == pytest.approx(1 / 2)            # both strong in denominator
     assert row.recall_evaluable == pytest.approx(1.0)    # only evaluable strong
@@ -144,26 +146,25 @@ def test_score_unavailable_entries():
 
 def test_score_no_strong_predictions_yields_none():
     refset, effects = _hand_fixture()
-    row = score(effects, refset, magnitude_threshold=100.0)
+    [row] = score(effects, refset, [100.0])
     assert row.weighted_precision is None
     assert row.recall == 0.0
 
 
 def test_score_empty_reference_set():
     with pytest.raises(ValueError):
-        score([], ReferenceSet([]), 1.0)
+        score({}, ReferenceSet([]), [1.0])
 
 
 def test_pr_curve_structure():
     rng = np.random.default_rng(8)
-    entries, effects = [], []
+    entries, effects = [], {}
     for i in range(60):
         label = LABEL_STRONG if i % 2 else LABEL_WEAK
         direction = DIRECTION_A if label == LABEL_STRONG else DIRECTION_NONE
         entry = _entry(i, label, direction)
         entries.append(entry)
-        effects.append(_effect(entry, direction=DIRECTION_A,
-                               magnitude=float(rng.uniform(0, 2))))
+        effects[entry.key] = _effect(direction=DIRECTION_A, magnitude=float(rng.uniform(0, 2)))
     refset = ReferenceSet(entries)
     rows = pr_curve(effects, refset, SCALE_LOG_HR)
     thresholds = [r.threshold for r in rows]
@@ -172,9 +173,8 @@ def test_pr_curve_structure():
         assert any(abs(t - math.log(hr)) < 1e-12 for t in thresholds)
     recalls = [r.recall for r in rows]
     assert recalls == sorted(recalls)  # recall grows as the threshold drops
-    with pytest.raises(ValueError):
-        pr_curve([ScoredEffect(("A", "B", "E"), "m", False, DIRECTION_NONE, math.nan)],
-                 refset, SCALE_LOG_HR)
+    assert pr_curve({("A", "B", "E"): ScoredEffect(False, DIRECTION_NONE, math.nan)},
+                    refset, SCALE_LOG_HR) == []
 
 
 def _random_set(rng):
@@ -182,7 +182,7 @@ def _random_set(rng):
     entries without an effect, effects outside the set, and single-family sets."""
     n = int(rng.integers(1, 120))
     families = [[LABEL_STRONG], [LABEL_WEAK], [LABEL_STRONG, LABEL_WEAK]][int(rng.integers(3))]
-    entries, effects = [], []
+    entries, effects = [], {}
     for i in range(n):
         label = str(rng.choice(families))
         entry = _entry(i, label, str(rng.choice([DIRECTION_A, DIRECTION_B]))
@@ -193,17 +193,17 @@ def _random_set(rng):
         if kind == "absent":
             continue
         if kind == "unavailable":
-            effects.append(ScoredEffect(entry.key, "m", False, DIRECTION_NONE, math.nan))
+            effects[entry.key] = ScoredEffect(False, DIRECTION_NONE, math.nan)
             continue
         magnitude = {"tied": float(rng.integers(0, 4)) / 4, "continuous": rng.exponential(0.5),
                      "infinite": math.inf, "nan": math.nan}[kind]
-        effects.append(_effect(entry, direction=str(rng.choice([DIRECTION_A, DIRECTION_B])),
-                               magnitude=float(magnitude)))
+        effects[entry.key] = _effect(direction=str(rng.choice([DIRECTION_A, DIRECTION_B])),
+                                     magnitude=float(magnitude))
     for i in range(int(rng.integers(0, 3))):  # keys the reference set does not hold
-        effects.append(ScoredEffect(("X", "Y", f"Z{i}"), "m", True, DIRECTION_A,
-                                    float(rng.integers(0, 4)) / 4))
-    rng.shuffle(effects)
-    return ReferenceSet(entries), effects
+        effects["X", "Y", f"Z{i}"] = _effect(magnitude=float(rng.integers(0, 4)) / 4)
+    keys = list(effects)
+    rng.shuffle(keys)
+    return ReferenceSet(entries), {key: effects[key] for key in keys}
 
 
 def _as_reported(value):
@@ -222,13 +222,21 @@ def _assert_matches_oracle(row, expected):
 def test_score_and_pr_curve_match_naive_rescan(seed):
     rng = np.random.default_rng(seed)
     refset, effects = _random_set(rng)
-    for threshold in (0.0, 0.25, 0.5, 0.6, 1.0, math.log(2), 5.0, math.inf):
-        _assert_matches_oracle(score(effects, refset, threshold),
-                               naive_score(effects, refset.entries, threshold))
-    finite = {e.magnitude for e in effects if e.available and math.isfinite(e.magnitude)}
+    thresholds = [0.0, 0.25, 0.5, 0.6, 1.0, math.log(2), 5.0, math.inf]
+    for threshold in thresholds:
+        [row] = score(effects, refset, [threshold])
+        _assert_matches_oracle(row, naive_score(effects, refset.entries, threshold))
+    # one call over the thresholds shuffled, one repeated: a row per threshold, in order
+    listed = [*thresholds, thresholds[int(rng.integers(len(thresholds)))]]
+    rng.shuffle(listed)
+    rows = score(effects, refset, listed)
+    assert [row.threshold for row in rows] == listed
+    for threshold, row in zip(listed, rows):
+        _assert_matches_oracle(row, naive_score(effects, refset.entries, threshold))
+    finite = {e.magnitude for e in effects.values()
+              if e.available and math.isfinite(e.magnitude)}
     if not finite:
-        with pytest.raises(ValueError):
-            pr_curve(effects, refset, SCALE_LOG_HR)
+        assert pr_curve(effects, refset, SCALE_LOG_HR) == []
         return
     for scale, extra in ((SCALE_LOG_HR, {math.log(t) for t in FIXED_HR_THRESHOLDS}),
                          (SCALE_RMST_DAYS, set())):
