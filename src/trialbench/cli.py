@@ -197,7 +197,7 @@ def cmd_evaluate(args) -> int:
     groups: dict[tuple, list] = {}  # the entries by drug pair
     for entry in reference.entries:
         # an entry with a code the db does not know is a group of its own, skipped alone
-        key = entry.key[:2] if all(c in db.vocabulary for c in entry.key) else entry.key
+        key = entry.key[:2] if all(c in db.vocabulary_set for c in entry.key) else entry.key
         groups.setdefault(key, []).append(entry)
     records = []
     for key, entries in groups.items():

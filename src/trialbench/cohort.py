@@ -12,6 +12,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,11 @@ class PatientDB:
                              f"first {min(missing)}")
         return dataclasses.replace(self, dense_features=matrix)
 
+    @cached_property
+    def vocabulary_set(self) -> frozenset[str]:
+        """The vocabulary codes, for membership tests."""
+        return frozenset(self.vocabulary)
+
     def earliest_day(self, kind, code) -> np.ndarray:
         """Per patient, the earliest day of a (kind, code) event, or NEVER."""
         hit = self.key == self.keys.get((kind, code), -1)
@@ -141,7 +147,8 @@ class Cohort:
     index to event or censoring, and event is True where the outcome occurred."""
     patient_ids: list[str]
     treated: np.ndarray   # True where treatment == drug_a
-    features: np.ndarray  # (n, p)
+    features: np.ndarray  # (n, len(codes)) pre-index counts, or (n, d) dense features
+    codes: list[str]      # each count column's vocabulary code; [] for dense features
     outcomes: list[tuple[np.ndarray, np.ndarray]]  # (time, event) per outcome code, in order
 
 
@@ -174,7 +181,7 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
     with default_rng(seed). There is no washout: a patient with an outcome
     recorded before index stays in the cohort.
     """
-    missing = [c for c in (drug_a, drug_b, *outcomes) if c not in db.vocabulary]
+    missing = [c for c in (drug_a, drug_b, *outcomes) if c not in db.vocabulary_set]
     if missing:
         return SkipSignal(reason=f"codes not in db vocabulary: {missing}")
 
@@ -203,13 +210,15 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
     at, day, key = at[mine], db.day[mine], db.key[mine]
     after = day >= index_day[at]
     if db.dense_features is not None:
-        features = db.dense_features[rows]
-    else:  # pre-index event counts per code, scattered into (rows, vocabulary)
+        features, codes = db.dense_features[rows], []
+    else:  # pre-index event counts of the codes the cohort has, in vocabulary order
         column = db.column[key]
         pre = ~after & (column >= 0)
-        width = len(db.vocabulary)
-        cell = at[pre] * width + column[pre]
-        features = np.bincount(cell, minlength=len(rows) * width).reshape(len(rows), width)
+        used, col = np.unique(column[pre], return_inverse=True)
+        codes = [db.vocabulary[i] for i in used.tolist()]
+        cell = at[pre] * len(codes) + col
+        features = np.bincount(cell, minlength=len(rows) * len(codes))
+        features = features.reshape(len(rows), len(codes))
     follow_up = []
     for outcome in outcomes:
         hit = after & (key == db.keys.get((KIND_DIAGNOSIS, outcome), -1))
@@ -220,5 +229,6 @@ def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
         patient_ids=[db.patients[i] for i in rows],
         treated=treated,
         features=features.astype(float),
+        codes=codes,
         outcomes=follow_up,
     )

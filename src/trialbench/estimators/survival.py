@@ -271,7 +271,8 @@ def aft_fit(features, treatment, times, events) -> AFTModel:
     Fits a = 1/sigma and b = theta/sigma, where z = a log t - X b is linear
     and the log-likelihood sum(d (z + log a) - exp(z)) is concave, so Newton
     with step halving reaches the maximum. Information-matrix steps use
-    least squares: all-zero feature columns leave their coefficient at 0.
+    least squares, so a constant or duplicated feature column, which makes
+    the matrix singular, still gives a converging step.
     Requires >= 10 events; otherwise (or on non-convergence) the model is
     flagged and downstream estimates are excluded from metrics.
     """

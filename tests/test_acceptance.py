@@ -248,7 +248,7 @@ def test_criterion_06_confounding_correction():
         settings = RunSettings(seed=seed, methods=("cox_unadjusted",
                                                    "cox_ipw_overlap",
                                                    "cox_ipw_standard"))
-        pair = Cohort([], arrays.treated, arrays.features, [(arrays.time, arrays.event)])
+        pair = Cohort([], arrays.treated, arrays.features, [], [(arrays.time, arrays.event)])
         ests = {e.method_id: e for e in run_all_methods(pair, settings)[0]}
         unadjusted.append(ests["cox_unadjusted"].point)
         overlap.append(ests["cox_ipw_overlap"].point)

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import interned_patient_db
 from trialbench.cohort import Cohort, PatientDB, SkipSignal, build_cohort, load_patient_db
+from trialbench.estimators.methods import METHOD_REGISTRY, RunSettings, run_all_methods
 
 PAIR = ("DRUG_A", "DRUG_B", ["OUT"])  # drug_a, drug_b and the outcome codes of build_cohort
 
@@ -54,7 +55,8 @@ def test_count_features_strictly_pre_index():
     cohort = build_cohort(_db(patients), *PAIR, seed=0)
     vec = cohort.features[cohort.patient_ids.index("zz_counts")]
     # both day-3 COV0 events count, whatever their kind; day 10 is not pre-index
-    assert vec.tolist() == [0.0, 0.0, 0.0, 2.0]
+    assert cohort.codes == ["COV0"]  # no patient has DRUG_A, DRUG_B or OUT pre-index
+    assert vec[cohort.codes.index("COV0")] == 2.0 and vec.sum() == 2.0
 
 
 def _bulk_patients(n_a=120, n_b=130):
@@ -84,8 +86,20 @@ def test_build_cohort_basic():
     # censored control b0001: follow-up to observation end
     j = cohort.patient_ids.index("b0001")
     assert not cohort.treated[j] and not event[j] and time[j] == 350
-    # features are the pre-index counts in vocabulary order
-    assert cohort.features[i][3] == 1.0  # COV0 present for even a-patients
+    # features are the pre-index counts of the codes the cohort has, in vocabulary order
+    assert cohort.codes == ["COV0"] and cohort.features.shape == (250, 1)
+    assert cohort.features[i][cohort.codes.index("COV0")] == 1.0  # COV0: even a-patients
+
+
+def test_cohort_without_pre_index_codes_has_no_count_columns():
+    patients = [_patient(p["patient_id"], [ev for ev in p["events"] if ev[2] != "COV0"])
+                for p in _bulk_patients()]
+    cohort = build_cohort(_db(patients), *PAIR, seed=0)
+    assert cohort.features.shape == (250, 0) and cohort.codes == []
+    assert cohort.features.flags.c_contiguous
+    [estimates] = run_all_methods(cohort, RunSettings(seed=0))
+    assert [e.method_id for e in estimates] == list(METHOD_REGISTRY)
+    assert all(e.note == "" and np.isfinite(e.point) for e in estimates), estimates
 
 
 def test_first_claim_defines_arm():
@@ -309,7 +323,10 @@ def test_build_cohort_matches_per_patient_reference(db_seed):
                 assert expected is not None
                 assert cohort.patient_ids == [r[0] for r in expected]
                 assert cohort.treated.tolist() == [r[1] for r in expected]
-                assert cohort.features.tolist() == [r[2] for r in expected]
+                counts = np.array([r[2] for r in expected])  # one column per vocabulary code
+                has = counts.any(axis=0)  # the codes some patient has pre-index
+                assert cohort.codes == [code for code, h in zip(vocab, has) if h]
+                assert cohort.features.tolist() == counts[:, has].tolist()
                 assert time.tolist() == [r[3] for r in expected]
                 assert event.tolist() == [r[4] for r in expected]
 

@@ -373,6 +373,27 @@ def test_aft_converges_with_all_zero_count_columns():
     assert reduced.log_sigma == pytest.approx(model.log_sigma, abs=1e-9)
 
 
+@pytest.mark.parametrize("extra", ["duplicate", "constant", "all_zero"])
+def test_aft_singular_extra_column_leaves_the_predicted_rmst(extra):
+    # a duplicated or constant count column makes the information matrix singular, and an
+    # all-zero one did so before each cohort kept only the codes it has; each Newton step
+    # is a least-squares solve, so the fit converges to the same predictions
+    rng = np.random.default_rng(1)
+    features = rng.poisson(0.3, size=(1125, 4)).astype(float)
+    treated = rng.random(1125) < 0.5
+    times = np.ceil(rng.exponential(300, size=1125))
+    events = rng.random(1125) < 0.6
+    column = {"duplicate": features[:, 0], "constant": np.ones(1125),
+              "all_zero": np.zeros(1125)}[extra]
+    wide = np.column_stack([features, column])
+    base = aft_fit(features, treated, times, events)
+    model = aft_fit(wide, treated, times, events)
+    assert base.converged and model.converged
+    for arm in (np.zeros(1125), np.ones(1125)):
+        want = base.predicted_rmst(features, arm, 300.0)
+        assert np.allclose(model.predicted_rmst(wide, arm, 300.0), want, rtol=1e-12, atol=0)
+
+
 def test_aft_requires_events():
     model = aft_fit(np.zeros((20, 1)), np.zeros(20), np.ones(20) * 5,
                     np.zeros(20, dtype=bool))
@@ -460,7 +481,7 @@ def _registry_cohort():
 def _pair(arrays, *more_outcomes):
     """A drug pair's cohort of plain arrays: arrays' treated, features, time and event,
     then one more outcome per (time, event) in more_outcomes."""
-    return Cohort([], arrays.treated, arrays.features,
+    return Cohort([], arrays.treated, arrays.features, [],
                   [(arrays.time, arrays.event), *more_outcomes])
 
 

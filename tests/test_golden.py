@@ -131,6 +131,22 @@ def test_outputs_match_golden(sim, variant, tmp_path):
     assert not moved, f"{variant} outputs moved, by file and method_id: {moved}"
 
 
+def test_unused_vocabulary_codes_change_no_estimate(sim, tmp_path):
+    """A cohort's count features are the codes its patients have pre-index, so codes no
+    patient has, appended to the vocabulary, leave every estimate byte as it was."""
+    wide = tmp_path / "vocab.txt"
+    wide.write_text((sim / "vocab.txt").read_text(encoding="utf-8")
+                    + "".join(f"UNUSED{i}\n" for i in range(40)), encoding="utf-8")
+    written = []
+    for name, vocab in [("narrow", sim / "vocab.txt"), ("wide", wide)]:
+        estimates = tmp_path / name / "estimates.jsonl"
+        assert main(["evaluate", "--refset", str(sim / "refset.jsonl"),
+                     "--db", str(sim / "claims.jsonl"), "--vocab", str(vocab),
+                     "--seed", "7", "--out", str(estimates)]) == 0
+        written.append(estimates.read_text(encoding="utf-8"))
+    assert written[0] == written[1], _moved_methods("estimates.jsonl", *written)
+
+
 def test_refset_matches_golden(tmp_path):
     _build_refsets(tmp_path)
     moved = [f"{variant}/{name}" for variant in REFSET_VARIANTS for name in REFSET_OUTPUTS
