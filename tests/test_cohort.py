@@ -88,6 +88,7 @@ def test_build_cohort_basic():
     assert not cohort.treated[j] and not event[j] and time[j] == 350
     # features are the pre-index counts of the codes the cohort has, in vocabulary order
     assert cohort.codes == ["COV0"] and cohort.features.shape == (250, 1)
+    assert cohort.features.flags.c_contiguous
     assert cohort.features[i][cohort.codes.index("COV0")] == 1.0  # COV0: even a-patients
 
 

@@ -375,9 +375,9 @@ def test_aft_converges_with_all_zero_count_columns():
 
 @pytest.mark.parametrize("extra", ["duplicate", "constant", "all_zero"])
 def test_aft_singular_extra_column_leaves_the_predicted_rmst(extra):
-    # a duplicated or constant count column makes the information matrix singular, and an
-    # all-zero one did so before each cohort kept only the codes it has; each Newton step
-    # is a least-squares solve, so the fit converges to the same predictions
+    # a duplicated, constant or all-zero count column makes the information matrix
+    # singular; each Newton step is a least-squares solve, so the fit converges to the
+    # same predictions
     rng = np.random.default_rng(1)
     features = rng.poisson(0.3, size=(1125, 4)).astype(float)
     treated = rng.random(1125) < 0.5
