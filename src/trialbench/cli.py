@@ -147,7 +147,7 @@ def cmd_evaluate(args) -> int:
     reference = refset_mod.load(refset_path)
     db = cohort_mod.load_patient_db(db_path, vocab_path, dense_features_path=dense_path)
 
-    methods = tuple(args.methods.split(",")) if args.methods else tuple(METHOD_REGISTRY)
+    methods = tuple(METHOD_REGISTRY) if args.methods is None else tuple(args.methods.split(","))
     unknown = [m for m in methods if m not in METHOD_REGISTRY]
     if unknown:
         raise InputError(f"--methods: unknown {unknown}; registry: {tuple(METHOD_REGISTRY)}")
@@ -203,7 +203,7 @@ def cmd_evaluate(args) -> int:
     for key, entries in groups.items():
         part = parts_dir / _part_name(key)
         try:  # a missing or unreadable part is recomputed
-            found, rows = read_jsonl(part, expect_header=True) if args.resume else (None, [])
+            found, rows = read_jsonl(part) if args.resume else (None, [])
         except (OSError, ValueError):  # InputError and UnicodeDecodeError are ValueErrors
             found = None
         if found != part_header or not _holds_group(rows, entries, methods):
@@ -253,7 +253,7 @@ def cmd_report(args) -> int:
     estimates_path = _require_file(args.estimates)
     refset_path = _require_file(args.refset)
     with parsing(estimates_path):
-        header, records = read_jsonl(estimates_path, expect_header=True)
+        header, records = read_jsonl(estimates_path)
     if header is None or header.get("kind") != "estimates":
         raise InputError(f"{estimates_path}: not an estimates file")
     if not records:

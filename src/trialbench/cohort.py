@@ -19,9 +19,6 @@ import numpy as np
 # read_jsonl is unused here, but perfbench/tracer.py hooks cohort.read_jsonl by name
 from .formats import iter_jsonl, parsing, read_jsonl  # noqa: F401
 
-MAX_ARM_SIZE = 100_000
-MIN_ARM_SIZE = 100
-
 KIND_DRUG = "drug_claim"
 KIND_DIAGNOSIS = "diagnosis"
 KIND_PROCEDURE = "procedure"
@@ -171,7 +168,7 @@ def load_patient_db(db_path, vocab_path, dense_features_path=None) -> PatientDB:
 
 
 def build_cohort(db: PatientDB, drug_a: str, drug_b: str, outcomes, seed,
-                 max_per_arm: int = MAX_ARM_SIZE, min_per_arm: int = MIN_ARM_SIZE):
+                 max_per_arm: int, min_per_arm: int):
     """Build the two-arm new-user cohort of one drug pair, with follow-up for each
     outcome code in outcomes.
 

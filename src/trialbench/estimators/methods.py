@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cohort import MAX_ARM_SIZE, MIN_ARM_SIZE
-from .propensity import (
-    DEFAULT_CALIPER,
-    DEFAULT_RIDGE,
-    STANDARD_WEIGHT_CAP,
-    compute_weights,
-    fit_logistic,
-    match_pairs,
-)
+from .propensity import STANDARD_WEIGHT_CAP, compute_weights, fit_logistic, match_pairs
 from .survival import aft_fit, cox_fit, event_time_horizon, km_curve, rmst
 
 SCALE_LOG_HR = "log_hazard_ratio"
@@ -42,18 +34,18 @@ EffectEstimate = namedtuple("EffectEstimate", ("method_id", "scale", *Fit._field
 class RunSettings:
     """Every evaluate setting; the fields other than seed and methods are run-config keys."""
     seed: int | np.random.SeedSequence = 0  # of the matching order
-    ridge: float = DEFAULT_RIDGE
-    caliper_sd_logit: float = DEFAULT_CALIPER
+    ridge: float = 1e-6
+    caliper_sd_logit: float = 0.2
     weight_cap: float = STANDARD_WEIGHT_CAP
     tau_percentile: float = 0.8
-    max_per_arm: int = MAX_ARM_SIZE
-    min_per_arm: int = MIN_ARM_SIZE
+    max_per_arm: int = 100_000
+    min_per_arm: int = 100
     methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHOD_REGISTRY))
 
     def __post_init__(self):
         for names, rule, in_range in [
-                (("ridge", "max_per_arm", "min_per_arm"), ">= 0", lambda v: v >= 0),
-                (("caliper_sd_logit", "weight_cap"), "> 0", lambda v: v > 0),
+                (("ridge", "max_per_arm"), ">= 0", lambda v: v >= 0),
+                (("caliper_sd_logit", "weight_cap", "min_per_arm"), "> 0", lambda v: v > 0),
                 (("tau_percentile",), "in (0, 1]", lambda v: 0 < v <= 1)]:
             for name in names:
                 value = getattr(self, name)
@@ -273,7 +265,7 @@ def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]
     per_outcome = []
     for outcome in cohort.outcomes:
         try:
-            tau = event_time_horizon(*outcome, settings.tau_percentile)
+            tau = event_time_horizon(*outcome, percentile=settings.tau_percentile)
         except ValueError:
             per_outcome.append(failed_estimates(wanted, n, "no observed events"))
             continue

@@ -9,8 +9,6 @@ import numpy as np
 
 SCORE_CLIP = 1e-6
 STANDARD_WEIGHT_CAP = 100.0
-DEFAULT_RIDGE = 1e-6
-DEFAULT_CALIPER = 0.2
 LOGISTIC_TOL = 1e-8  # max absolute IRLS coefficient step
 LOGISTIC_MAX_ITER = 100
 
@@ -27,7 +25,7 @@ class PropensityFit:
     iterations: int
 
 
-def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE) -> PropensityFit:
+def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
     """Ridge-penalized logistic regression via IRLS.
 
     The intercept is unpenalized. Converged when the max absolute
@@ -65,8 +63,8 @@ def fit_logistic(features, treatment_labels, ridge: float = DEFAULT_RIDGE) -> Pr
                          iterations=iterations)
 
 
-def match_pairs(scores, treatment_labels, caliper_sd_logit: float = DEFAULT_CALIPER,
-                seed: int = 0) -> list[tuple[int, int]]:
+def match_pairs(scores, treatment_labels, caliper_sd_logit: float,
+                seed: int | np.random.SeedSequence) -> list[tuple[int, int]]:
     """1:1 greedy nearest-neighbor matching on logit(score), no replacement.
 
     Treated rows are processed in seeded random order; a pair farther

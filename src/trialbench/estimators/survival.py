@@ -179,7 +179,7 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
     return float(curve.integral(tau))
 
 
-def event_time_horizon(times, events, percentile: float = 0.8) -> float:
+def event_time_horizon(times, events, percentile: float) -> float:
     """Nearest-rank percentile of pooled observed event times."""
     t = np.asarray(times, dtype=float)[np.asarray(events, dtype=bool)]
     if len(t) == 0:

@@ -81,7 +81,7 @@ _SCRATCH = np.zeros((3, 0))
 
 
 def _live_log_pmf(k: np.ndarray, base: np.ndarray, psi: float,
-                  row: int = 1) -> tuple[int, np.ndarray]:
+                  row: int) -> tuple[int, np.ndarray]:
     """(i0, log-pmf of cells i0, i0 + 1, ...) under odds ratio psi: its live window.
 
     The window runs from the first to the last cell whose log-weight

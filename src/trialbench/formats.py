@@ -85,11 +85,11 @@ def iter_jsonl(path):
             yield obj
 
 
-def read_jsonl(path, expect_header: bool = False):
-    """Returns (header, records); header is line 1's object if expect_header, else None."""
+def read_jsonl(path):
+    """Returns (header, records): header is line 1's object, or None if line 1 is blank."""
     records = iter_jsonl(path)
     with open(path, encoding="utf-8") as fh:
-        header = next(records) if expect_header and fh.readline().strip() else None
+        header = next(records) if fh.readline().strip() else None
     return header, list(records)
 
 

@@ -207,7 +207,7 @@ def map_drug(drug_text: str, dictionary: DrugDictionary) -> frozenset[str]:
     return dictionary.lookup(drug_text)
 
 
-def filter_arms(mapped_arms, drop_report: Counter | None = None) -> list[tuple[str, Arm]]:
+def filter_arms(mapped_arms, drop_report: Counter) -> list[tuple[str, Arm]]:
     """Apply the arm quality filters; returns (ingredient, arm) pairs.
 
     mapped_arms: iterable of (Arm, ingredient_set). Drops arms with
@@ -216,8 +216,6 @@ def filter_arms(mapped_arms, drop_report: Counter | None = None) -> list[tuple[s
     drop_report in that order; each dropped arm is charged to the first
     rule it trips.
     """
-    if drop_report is None:
-        drop_report = Counter()
     kept = []
     for arm, ingredients in mapped_arms:
         if arm.participant_count < MIN_ARM_PARTICIPANTS:

@@ -66,7 +66,7 @@ def bucket(tables) -> tuple[list, list]:
     return strong, weak
 
 
-def prefilter(candidates, family: str, alpha: float, drop_report=None) -> list[tuple]:
+def prefilter(candidates, family: str, alpha: float, drop_report: Counter) -> list[tuple]:
     """Test each candidate once, keeping those whose margins can reach p < alpha.
 
     One composite p-value vector per table gives both the floor over every
@@ -80,7 +80,7 @@ def prefilter(candidates, family: str, alpha: float, drop_report=None) -> list[t
         if p_all.min() < alpha:
             lo, _ = exact.support(table.n1, table.n2, m)
             kept.append((table, float(p_all[table.a - lo])))
-        elif drop_report is not None:
+        else:
             drop_report[f"prefilter_{family}"] += 1
     return kept
 
@@ -113,8 +113,8 @@ def _entries_for_family(tested, family: str, alpha: float) -> list[ReferenceEntr
     return entries
 
 
-def build_from_tables(tables, alpha: float = DEFAULT_ALPHA, provenance: dict | None = None,
-                      drop_report=None, use_prefilter: bool = True) -> ReferenceSet:
+def build_from_tables(tables, alpha: float, provenance: dict, drop_report: Counter,
+                      use_prefilter: bool) -> ReferenceSet:
     """Bucket, pre-filter, test, and BH-control pooled tables into a set."""
     strong_cand, weak_cand = bucket(tables)
     floor_alpha = alpha if use_prefilter else math.inf
@@ -123,16 +123,12 @@ def build_from_tables(tables, alpha: float = DEFAULT_ALPHA, provenance: dict | N
     entries = _entries_for_family(strong, LABEL_STRONG, alpha)
     entries += _entries_for_family(weak, LABEL_WEAK, alpha)
     entries.sort(key=lambda e: e.key)
-    prov = dict(provenance or {})
-    prov.setdefault("alpha", alpha)
-    prov.setdefault("or_thresholds", [WEAK_OR_LOW, WEAK_OR_HIGH])
-    prov["n_strong_candidates"] = len(strong)
-    prov["n_weak_candidates"] = len(weak)
-    return ReferenceSet(entries=entries, provenance=prov)
+    return ReferenceSet(entries=entries, provenance={
+        **provenance, "alpha": alpha, "or_thresholds": [WEAK_OR_LOW, WEAK_OR_HIGH],
+        "n_strong_candidates": len(strong), "n_weak_candidates": len(weak)})
 
 
-def build(dump_path, drug_dict_path, outcome_dict_path,
-          alpha: float = DEFAULT_ALPHA, use_prefilter: bool = True):
+def build(dump_path, drug_dict_path, outcome_dict_path, alpha: float, use_prefilter: bool):
     """Full pipeline from files: returns (ReferenceSet, drop counts per rule, ParseResult).
     A malformed dump or dictionary raises InputError naming the file."""
     drug_dict = ingest.DrugDictionary.load(drug_dict_path)
@@ -173,7 +169,7 @@ def load(path) -> ReferenceSet:
     """
     entries = []
     with parsing(path):
-        header, records = read_jsonl(path, expect_header=True)
+        header, records = read_jsonl(path)
         if header is None or header.get("kind") != "reference_set":
             raise InputError(f"{path}: missing reference_set header line")
         for rec in records:

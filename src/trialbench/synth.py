@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import KIND_DIAGNOSIS, KIND_DRUG, KIND_PROCEDURE
+from .estimators import RunSettings
 from .estimators.survival import cox_fit, event_time_horizon
 from .formats import dump_json_line
 
@@ -126,14 +127,14 @@ def gen_survival_arrays(config: ScenarioConfig, rng: np.random.Generator) -> Sur
                           latent_time=t_event)
 
 
-def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
-                 n_mc: int = 1_000_000) -> GroundTruth:
+def ground_truth(config: ScenarioConfig, rng: np.random.Generator, n_mc: int) -> GroundTruth:
     """Counterfactual Monte-Carlo estimate of the marginal estimands.
 
     Simulates both arms for n_mc fresh patients under administrative
     censoring at the configured horizon, then reads the marginal log-HR
     off an unadjusted Cox fit to the pooled counterfactual arms. The RMST
-    difference is read at the pooled event-time horizon tau.
+    difference is read at tau, the pooled event-time horizon under evaluate's
+    default tau_percentile.
     """
     x = _draw_covariates(config, n_mc, rng)
     xeta = x @ np.asarray(config.eta)
@@ -144,7 +145,8 @@ def ground_truth(config: ScenarioConfig, rng: np.random.Generator,
     events = np.concatenate([t0 <= horizon, t1 <= horizon])
     arms = np.concatenate([np.zeros(n_mc), np.ones(n_mc)])
     res = cox_fit(times, events, arms)
-    tau = event_time_horizon(times, events) if events.any() else horizon
+    tau = (event_time_horizon(times, events, RunSettings.tau_percentile) if events.any()
+           else horizon)
     rmst_diff = float(np.mean(np.minimum(t1, tau)) - np.mean(np.minimum(t0, tau)))
     return GroundTruth(
         conditional_log_hr=config.beta,

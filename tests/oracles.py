@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from trialbench.cohort import PatientDB
-from trialbench.estimators.propensity import DEFAULT_CALIPER, MatchingError
+from trialbench.estimators.propensity import MatchingError
 from trialbench.estimators.survival import COX_MAX_ITER, COX_TOL, CoxResult, SurvivalCurve
 
 
@@ -285,9 +285,8 @@ def naive_score(effects, entries, threshold) -> dict:
     }
 
 
-def skip_pointer_match_pairs(scores, treatment_labels,
-                             caliper_sd_logit: float = DEFAULT_CALIPER,
-                             seed: int = 0) -> list[tuple[int, int]]:
+def skip_pointer_match_pairs(scores, treatment_labels, caliper_sd_logit: float,
+                             seed: int) -> list[tuple[int, int]]:
     """1:1 greedy nearest-neighbor matching on logit(score), no replacement.
 
     Treated rows are processed in seeded random order; a pair farther

@@ -9,6 +9,7 @@ import filecmp
 import functools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from trialbench.ingest import (
 )
 from trialbench.metrics import ScoredEffect, score
 from trialbench.refset import (
+    DEFAULT_ALPHA,
     DIRECTION_A,
     DIRECTION_B,
     DIRECTION_NONE,
@@ -94,7 +96,7 @@ def test_criterion_01_exact_test_oracle():
             for m in range(0, n1 + n2 + 1, 3):  # stride keeps this under a minute
                 k, base = _log_binomials(n1, n2, m)
                 for psi in PSI_RATIONALS:
-                    total = float(np.exp(_live_log_pmf(k, base, psi)[1]).sum())
+                    total = float(np.exp(_live_log_pmf(k, base, psi, 1)[1]).sum())
                     norm_worst = max(norm_worst, abs(total - 1.0))
     ok = worst < 1e-12 and norm_worst < 1e-12
     _verdict(1, "exact one-sided tests match rational enumeration", ok,
@@ -125,10 +127,11 @@ def test_criterion_02_prefilter_soundness(monkeypatch):
             for family, cell in cells.items():
                 for alpha in (0.05, 0.001):
                     expected = [(t, p) for t, p, floor in cell if floor < alpha]
-                    violations += prefilter([t for t, _, _ in cell], family, alpha) != expected
+                    violations += prefilter([t for t, _, _ in cell], family, alpha,
+                                            Counter()) != expected
                     kept += len(expected)
                 for t, _, floor in cell:  # a minimum is not below itself
-                    violations += prefilter([t], family, floor) != []
+                    violations += prefilter([t], family, floor, Counter()) != []
     _verdict(2, "prefilter keeps exactly the tables whose min achievable p is below alpha",
              violations == 0, f"{violations} wrong decisions over {tables} margins "
                               f"x 2 families x 3 alphas, {kept} kept")
@@ -155,7 +158,7 @@ def test_criterion_03_bh_oracle_equivalence():
 
 def _refset_from_dump(lines, drug_dict, outcome_dict):
     parsed = parse_dump(lines)
-    arms = filter_arms([(a, drug_dict.lookup(a.drug_text)) for a in parsed.arms])
+    arms = filter_arms([(a, drug_dict.lookup(a.drug_text)) for a in parsed.arms], Counter())
     return aggregate([(ing, map_outcomes(a, outcome_dict)) for ing, a in arms])
 
 
@@ -172,7 +175,7 @@ def test_criterion_04_refset_fdr_and_recovery():
         strong_cand, _ = bucket(tables)
         if not strong_cand:
             continue
-        refset = build_from_tables(tables)
+        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter(), use_prefilter=True)
         calls = sum(1 for e in refset.entries if e.label == LABEL_STRONG)
         fractions.append(calls / len(strong_cand))
     mean_fraction = float(np.mean(fractions))
@@ -182,7 +185,7 @@ def test_criterion_04_refset_fdr_and_recovery():
     for seed in range(200):
         tables = _refset_from_dump(synth.gen_trial_dump(planted, seed=10_000 + seed),
                                    drug_dict, outcome_dict)
-        refset = build_from_tables(tables)
+        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter(), use_prefilter=True)
         recovered += any(e.label == LABEL_STRONG and e.direction == DIRECTION_A
                          for e in refset.entries)
     ok = mean_fraction <= 0.075 and recovered >= 0.95 * 200
@@ -280,7 +283,7 @@ def test_criterion_07_overlap_exact_balance():
     for ci, config in enumerate(configs):
         for seed in range(10):
             arrays = gen_survival_arrays(config, np.random.default_rng(1000 * ci + seed))
-            fit = fit_logistic(arrays.features, arrays.treated)
+            fit = fit_logistic(arrays.features, arrays.treated, RunSettings.ridge)
             if not fit.converged:
                 continue
             w = compute_weights(fit.scores, arrays.treated, "overlap")
@@ -331,12 +334,12 @@ def test_criterion_09_double_robustness():
 
     # (a) outcome model ignores the confounder; propensity is correct
     outcome_wrong = aft_fit(no_features, arrays.treated, arrays.time, arrays.event)
-    propensity_right = fit_logistic(arrays.features, arrays.treated)
+    propensity_right = fit_logistic(arrays.features, arrays.treated, RunSettings.ridge)
     est_a = aipw(no_features, propensity_right, outcome_wrong)
 
     # (b) outcome model is correct; propensity is intercept-only
     outcome_right = aft_fit(arrays.features, arrays.treated, arrays.time, arrays.event)
-    propensity_wrong = fit_logistic(no_features, arrays.treated)
+    propensity_wrong = fit_logistic(no_features, arrays.treated, RunSettings.ridge)
     est_b = aipw(arrays.features, propensity_wrong, outcome_right)
 
     rel_a = abs(est_a.point - truth) / abs(truth)

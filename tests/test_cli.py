@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from trialbench.cli import main
-from trialbench.formats import read_jsonl, sha256_file, write_jsonl
+from trialbench.formats import iter_jsonl, read_jsonl, sha256_file, write_jsonl
 from trialbench.ingest import MAX_POOLED_ARM
 from trialbench.refset import load as load_refset
 
@@ -151,7 +151,7 @@ def test_refset_contents(pipeline):
 
 def test_estimates_file(pipeline):
     _, _, refset_path, estimates, _ = pipeline
-    header, records = read_jsonl(estimates, expect_header=True)
+    header, records = read_jsonl(estimates)
     assert header["kind"] == "estimates"
     assert header["refset_sha256"] == sha256_file(refset_path)
     assert header["seed"] == 23
@@ -199,7 +199,7 @@ def test_evaluate_resume_recomputes_stale_parts(pipeline, tmp_path):
     assert resumed.read_bytes() == fresh.read_bytes()
     # a part without a provenance header is recomputed too
     for part in (tmp_path / "resumed.jsonl.parts").iterdir():
-        header, records = read_jsonl(part, expect_header=True)
+        header, records = read_jsonl(part)
         assert header["seed"] == 99
         write_jsonl(part, records[:1])
     resumed.unlink()
@@ -223,7 +223,7 @@ def _evaluate_keys(db_dir, keys, out, *extra):
     assert main(["evaluate", "--refset", str(refset), "--db", str(db_dir / "claims.jsonl"),
                  "--vocab", str(db_dir / "vocab.txt"), "--config", str(config),
                  "--seed", "23", *extra, "--out", str(out)]) == 0
-    _, rows = read_jsonl(out, expect_header=True)
+    _, rows = read_jsonl(out)
     return {(r["drug_a"], r["drug_b"], r["outcome_code"], r["method_id"]): r for r in rows}
 
 
@@ -239,7 +239,7 @@ def two_outcome_db(pipeline, tmp_path_factory):
     of every third patient."""
     _, sim, _, _, _ = pipeline
     root = tmp_path_factory.mktemp("two_outcomes")
-    _, patients = read_jsonl(sim / "claims.jsonl")
+    patients = list(iter_jsonl(sim / "claims.jsonl"))
     for patient in patients[::3]:
         patient["events"].append([patient["observation_end"], "diagnosis", "OUTCOME2"])
     write_jsonl(root / "claims.jsonl", patients)
@@ -300,7 +300,7 @@ def test_evaluate_resume_recomputes_one_part_of_a_pair(two_outcome_db, tmp_path,
                ("DRUG_A", "DRUG_B", "UNKNOWN"): 1}  # per group key
     assert set(parts_dir.iterdir()) == {_part(parts_dir, list(key)) for key in entries}
     for key, n_entries in entries.items():
-        _, rows = read_jsonl(_part(parts_dir, list(key)), expect_header=True)
+        _, rows = read_jsonl(_part(parts_dir, list(key)))
         assert len(rows) == 9 * n_entries
         assert {(r["drug_a"], r["drug_b"]) for r in rows} == {key[:2]}
     _part(parts_dir, ["DRUG_A", "DRUG_B"]).unlink()
@@ -362,7 +362,7 @@ def test_evaluate_resume_recomputes_unreadable_parts(pipeline, tmp_path, damage)
     (tmp_path / "e.jsonl").unlink()
     assert main(argv + ["--resume"]) == 0
     assert (tmp_path / "e.jsonl").read_bytes() == fresh
-    assert read_jsonl(part, expect_header=True)[1]  # the part was rewritten
+    assert read_jsonl(part)[1]  # the part was rewritten
 
 
 def _evaluate_unknown_codes(sim, keys, out, *extra):
@@ -403,7 +403,7 @@ def test_evaluate_method_filters(pipeline, tmp_path):
                  "--dense-features", str(sim / "dense_features.jsonl"),
                  "--seed", "23", "--methods", "cox_ipw_overlap,cox_ipw_standard",
                  "--out", str(out)]) == 0
-    _, records = read_jsonl(out, expect_header=True)
+    _, records = read_jsonl(out)
     assert sorted({r["method_id"] for r in records}) == [
         "cox_ipw_overlap", "cox_ipw_standard"]
 
@@ -567,7 +567,7 @@ def test_seed_flag_overrides_config_seed(pipeline, tmp_path):
                 "--config", str(config), "--out", str(out)]
     for extra, seed in (([], 7), (["--seed", "23"], 23)):
         assert main(evaluate + extra) == 0
-        assert read_jsonl(out, expect_header=True)[0]["seed"] == seed
+        assert read_jsonl(out)[0]["seed"] == seed
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "2"])
@@ -589,7 +589,7 @@ def test_evaluate_requires_seed_and_known_methods(pipeline, tmp_path, capsys):
             "--db", str(sim / "claims.jsonl"), "--vocab", str(sim / "vocab.txt"),
             "--out", str(tmp_path / "o.jsonl")]
     assert main(base) == 2  # no seed anywhere
-    for methods in ("cox_deluxe", "cox_psm,cox_psm"):
+    for methods in ("cox_deluxe", "cox_psm,cox_psm", ""):
         capsys.readouterr()
         assert main(base + ["--seed", "1", "--methods", methods]) == 2
         assert "--methods" in capsys.readouterr().err
@@ -599,13 +599,13 @@ def test_provenance_mismatches(pipeline, tmp_path):
     root, sim, refset_path, estimates, _ = pipeline
     # report against a reference set with different bytes -> exit 3
     other = tmp_path / "other_refset.jsonl"
-    header, records = read_jsonl(refset_path, expect_header=True)
+    header, records = read_jsonl(refset_path)
     header["provenance"]["tweak"] = 1
     write_jsonl(other, records, header=header)
     assert main(["report", "--estimates", str(estimates), "--refset", str(other),
                  "--out", str(tmp_path / "r")]) == 3
     # evaluate with a vocab hash pinned in the refset provenance -> exit 3
-    header2, records2 = read_jsonl(refset_path, expect_header=True)
+    header2, records2 = read_jsonl(refset_path)
     header2["provenance"]["db_vocab_sha256"] = "0" * 64
     pinned = tmp_path / "pinned_refset.jsonl"
     write_jsonl(pinned, records2, header=header2)
@@ -625,10 +625,10 @@ def test_report_rejects_non_estimates_file(pipeline, tmp_path):
 
 def test_report_rejects_empty_reference_set(pipeline, tmp_path, capsys):
     _, _, refset_path, estimates, _ = pipeline
-    header, _ = read_jsonl(refset_path, expect_header=True)
+    header, _ = read_jsonl(refset_path)
     empty = tmp_path / "empty_refset.jsonl"
     write_jsonl(empty, [], header=header)
-    estimates_header, rows = read_jsonl(estimates, expect_header=True)
+    estimates_header, rows = read_jsonl(estimates)
     estimates_header["refset_sha256"] = sha256_file(empty)
     matching = tmp_path / "estimates.jsonl"
     write_jsonl(matching, rows, header=estimates_header)
@@ -712,6 +712,8 @@ MALFORMED_INPUTS = {
     "tau_percentile_above_one": ("--config", lambda _: "tau_percentile = 1.5\n"),
     "tau_percentile_nan": ("--config", lambda _: "tau_percentile = nan\n"),
     "negative_max_per_arm": ("--config", lambda _: "max_per_arm = -5\n"),
+    # every estimate compares two arms, so an arm of no patients is never enough
+    "zero_min_per_arm": ("--config", lambda _: "min_per_arm = 0\n"),
     "ridge_nan": ("--config", lambda _: "ridge = nan\n"),
     "misspelt_config_key": ("--config", lambda _: "calipr_sd_logit = 0.0001\n"),
     "methods_config_key": ("--config", lambda _: "methods = cox_psm\n"),
@@ -842,7 +844,7 @@ def test_non_utf8_input_exits_2(pipeline, tmp_path, capsys, command, flag):
     broken.write_bytes(b"\xff\n")
     inputs[flag] = broken
     if (command, flag) == ("report", "--refset"):  # estimates made against the broken set
-        header, rows = read_jsonl(estimates, expect_header=True)
+        header, rows = read_jsonl(estimates)
         header["refset_sha256"] = sha256_file(broken)
         inputs["--estimates"] = tmp_path / "estimates.jsonl"
         write_jsonl(inputs["--estimates"], rows, header=header)

@@ -9,6 +9,7 @@ from trialbench.cohort import Cohort, PatientDB, SkipSignal, build_cohort, load_
 from trialbench.estimators.methods import METHOD_REGISTRY, RunSettings, run_all_methods
 
 PAIR = ("DRUG_A", "DRUG_B", ["OUT"])  # drug_a, drug_b and the outcome codes of build_cohort
+ARM_SIZES = {"max_per_arm": RunSettings.max_per_arm, "min_per_arm": RunSettings.min_per_arm}
 
 
 def _patient(pid, events, start=0, end=400):
@@ -52,7 +53,7 @@ def test_count_features_strictly_pre_index():
                                            (10, "diagnosis", "COV0"),
                                            (10, "drug_claim", "DRUG_A"),
                                            (12, "diagnosis", "COV0")]))
-    cohort = build_cohort(_db(patients), *PAIR, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0, **ARM_SIZES)
     vec = cohort.features[cohort.patient_ids.index("zz_counts")]
     # both day-3 COV0 events count, whatever their kind; day 10 is not pre-index
     assert cohort.codes == ["COV0"]  # no patient has DRUG_A, DRUG_B or OUT pre-index
@@ -76,7 +77,7 @@ def _bulk_patients(n_a=120, n_b=130):
 
 
 def test_build_cohort_basic():
-    cohort = build_cohort(_db(_bulk_patients()), *PAIR, seed=0)
+    cohort = build_cohort(_db(_bulk_patients()), *PAIR, seed=0, **ARM_SIZES)
     assert isinstance(cohort, Cohort)
     assert cohort.treated.sum() == 120 and (~cohort.treated).sum() == 130
     # treated patient a0000: event at day 70, index 40 -> time 30
@@ -95,7 +96,7 @@ def test_build_cohort_basic():
 def test_cohort_without_pre_index_codes_has_no_count_columns():
     patients = [_patient(p["patient_id"], [ev for ev in p["events"] if ev[2] != "COV0"])
                 for p in _bulk_patients()]
-    cohort = build_cohort(_db(patients), *PAIR, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0, **ARM_SIZES)
     assert cohort.features.shape == (250, 0) and cohort.codes == []
     assert cohort.features.flags.c_contiguous
     [estimates] = run_all_methods(cohort, RunSettings(seed=0))
@@ -107,7 +108,7 @@ def test_first_claim_defines_arm():
     patients = _bulk_patients()
     patients.append(_patient("zz_both", [(10, "drug_claim", "DRUG_B"),
                                          (20, "drug_claim", "DRUG_A")]))
-    cohort = build_cohort(_db(patients), *PAIR, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0, **ARM_SIZES)
     i = cohort.patient_ids.index("zz_both")
     assert not cohort.treated[i]  # drug B came first
 
@@ -116,7 +117,7 @@ def test_same_day_dual_initiation_excluded():
     patients = _bulk_patients()
     patients.append(_patient("zz_dual", [(10, "drug_claim", "DRUG_A"),
                                          (10, "drug_claim", "DRUG_B")]))
-    cohort = build_cohort(_db(patients), *PAIR, seed=0)
+    cohort = build_cohort(_db(patients), *PAIR, seed=0, **ARM_SIZES)
     assert "zz_dual" not in cohort.patient_ids
 
 
@@ -124,24 +125,25 @@ def test_prior_outcome_is_not_washed_out():
     patients = _bulk_patients()
     patients.append(_patient("zz_prior", [(5, "diagnosis", "OUT"),
                                           (10, "drug_claim", "DRUG_A")]))
-    kept = build_cohort(_db(patients), *PAIR, seed=0)
+    kept = build_cohort(_db(patients), *PAIR, seed=0, **ARM_SIZES)
     assert "zz_prior" in kept.patient_ids
 
 
 def test_skip_signals():
     missing = build_cohort(_db(_bulk_patients(), vocab=("DRUG_A", "DRUG_B")),
-                           *PAIR, seed=0)
+                           *PAIR, seed=0, **ARM_SIZES)
     assert isinstance(missing, SkipSignal) and "OUT" in missing.reason
-    tiny = build_cohort(_db(_bulk_patients(n_a=50)), *PAIR, seed=0)
+    tiny = build_cohort(_db(_bulk_patients(n_a=50)), *PAIR, seed=0, **ARM_SIZES)
     assert isinstance(tiny, SkipSignal) and "minimum size" in tiny.reason
 
 
 def test_downsampling_is_seeded():
     db = _db(_bulk_patients(n_a=180, n_b=150))
-    a = build_cohort(db, *PAIR, seed=7, max_per_arm=110)
-    b = build_cohort(db, *PAIR, seed=7, max_per_arm=110)
-    c = build_cohort(db, *PAIR, seed=8, max_per_arm=110)
-    more_outcomes = build_cohort(db, "DRUG_A", "DRUG_B", ["OUT", "COV0"], seed=7, max_per_arm=110)
+    a = build_cohort(db, *PAIR, seed=7, max_per_arm=110, min_per_arm=RunSettings.min_per_arm)
+    b = build_cohort(db, *PAIR, seed=7, max_per_arm=110, min_per_arm=RunSettings.min_per_arm)
+    c = build_cohort(db, *PAIR, seed=8, max_per_arm=110, min_per_arm=RunSettings.min_per_arm)
+    more_outcomes = build_cohort(db, "DRUG_A", "DRUG_B", ["OUT", "COV0"], seed=7, max_per_arm=110,
+                                 min_per_arm=RunSettings.min_per_arm)
     assert a.treated.sum() == (~a.treated).sum() == 110
     assert a.patient_ids == b.patient_ids == more_outcomes.patient_ids
     assert a.patient_ids != c.patient_ids
@@ -182,7 +184,7 @@ def test_dense_features_used_when_present():
     patients = _bulk_patients()
     dense = [{"patient_id": p["patient_id"], "features": [float(len(p["patient_id"]))]}
              for p in patients]
-    cohort = build_cohort(_db(patients).with_dense_features(dense), *PAIR, seed=0)
+    cohort = build_cohort(_db(patients).with_dense_features(dense), *PAIR, seed=0, **ARM_SIZES)
     assert cohort.features.shape == (250, 1)
     assert np.all(cohort.features == 5.0)
 
@@ -224,8 +226,10 @@ def test_claims_line_order_does_not_change_the_cohort():
     patients = _bulk_patients(n_a=180, n_b=150)
     shuffled = [patients[i] for i in np.random.default_rng(4).permutation(len(patients))]
     assert shuffled != patients
-    a = build_cohort(_db(patients), *PAIR, seed=7, max_per_arm=110)
-    b = build_cohort(_db(shuffled), *PAIR, seed=7, max_per_arm=110)
+    a = build_cohort(_db(patients), *PAIR, seed=7, max_per_arm=110,
+                     min_per_arm=RunSettings.min_per_arm)
+    b = build_cohort(_db(shuffled), *PAIR, seed=7, max_per_arm=110,
+                     min_per_arm=RunSettings.min_per_arm)
     assert a.patient_ids == b.patient_ids
     for field in ("treated", "features"):
         assert np.array_equal(getattr(a, field), getattr(b, field))

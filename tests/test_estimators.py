@@ -48,7 +48,7 @@ def test_logistic_recovers_coefficients():
     true = np.array([-0.5, 1.0, -0.7])
     p = 1 / (1 + np.exp(-(true[0] + x @ true[1:])))
     y = rng.random(n) < p
-    fit = fit_logistic(x, y)
+    fit = fit_logistic(x, y, RunSettings.ridge)
     assert fit.converged
     assert np.allclose(fit.coefficients, true, atol=0.08)
     assert fit.scores.min() >= 1e-6 and fit.scores.max() <= 1 - 1e-6
@@ -57,7 +57,7 @@ def test_logistic_recovers_coefficients():
 def test_logistic_handles_separation():
     x = np.linspace(-1, 1, 40)[:, None]
     y = x[:, 0] > 0
-    fit = fit_logistic(x, y)
+    fit = fit_logistic(x, y, RunSettings.ridge)
     # separation must never produce non-finite scores; clipping bounds them
     assert np.all(np.isfinite(fit.coefficients))
     assert fit.scores.min() >= 1e-6 and fit.scores.max() <= 1 - 1e-6
@@ -66,7 +66,7 @@ def test_logistic_handles_separation():
 
 def test_logistic_requires_both_arms():
     with pytest.raises(ValueError):
-        fit_logistic(np.zeros((5, 1)), np.ones(5, dtype=bool))
+        fit_logistic(np.zeros((5, 1)), np.ones(5, dtype=bool), RunSettings.ridge)
 
 
 def test_compute_weights():
@@ -111,8 +111,8 @@ def test_match_pairs_seeded_determinism():
     rng = np.random.default_rng(4)
     scores = rng.uniform(0.2, 0.8, size=400)
     treated = rng.random(400) < 0.5
-    a = match_pairs(scores, treated, seed=11)
-    b = match_pairs(scores, treated, seed=11)
+    a = match_pairs(scores, treated, RunSettings.caliper_sd_logit, seed=11)
+    b = match_pairs(scores, treated, RunSettings.caliper_sd_logit, seed=11)
     assert a == b
     matched_controls = [c for _, c in a]
     assert len(set(matched_controls)) == len(matched_controls)
@@ -278,7 +278,8 @@ def _claims_cohort(seed, dense):
     db = PatientDB.from_records(patients, synth.vocabulary(config))
     if dense:
         db = db.with_dense_features(dense_rows)
-    return build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed)
+    return build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed,
+                        RunSettings.max_per_arm, RunSettings.min_per_arm)
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "counts"])
@@ -459,7 +460,7 @@ def test_rmst_regression_and_aipw_unconfounded():
     gt = ground_truth(config, np.random.default_rng(99), n_mc=200_000)
     truth = gt.marginal_rmst_diff
     model = aft_fit(arrays.features, arrays.treated, arrays.time, arrays.event)
-    prop = fit_logistic(arrays.features, arrays.treated)
+    prop = fit_logistic(arrays.features, arrays.treated, RunSettings.ridge)
     m1, m0 = (model.predicted_rmst(arrays.features, np.full(config.n_patients, arm), gt.tau)
               for arm in (1.0, 0.0))
     reg = rmst_regression(m1, m0)
@@ -540,7 +541,7 @@ def test_run_all_methods_fits_each_nuisance_model_once(monkeypatch):
 @pytest.mark.parametrize("name, value", [
     ("tau_percentile", 1.5), ("tau_percentile", 0.0), ("max_per_arm", -1), ("min_per_arm", -1),
     ("ridge", math.nan), ("ridge", -1e-6), ("caliper_sd_logit", 0.0),
-    ("weight_cap", math.inf), ("weight_cap", -1.0),
+    ("weight_cap", math.inf), ("weight_cap", -1.0), ("min_per_arm", 0),
 ])
 def test_run_settings_checks_each_field(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and "):

@@ -36,7 +36,7 @@ def test_support_bounds():
 
 def _pmf(n1, n2, m, psi):
     k, base = _log_binomials(n1, n2, m)
-    i0, log_pmf = _live_log_pmf(k, base, psi)
+    i0, log_pmf = _live_log_pmf(k, base, psi, 1)
     pmf = np.zeros(k.size)
     pmf[i0:i0 + log_pmf.size] = np.exp(log_pmf)
     return pmf
@@ -45,7 +45,7 @@ def _pmf(n1, n2, m, psi):
 def _assert_live_log_pmf_is_oracle(n1, n2, m, psi):
     """The live window's log-pmf is bit for bit the oracle's, whose pmf is 0.0 outside it."""
     k, base = _log_binomials(n1, n2, m)
-    i0, log_pmf = _live_log_pmf(k, base, psi)
+    i0, log_pmf = _live_log_pmf(k, base, psi, 1)
     oracle = lgamma_log_pmf(n1, n2, m, psi)
     i1 = i0 + log_pmf.size
     assert np.array_equal(log_pmf, oracle[i0:i1]), (n1, n2, m, psi)

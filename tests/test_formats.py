@@ -28,12 +28,11 @@ def test_dump_json_line_is_canonical():
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_jsonl(path, [{"i": 0}, {"i": 1}], header={"kind": "test"})
-    header, records = read_jsonl(path, expect_header=True)
+    header, records = read_jsonl(path)
     assert header == {"kind": "test"}
     assert records == [{"i": 0}, {"i": 1}]
-    # without expect_header the header line is just another record
-    _, all_records = read_jsonl(path)
-    assert len(all_records) == 3
+    # to iter_jsonl the header line is just another record
+    assert len(list(iter_jsonl(path))) == 3
     assert not path.with_suffix(".jsonl.tmp").exists()
 
 
@@ -63,11 +62,11 @@ def test_write_lines_that_raise_leave_the_target_whole(tmp_path):
 def test_jsonl_header_is_line_one_only(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('\n{"i": 0}\n  \n{"i": 1}\n')
-    assert read_jsonl(path, expect_header=True) == (None, [{"i": 0}, {"i": 1}])
+    assert read_jsonl(path) == (None, [{"i": 0}, {"i": 1}])
     assert list(iter_jsonl(path)) == [{"i": 0}, {"i": 1}]
     path.write_text('{"i": 0}\n\n{"i": 1\n')
     with pytest.raises(InputError, match=r"records\.jsonl: line 3: invalid JSON"):
-        read_jsonl(path, expect_header=True)
+        read_jsonl(path)
 
 
 def _read_with_json_loads(path):

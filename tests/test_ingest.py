@@ -159,7 +159,7 @@ def test_map_outcomes_rejects_a_code_summed_above_participants():
 
 def _record(trial, arm, ingredient, n, events):
     return filter_arms([(_arm(trial=trial, arm=arm, count=n, events=events),
-                         frozenset({ingredient}))])[0]
+                         frozenset({ingredient}))], Counter())[0]
 
 
 def test_aggregate_pools_dosage_arms():

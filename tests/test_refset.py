@@ -6,6 +6,7 @@ import pytest
 
 from trialbench.ingest import ContingencyTable
 from trialbench.refset import (
+    DEFAULT_ALPHA,
     DIRECTION_A,
     DIRECTION_B,
     DIRECTION_NONE,
@@ -50,7 +51,8 @@ def test_build_from_tables_labels_and_directions():
         _table(500, 5000, 500, 5000, outcome="FLAT"),   # OR 1, huge n: weak
         _table(3, 120, 2, 120, outcome="NOISE"),        # small: certifies nothing
     ]
-    refset = build_from_tables(tables, alpha=0.05)
+    refset = build_from_tables(tables, alpha=0.05, provenance={}, drop_report=Counter(),
+                               use_prefilter=True)
     by_outcome = {e.outcome_code: e for e in refset.entries}
     assert set(by_outcome) == {"UP", "DOWN", "FLAT"}
     assert by_outcome["UP"].label == LABEL_STRONG
@@ -70,13 +72,16 @@ def test_bh_is_per_family():
     # the weak family's p-values must not dilute the strong family's BH
     strong = [_table(80, 400, 10, 400, outcome=f"S{i}") for i in range(2)]
     weak = [_table(3, 300, 3, 300, outcome=f"W{i}") for i in range(40)]
-    refset = build_from_tables(strong + weak, alpha=0.05, use_prefilter=False)
+    refset = build_from_tables(strong + weak, alpha=0.05, provenance={}, drop_report=Counter(),
+                               use_prefilter=False)
     strong_calls = [e for e in refset.entries if e.label == LABEL_STRONG]
     assert len(strong_calls) == 2
 
 
 def test_save_load_round_trip(tmp_path):
-    refset = build_from_tables([_table(80, 400, 10, 400)], provenance={"source": "unit"})
+    refset = build_from_tables([_table(80, 400, 10, 400)], alpha=DEFAULT_ALPHA,
+                               provenance={"source": "unit"}, drop_report=Counter(),
+                               use_prefilter=True)
     path = tmp_path / "refset.jsonl"
     save(refset, path)
     loaded = load(path)

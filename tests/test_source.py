@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "trialbench"
 
 # Reached only by tests, but hooked by name in perfbench/tracer.py, whose
-# bench-smoke check fails on a missing hook; ROADMAP item 2 retires those hooks.
+# bench-smoke check fails on a missing hook; ROADMAP item 4 retires those hooks.
 TRACER_PINNED = {("exact", "min_achievable_p"), ("exact", "p_strong"), ("exact", "p_weak")}
 
 
@@ -36,19 +36,22 @@ def test_every_public_src_name_has_a_src_reference():
 
 
 def test_every_defaulted_parameter_is_passed_in_src():
-    """A parameter default that no src call overrides is a setting only tests change.
-    A call that matches by name and passes the parameter -- by keyword, by position or
-    through *args/**kwargs -- counts. main(argv) is exempt: the console entry point
-    calls it bare and tests pass argv."""
+    """A parameter default earns its place when one src or perfbench call passes the
+    parameter and another relies on the default: a default no call relies on is a
+    required argument, and one no call overrides is a setting only tests change. A call
+    matches by name; it passes the parameter by keyword or by position, and relies on
+    the default otherwise. A call through *args or **kwargs that does not name the
+    parameter counts as both."""
     defaults = {}  # (module, function, parameter) -> positional parameter names
     calls = []
-    for path in SRC.rglob("*.py"):
-        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+    for path in [*SRC.rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        if not path.is_relative_to(SRC):
+            continue
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls.append(node)
             if not isinstance(node, ast.FunctionDef):
                 continue
             args = node.args
@@ -58,19 +61,24 @@ def test_every_defaulted_parameter_is_passed_in_src():
             for name in named:
                 defaults[(module, node.name, name)] = positional
 
-    def passes(call, name, positional):
-        if any(isinstance(a, ast.Starred) for a in call.args):
-            return True
-        if any(k.arg in (None, name) for k in call.keywords):
-            return True
-        return name in positional and positional.index(name) < len(call.args)
+    def uses(call, name, positional):
+        """Whether call passes the parameter, relies on its default, or may do both."""
+        if any(k.arg == name for k in call.keywords):
+            return {"passes"}
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            return {"passes", "relies"}
+        if name in positional and positional.index(name) < len(call.args):
+            return {"passes"}
+        return {"relies"}
 
-    never_passed = [
+    unearned = [
         key for key, positional in defaults.items()
-        if not any(getattr(call.func, "id", getattr(call.func, "attr", None)) == key[1]
-                   and passes(call, key[2], positional) for call in calls)
+        if set().union(*(uses(call, key[2], positional) for call in calls
+                         if getattr(call.func, "id", getattr(call.func, "attr", None)) == key[1]))
+        != {"passes", "relies"}
     ]
-    assert sorted(never_passed) == [("cli", "main", "argv")]
+    assert unearned == [], ", ".join(map(".".join, sorted(unearned)))
 
 
 def test_every_tracer_hook_resolves():

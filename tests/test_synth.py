@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trialbench.cohort import PatientDB, build_cohort
+from trialbench.estimators import RunSettings
 from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
 from trialbench.synth import (
     PlantedComparison,
@@ -76,7 +77,9 @@ def test_gen_claims_round_trips_through_cohort():
     patients, dense_rows, arrays = gen_claims(config, np.random.default_rng(3))
     assert len(patients) == len(dense_rows) == 800
     db = PatientDB.from_records(patients, vocabulary(config)).with_dense_features(dense_rows)
-    cohort = build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed=0)
+    cohort = build_cohort(db, config.drug_a, config.drug_b, [config.outcome_code], seed=0,
+                          max_per_arm=RunSettings.max_per_arm,
+                          min_per_arm=RunSettings.min_per_arm)
     assert len(cohort.treated) == 800
     # cohort reconstruction matches the generating arrays up to day rounding
     order = np.argsort([p["patient_id"] for p in patients])
