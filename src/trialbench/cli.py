@@ -231,8 +231,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _thresholds(flag: str, text: str | None, scale: str) -> list[float]:
-    """Comma-separated thresholds, each finite and in its scale's range."""
-    if not text:
+    """Comma-separated thresholds, each finite and in its scale's range; [] when the
+    flag is not given (an empty value is rejected)."""
+    if text is None:
         return []
     try:
         values = [float(t) for t in text.split(",")]

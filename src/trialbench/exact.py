@@ -51,7 +51,7 @@ _LOG_FACTORIAL = np.empty(0)
 
 
 def _log_binomials(n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support k and log C(n1, k) + log C(n2, m - k) over it.
+    """Support k, as floats, and log C(n1, k) + log C(n2, m - k) over it.
 
     Every term is read off one log-factorial table shared by all margins.
     """
@@ -63,11 +63,15 @@ def _log_binomials(n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         size = max(n1 + 1, n2 + 1, 2 * _LOG_FACTORIAL.size)
         _LOG_FACTORIAL = np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
     lf = _LOG_FACTORIAL
-    # lf[n1] - lf[k] - lf[n1 - k] + lf[n2] - lf[m - k] - lf[n2 - m + k], each
-    # support-long term a slice of the table (reversed where it falls with k)
-    base = (lf[n1] - lf[lo:hi + 1] - lf[n1 - hi:n1 - lo + 1][::-1]
-            + lf[n2] - lf[m - hi:m - lo + 1][::-1] - lf[n2 - m + lo:n2 - m + hi + 1])
-    return np.arange(lo, hi + 1), base
+    # lf[n1] - lf[k] - lf[n1 - k] + lf[n2] - lf[m - k] - lf[n2 - m + k], left to
+    # right, each support-long term a slice of the table (reversed where it falls
+    # with k); k is exact as a float, so the nulls' k log psi casts nothing
+    base = np.subtract(lf[n1], lf[lo:hi + 1])
+    base -= lf[n1 - hi:n1 - lo + 1][::-1]
+    base += lf[n2]
+    base -= lf[m - hi:m - lo + 1][::-1]
+    base -= lf[n2 - m + lo:n2 - m + hi + 1]
+    return np.arange(lo, hi + 1, dtype=float), base
 
 
 # exp(x) is exactly 0.0 for x below about -745.13, so a cell whose log-weight lies
@@ -88,7 +92,12 @@ def _live_log_pmf(k: np.ndarray, base: np.ndarray, psi: float,
     logw = base + k log psi is within _DEAD_BELOW of its maximum mx, so
     exp(logw - mx) is exactly 0.0 outside it. When both end cells are live
     the window is the whole support, found without a search: logw is
-    concave in k, so every cell between them is live. The normalizer sums a
+    concave in k, so every cell between them is live. Otherwise each dead
+    end is found by a binary search on its side of the mode top: logw is
+    strictly concave, so it rises to top and falls after it, and at the cut
+    its slope is at least _DEAD_BELOW / n, far above its rounding error at
+    MAX_POOLED_ARM, so "logw >= cut" flips exactly once on each side, even
+    where rounding makes logw wobble near its flat top. The normalizer sums a
     full-length array of exp(logw - mx) on the window and 0.0 elsewhere --
     the array exp would give over the whole support -- so numpy's pairwise
     sum, and the log-pmf logw - (mx + log sum), keep every bit. The result
@@ -101,13 +110,14 @@ def _live_log_pmf(k: np.ndarray, base: np.ndarray, psi: float,
     logw, padded = _SCRATCH[0, :n], _SCRATCH[row, :n]
     np.multiply(k, math.log(psi), out=logw)
     np.add(base, logw, out=logw)
-    mx = logw.max()
+    top = int(logw.argmax())
+    mx = logw[top]
     cut = mx - _DEAD_BELOW
     if logw[0] >= cut and logw[-1] >= cut:
         i0, window = 0, padded
     else:
-        live = logw >= cut
-        i0, i1 = int(live.argmax()), n - int(live[::-1].argmax())
+        i0 = int(logw[:top + 1].searchsorted(cut))
+        i1 = n - int(logw[top:][::-1].searchsorted(cut))
         padded[:i0] = 0.0
         padded[i1:] = 0.0
         window, logw = padded[i0:i1], logw[i0:i1]
@@ -123,7 +133,8 @@ def _tail(k: np.ndarray, base: np.ndarray, psi: float, side: str) -> np.ndarray:
     the live window of _live_log_pmf is exponentiated and summed: the pmf is
     exactly 0.0 outside it and the sum adds in order, so the lower tail is
     0.0 left of the window and holds its last value right of it (the upper
-    tail mirrors that), bit for bit the sum over the whole support. The
+    tail mirrors that), bit for bit the sum over the whole support. Only the
+    window is capped, before its end value fills the cells past it. The
     result is a view of _SCRATCH, one row per side, valid until the next
     call for the same side.
     """
@@ -135,13 +146,15 @@ def _tail(k: np.ndarray, base: np.ndarray, psi: float, side: str) -> np.ndarray:
     # np.add.accumulate is np.cumsum without its wrapper's per-call cost
     if side == "lower":
         np.add.accumulate(pmf, out=pmf)
+        np.minimum(pmf, 1.0, out=pmf)
         if i1 < n:
             tail[i1:] = pmf[-1]
     else:
         np.add.accumulate(pmf[::-1], out=pmf[::-1])
+        np.minimum(pmf, 1.0, out=pmf)
         if i0:
             tail[:i0] = pmf[0]
-    return np.minimum(tail, 1.0, out=tail)
+    return tail
 
 
 def _family_p_all(n1: int, n2: int, m: int, family: str) -> np.ndarray:

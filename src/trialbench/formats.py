@@ -34,8 +34,11 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dump_json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def write_lines(path, lines):
@@ -60,26 +63,32 @@ def write_jsonl(path, records, header=None):
     write_lines(path, map(dump_json_line, itertools.chain(head, records)))
 
 
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _load_line(line: str):
+    """json.loads(line) for a stripped line. The JSON scanner reads the line directly;
+    only a line it rejects or does not read to the end goes through json.loads, which
+    raises that line's own JSONDecodeError."""
+    try:
+        obj, end = _SCAN(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = None
+    return obj if end == len(line) else json.loads(line)
+
+
 def iter_jsonl(path):
     """Yield the object on each non-blank line; a line that is not a JSON object raises
-    InputError. The JSON scanner reads each stripped line directly; only a line it
-    rejects or does not read to the end goes through json.loads, which raises that
-    line's own JSONDecodeError."""
-    scan = json.JSONDecoder().scan_once
+    InputError."""
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj, end = scan(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = None
-            if end != len(line):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
+                obj = _load_line(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}: line {i + 1}: invalid JSON: {exc}") from exc
             if type(obj) is not dict:
                 raise InputError(f"{path}: line {i + 1}: not a JSON object: {line[:40]!r}")
             yield obj

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
-from .formats import parsing
+from .formats import _load_line, parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
@@ -157,11 +157,19 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_str(rec: dict, key: str) -> str:
+    value = rec[key]
+    if type(value) is not str:  # rejects null, numbers, lists and objects
+        raise TypeError(f"{key} {value!r} is not a string")
+    return value
+
+
 def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
     Malformed lines are reported, never silently dropped; a count that
-    is not a JSON integer is a schema violation. Each event count, and
+    is not a JSON integer, or an id, name, drug text or event term that is
+    not a JSON string, is a schema violation. Each event count, and
     each repeated term's sum, is checked against [0, participant_count].
     A duplicate (trial_id, arm_id) raises ValueError.
     """
@@ -173,13 +181,14 @@ def parse_dump(lines) -> ParseResult:
         if not line:
             continue
         try:
-            rec = json.loads(line)
-            trial_id = str(rec["trial_id"])
-            arm_id = str(rec["arm_id"])
-            arm_name = str(rec["arm_name"])
-            drug_text = str(rec["drug_text"])
+            rec = _load_line(line)
+            trial_id = _json_str(rec, "trial_id")
+            arm_id = _json_str(rec, "arm_id")
+            arm_name = _json_str(rec, "arm_name")
+            drug_text = _json_str(rec, "drug_text")
             count = _json_int(rec["participant_count"])
-            events = [(str(ev["term"]), _json_int(ev["count"])) for ev in rec["outcome_events"]]
+            events = [(_json_str(ev, "term"), _json_int(ev["count"]))
+                      for ev in rec["outcome_events"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))
             continue
@@ -242,7 +251,8 @@ def map_outcomes(arm: Arm, dictionary: OutcomeDictionary) -> Arm:
     if over:
         raise ValueError(f"trial {arm.trial_id} arm {arm.arm_id}: events mapped to {over} "
                          f"exceed participant_count {arm.participant_count}")
-    return replace(arm, outcome_events=mapped)
+    return Arm(arm.trial_id, arm.arm_id, arm.arm_name, arm.drug_text, arm.participant_count,
+               mapped)
 
 
 def aggregate(arms) -> list[ContingencyTable]:

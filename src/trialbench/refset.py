@@ -136,7 +136,10 @@ def build(dump_path, drug_dict_path, outcome_dict_path, alpha: float, use_prefil
     drops = Counter()
     with parsing(dump_path), open(dump_path, encoding="utf-8") as fh:
         parsed = ingest.parse_dump(fh)
-        mapped = [(arm, ingest.map_drug(arm.drug_text, drug_dict)) for arm in parsed.arms]
+        # arms repeat drug texts, so each distinct text is mapped once
+        ingredients = {text: ingest.map_drug(text, drug_dict)
+                       for text in dict.fromkeys(arm.drug_text for arm in parsed.arms)}
+        mapped = [(arm, ingredients[arm.drug_text]) for arm in parsed.arms]
         arms = [(ingredient, ingest.map_outcomes(arm, outcome_dict))
                 for ingredient, arm in ingest.filter_arms(mapped, drops)]
         tables = ingest.aggregate(arms)

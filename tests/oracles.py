@@ -3,7 +3,9 @@
 These deliberately avoid the library's code paths: exact rational
 arithmetic for the 2x2 tail probabilities, a per-call math.lgamma form of
 the floating-point composite p-values (the reference the shared
-log-factorial table must match bit for bit), a naive quadratic BH, a textbook
+log-factorial table must match bit for bit), the composite p-values as they
+were when each null's live window was found by a whole-support mask, which
+a binary search on each side of the mode replaced, a naive quadratic BH, a textbook
 loop-based Breslow partial likelihood, a direct recursive Kaplan-Meier,
 a per-threshold rescan for report precision/recall, the skip-pointer
 propensity matcher that the plain-list match_pairs replaced, the claims
@@ -105,6 +107,43 @@ def lgamma_family_p_all(n1, n2, m, family):
     else:
         raise ValueError(f"unknown family {family!r}")
     return np.clip(p, 5e-324, 1.0)
+
+
+def masked_window_family_p_all(n1, n2, m, family):
+    """The composite p-value vector as exact._family_p_all formed it when each null's
+    live window came from a whole-support logw >= max - 760 mask and two argmax scans,
+    and each tail was capped over the whole support. The log-factorials are
+    math.lgamma(v + 1), the values of exact's shared table."""
+    lo, hi = max(0, m - n2), min(m, n1)
+    lf = np.fromiter(map(math.lgamma, range(1, max(n1, n2) + 2)), float)  # log(v!)
+    k = np.arange(lo, hi + 1)
+    base = (lf[n1] - lf[lo:hi + 1] - lf[n1 - hi:n1 - lo + 1][::-1]
+            + lf[n2] - lf[m - hi:m - lo + 1][::-1] - lf[n2 - m + lo:n2 - m + hi + 1])
+
+    def tail(psi, side):
+        logw = base + k * math.log(psi)
+        mx = logw.max()
+        live = logw >= mx - 760.0
+        i0, i1 = int(live.argmax()), k.size - int(live[::-1].argmax())
+        padded = np.zeros(k.size)  # exp(logw - mx), 0.0 outside the window
+        padded[i0:i1] = np.exp(logw[i0:i1] - mx)
+        pmf = np.exp(logw[i0:i1] - (mx + math.log(padded.sum())))
+        out = np.zeros(k.size)
+        if side == "lower":
+            out[i0:i1] = np.cumsum(pmf)
+            out[i1:] = out[i1 - 1]
+        else:
+            out[i0:i1] = np.cumsum(pmf[::-1])[::-1]
+            out[:i0] = out[i0]
+        return np.minimum(out, 1.0)
+
+    if family == "weak":
+        p = np.maximum(tail(1.25, "lower"), tail(0.8, "upper"))
+    elif family == "strong":
+        p = 0.5 * np.minimum(tail(0.8, "lower"), tail(1.25, "upper"))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return np.maximum(p, 5e-324)
 
 
 def naive_bh(p_values, alpha) -> set[int]:

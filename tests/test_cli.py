@@ -425,7 +425,8 @@ def test_input_error_exit_codes(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {empty}: ")
     _, _, refset_path, estimates, _ = pipeline
     for flag, value in (("--thresholds", "abc"), ("--thresholds", "0.5"),
-                        ("--thresholds", "2,nan"), ("--rmst-thresholds", "0")):
+                        ("--thresholds", "2,nan"), ("--rmst-thresholds", "0"),
+                        ("--thresholds", ""), ("--rmst-thresholds", "")):
         capsys.readouterr()
         assert main(["report", "--estimates", str(estimates), "--refset", str(refset_path),
                      flag, value, "--out", str(tmp_path / "r")]) == 2, (flag, value)

@@ -10,6 +10,7 @@ from oracles import (
     exact_tail,
     lgamma_family_p_all,
     lgamma_log_pmf,
+    masked_window_family_p_all,
     naive_bh,
 )
 from trialbench import exact
@@ -55,7 +56,8 @@ def _assert_live_log_pmf_is_oracle(n1, n2, m, psi):
 def _tail_at(n1, n2, m, k, psi, side):
     """One cell of the production tail vector for these margins."""
     ks, base = _log_binomials(n1, n2, m)
-    return float(_tail(ks, base, psi, side)[k - ks[0]])
+    lo, _ = support(n1, n2, m)
+    return float(_tail(ks, base, psi, side)[k - lo])
 
 
 def test_margins_validation():
@@ -187,6 +189,40 @@ def test_live_window_edges_are_bit_identical_to_oracle(name):
     for family in ("weak", "strong"):
         assert np.array_equal(_family_p_all(n1, n2, m, family),
                               lgamma_family_p_all(n1, n2, m, family)), family
+
+
+# Margins whose two modal cells tie exactly at one null: (psi numerator, denominator,
+# n1, n2, m, mode k), with psi_num (n1 - k)(m - k) = psi_den (k + 1)(n2 - m + k + 1).
+PLATEAUS = [(5, 4, 5, 6, 3, 1), (5, 4, 29_999, 69_999, 29_999, 9_999),
+            (4, 5, 29_999, 51_999, 29_999, 9_999)]
+
+
+def test_family_p_all_is_bit_identical_to_masked_window_oracle():
+    """Each null's window search, on each side of its mode, against the whole-support
+    mask it replaced: both ends live, one or both ends dead, a plateau at the mode,
+    m = 0, m = n1 + n2, one-cell supports and arms up to 100,000."""
+    rng = np.random.default_rng(43)
+    margins = [_random_margins(rng, 60) for _ in range(150)]
+    margins += [_random_margins(rng, 100_000) for _ in range(12)]
+    margins += [(n1, n2, m) for n1, n2 in ((0, 0), (0, 9), (7, 0), (40, 3), (100_000, 99_000))
+                for m in (0, n1 + n2)]
+    margins += [(400, 40_000, 400), (400, 40_000, 40_000), (1_000, 100_000, 1_000),
+                (1_000, 100_000, 100_000), (100_000, 100_000, 100_000)]
+    for num, den, n1, n2, m, k in PLATEAUS:
+        assert num * (n1 - k) * (m - k) == den * (k + 1) * (n2 - m + k + 1)
+        margins.append((n1, n2, m))
+    seen = set()
+    for n1, n2, m in margins:
+        k, base = _log_binomials(n1, n2, m)
+        for psi in (0.8, 1.25):
+            i0, window = _live_log_pmf(k, base, psi, 1)
+            seen.add((k.size == 1, i0 > 0, i0 + window.size < k.size))
+        for family in ("weak", "strong"):
+            assert np.array_equal(_family_p_all(n1, n2, m, family),
+                                  masked_window_family_p_all(n1, n2, m, family)), (n1, n2, m)
+    # one-cell, and every (lower end dead, upper end dead) pair on longer supports
+    assert seen == {(True, False, False), (False, False, False), (False, True, False),
+                    (False, False, True), (False, True, True)}
 
 
 def test_family_p_all_returns_fresh_vectors():

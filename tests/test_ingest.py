@@ -53,14 +53,24 @@ def test_parse_dump_valid_and_diagnostics():
         json.dumps({"trial_id": "T1", "arm_id": "g", "arm_name": "x",
                     "drug_text": "d", "participant_count": "150",
                     "outcome_events": [{"term": "E1", "count": True}]}),
+        # every text field must be a JSON string: str() would pool null ids as 'None',
+        # merge trial 7 with trial "7" and keep ["x"] as "['x']"
+        *(json.dumps({"trial_id": "T2", "arm_id": "a", "arm_name": "x", "drug_text": "d",
+                      "participant_count": 100, "outcome_events": [], key: value})
+          for key, value in (("trial_id", None), ("trial_id", None), ("trial_id", 7),
+                             ("arm_id", 1), ("arm_name", ["x"]), ("drug_text", {"d": 1}))),
+        json.dumps({"trial_id": "T2", "arm_id": "b", "arm_name": "x", "drug_text": "d",
+                    "participant_count": 100, "outcome_events": [{"term": 3, "count": 1}]}),
     ]
     result = parse_dump(lines)
     assert len(result.arms) == 1
     assert result.arms[0].arm_id == "a"
     # repeated terms are summed; a zero count still reports its term
     assert result.arms[0].outcome_events == {"E1": 7, "E2": 0}
-    assert [d.line_number for d in result.diagnostics] == [2, 3, 4, 6, 7, 8, 9]
-    assert all(d.message.startswith("schema violation") for d in result.diagnostics[-3:])
+    assert [d.line_number for d in result.diagnostics] == [2, 3, 4, 6, 7, 8, 9, *range(10, 17)]
+    assert all(d.message.startswith("schema violation") for d in result.diagnostics[-10:])
+    assert result.diagnostics[7].message == "schema violation: trial_id None is not a string"
+    assert result.diagnostics[-1].message == "schema violation: term 3 is not a string"
 
 
 def test_parse_dump_checks_summed_counts_against_participants():
