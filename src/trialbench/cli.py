@@ -64,20 +64,18 @@ def cmd_simulate(args) -> int:
     scenario_path = _require_file(args.scenario)
     with parsing(scenario_path):  # the whole scenario is checked before any output
         scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
+        unknown = [key for key in scenario if key not in ("claims", "trials")]
+        if unknown:
+            raise InputError(f"{scenario_path}: unknown scenario key {unknown[0]!r}; "
+                             f"the keys are ['claims', 'trials']")
         config = (synth.ScenarioConfig.from_dict(scenario["claims"])
                   if "claims" in scenario else None)
         planted = ([synth.PlantedComparison(**comp) for comp in scenario["trials"]]
                    if "trials" in scenario else None)
         if config is None and not planted:
             raise ValueError("scenario defines neither 'claims' nor 'trials'")
-        n_mc = scenario.get("mc_samples", 1_000_000)
-        # a JSON true is not a sample count
-        if config is not None and (type(n_mc) is not int or n_mc < 1):
-            raise InputError(f"{scenario_path}: mc_samples must be a positive integer, "
-                             f"got {n_mc!r}")
-        rng = np.random.default_rng(args.seed)
         if config is not None:  # raises ValueError on a draw that leaves one arm empty
-            patients, dense_rows, _ = synth.gen_claims(config, rng)
+            patients, dense_rows, _ = synth.gen_claims(config, np.random.default_rng(args.seed))
     out_dir = Path(args.out_dir)
 
     drugs, outcomes = set(), set()
@@ -85,7 +83,7 @@ def cmd_simulate(args) -> int:
         write_jsonl(out_dir / "claims.jsonl", patients)
         write_jsonl(out_dir / "dense_features.jsonl", dense_rows)
         write_lines(out_dir / "vocab.txt", synth.vocabulary(config))
-        truth = synth.ground_truth(config, rng, n_mc=n_mc)
+        truth = synth.ground_truth(config)
         write_jsonl(out_dir / "ground_truth.json", [dataclasses.asdict(truth)])
         drugs |= {config.drug_a, config.drug_b}
         outcomes.add(config.outcome_code)
@@ -120,9 +118,7 @@ def _holds_group(rows, entries, methods) -> bool:
         metrics_mod.effects_by_method(rows)
     except (KeyError, TypeError, ValueError):
         return False
-    keys = list(map(_row_key, rows))
-    return (all(type(v) is str for key in keys for v in key)  # so the keys sort
-            and sorted(keys) == sorted((*e.key, m) for e in entries for m in methods)
+    return (sorted(map(_row_key, rows)) == sorted((*e.key, m) for e in entries for m in methods)
             and all(row["scale"] == METHOD_REGISTRY[row["method_id"]].scale for row in rows))
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 # read_jsonl is unused here, but perfbench/tracer.py hooks cohort.read_jsonl by name
-from .formats import iter_jsonl, parsing, read_jsonl  # noqa: F401
+from .formats import iter_jsonl, json_str, parsing, read_jsonl  # noqa: F401
 
 KIND_DRUG = "drug_claim"
 KIND_DIAGNOSIS = "diagnosis"
@@ -46,18 +46,22 @@ class PatientDB:
         in the order parsing first meets it, and an event keeps only that number. Raises
         ValueError on a duplicate id, a day or observation bound that is not an integer,
         a kind or code that is not a string, or an event out of day order or outside its
-        patient's observation window; of several patients that break a rule, the error
-        names the smallest id."""
+        patient's observation window, where of several patients that break a rule the
+        error names the smallest id; raises TypeError at the first id that is not a
+        string."""
         patients, start, end, count, day, pair = [], [], [], [], [], []
         numbers = {}  # (kind, code) -> its number, in file order
         for rec in records:
-            patients.append(str(rec["patient_id"]))
+            patients.append(rec["patient_id"])
             start.append(rec["observation_start"])
             end.append(rec["observation_end"])
             count.append(len(rec["events"]))
             for d, k, c in rec["events"]:
                 day.append(d)
                 pair.append(numbers.setdefault((k, c), len(numbers)))
+        if set(map(type, patients)) - {str}:  # one pass in C, cheaper than a call per record
+            bad = next(p for p in patients if type(p) is not str)
+            raise TypeError(f"patient_id {bad!r} is not a string")
         owner = np.repeat(np.arange(len(patients)), np.array(count, dtype=np.intp))
         day, start, end = _integers(day), _integers(start), _integers(end)
         if not all(type(k) is str and type(c) is str for k, c in numbers):
@@ -82,12 +86,12 @@ class PatientDB:
         order, each written straight into its patient's row of the matrix; rows of ids
         not in the table are checked, then dropped. Raises ValueError on a duplicate id,
         a feature that is not a finite JSON number (a boolean is not), rows of unequal
-        length or a patient without a row."""
+        length or a patient without a row, and TypeError on an id that is not a string."""
         row_of = {pid: i for i, pid in enumerate(self.patients)}
         matrix = np.empty((len(self.patients), 0))
         seen = set()
         for n, r in enumerate(rows):
-            pid, features = str(r["patient_id"]), r["features"]
+            pid, features = json_str(r, "patient_id"), r["features"]
             if pid in seen:
                 raise ValueError(f"{pid}: duplicate patient_id")
             seen.add(pid)

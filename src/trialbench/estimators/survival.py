@@ -83,7 +83,7 @@ def _event_tie_groups(t, d):
     return np.cumsum(opens), np.flatnonzero(opens)
 
 
-def cox_fit(times, events, treatment, row_weights=None) -> CoxResult:
+def cox_fit(times, events, treatment, row_weights) -> CoxResult:
     """Weighted Cox partial likelihood for one binary covariate.
 
     Breslow handling of ties; Newton-Raphson from beta = 0. se is the

@@ -77,6 +77,15 @@ def _load_line(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
+def json_str(rec: dict, key: str) -> str:
+    """rec[key], which must be a JSON string: null, a number, a list or an object raises
+    TypeError naming key (str() would read 7 as "7" and null as "None")."""
+    value = rec[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} {value!r} is not a string")
+    return value
+
+
 def iter_jsonl(path):
     """Yield the object on each non-blank line; a line that is not a JSON object raises
     InputError."""

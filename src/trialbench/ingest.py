@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .formats import _load_line, parsing
+from .formats import _load_line, json_str, parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
@@ -157,13 +157,6 @@ def _json_int(value) -> int:
     return value
 
 
-def _json_str(rec: dict, key: str) -> str:
-    value = rec[key]
-    if type(value) is not str:  # rejects null, numbers, lists and objects
-        raise TypeError(f"{key} {value!r} is not a string")
-    return value
-
-
 def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
@@ -182,12 +175,12 @@ def parse_dump(lines) -> ParseResult:
             continue
         try:
             rec = _load_line(line)
-            trial_id = _json_str(rec, "trial_id")
-            arm_id = _json_str(rec, "arm_id")
-            arm_name = _json_str(rec, "arm_name")
-            drug_text = _json_str(rec, "drug_text")
+            trial_id = json_str(rec, "trial_id")
+            arm_id = json_str(rec, "arm_id")
+            arm_name = json_str(rec, "arm_name")
+            drug_text = json_str(rec, "drug_text")
             count = _json_int(rec["participant_count"])
-            events = [(_json_str(ev, "term"), _json_int(ev["count"]))
+            events = [(json_str(ev, "term"), _json_int(ev["count"]))
                       for ev in rec["outcome_events"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))

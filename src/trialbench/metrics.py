@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators.methods import SCALE_LOG_HR, SCALE_RMST_DAYS
+from .formats import json_str
 from .refset import DIRECTION_A, DIRECTION_B, DIRECTION_NONE, LABEL_STRONG
 
 # Hazard-ratio thresholds for the fixed summary table.
@@ -71,14 +72,14 @@ def effects_by_method(records) -> dict[str, tuple[str, dict[tuple, ScoredEffect]
     """Group estimate records into {method_id: (scale, {entry key: scored effect})}.
 
     A later record for the same entry replaces the earlier one. A record is
-    available when it converged with a point estimate. Raises ValueError
-    unless each method_id is a string, each point null or a finite number,
-    each converged flag a boolean, and each method's records share one known
-    scale.
+    available when it converged with a point estimate. Raises TypeError
+    unless each drug and outcome code is a string, and ValueError unless each
+    method_id is a string, each point null or a finite number, each converged
+    flag a boolean, and each method's records share one known scale.
     """
     grouped: dict[str, tuple[str, dict]] = {}
     for rec in records:
-        key = (rec["drug_a"], rec["drug_b"], rec["outcome_code"])
+        key = (json_str(rec, "drug_a"), json_str(rec, "drug_b"), json_str(rec, "outcome_code"))
         method_id, point, converged = rec["method_id"], rec["point"], rec["converged"]
         if type(method_id) is not str:
             raise ValueError(f"method_id {method_id!r} is not a string")

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from . import exact, ingest
 from .exact import WEAK_OR_LOW, WEAK_OR_HIGH
-from .formats import InputError, parsing, read_jsonl, sha256_file, write_jsonl, write_lines
+from .formats import (InputError, json_str, parsing, read_jsonl, sha256_file, write_jsonl,
+                      write_lines)
 
 DEFAULT_ALPHA = 0.05
 
@@ -168,7 +169,8 @@ def load(path) -> ReferenceSet:
     entry; missing direction defaults to a_higher for strong entries and
     none for weak, missing statistics to NaN. A strong entry's direction
     must be a_higher or b_higher and a weak entry's none. Drug and outcome
-    codes must be strings, and the header's provenance an object.
+    codes must be strings, statistics JSON numbers (NaN and Infinity are, true is
+    not), and the header's provenance an object.
     """
     entries = []
     with parsing(path):
@@ -183,19 +185,13 @@ def load(path) -> ReferenceSet:
             direction = rec.get("direction", allowed[0])
             if direction not in allowed:
                 raise ValueError(f"bad direction {direction!r} for a {label} entry")
-            codes = {key: rec[key] for key in ("drug_a", "drug_b", "outcome_code")}
-            if not all(type(code) is str for code in codes.values()):
-                raise ValueError(f"drug and outcome codes must be strings, got {codes}")
-            entries.append(
-                ReferenceEntry(
-                    **codes,
-                    label=label,
-                    direction=direction,
-                    pooled_or=float(rec.get("pooled_or", math.nan)),
-                    p_value=float(rec.get("p_value", math.nan)),
-                    q_value=float(rec.get("q_value", math.nan)),
-                )
-            )
+            codes = {key: json_str(rec, key) for key in ("drug_a", "drug_b", "outcome_code")}
+            stats = {key: rec.get(key, math.nan) for key in ("pooled_or", "p_value", "q_value")}
+            for key, value in stats.items():
+                if type(value) not in (int, float):  # float() would read true as 1.0
+                    raise TypeError(f"{key} {value!r} is not a number")
+            entries.append(ReferenceEntry(**codes, label=label, direction=direction,
+                                          **{key: float(v) for key, v in stats.items()}))
         provenance = header.get("provenance", {})
         if type(provenance) is not dict:
             raise ValueError(f"provenance must be an object, got {provenance!r}")

@@ -1,10 +1,10 @@
-"""Seeded synthetic-data generators and their Monte-Carlo ground truth.
+"""Seeded synthetic-data generators and their exact ground truth.
 
 Produces patient event-stream databases with a known confounding
 structure (logistic treatment assignment, Weibull/exponential outcome
 hazards) and synthetic trial dumps with planted odds ratios. The
-marginal ground truth is always estimated from counterfactual
-simulation, never assumed equal to the conditional parameters, because
+marginal ground truth is computed by quadrature over the covariate
+distribution, never assumed equal to the conditional parameters, because
 the Cox hazard ratio is non-collapsible under covariate effects.
 """
 
@@ -17,8 +17,11 @@ import numpy as np
 
 from .cohort import KIND_DIAGNOSIS, KIND_DRUG, KIND_PROCEDURE
 from .estimators import RunSettings
-from .estimators.survival import cox_fit, event_time_horizon
 from .formats import dump_json_line
+
+MAX_CODE_FEATURES = 6  # ground_truth's time and memory double with each distinct code effect
+GH_NODES = 100         # Gauss-Hermite nodes over the dense covariates' effect
+LOG_NODES = 200        # Gauss-Legendre nodes in log time
 
 
 def _require_strings(config, *names):
@@ -59,6 +62,10 @@ class ScenarioConfig:
         if not (math.isfinite(self.censoring_rate) and self.censoring_rate >= 0):
             raise ValueError(f"censoring_rate must be finite and non-negative, "
                              f"got {self.censoring_rate!r}")
+        if (type(self.n_code_features) is not int
+                or not 0 <= self.n_code_features <= MAX_CODE_FEATURES):
+            raise ValueError(f"n_code_features must be an integer in [0, {MAX_CODE_FEATURES}], "
+                             f"got {self.n_code_features!r}")
         p = self.n_dense_features + self.n_code_features
         if not self.gamma:
             self.gamma = [0.0] * p
@@ -79,22 +86,8 @@ class ScenarioConfig:
 class GroundTruth:
     conditional_log_hr: float
     marginal_log_hr: float
-    marginal_log_hr_se: float
     tau: float
     marginal_rmst_diff: float
-    n_mc: int
-
-
-def _draw_covariates(config: ScenarioConfig, n: int, rng: np.random.Generator):
-    dense = rng.standard_normal((n, config.n_dense_features))
-    codes = (rng.random((n, config.n_code_features)) < config.code_prob).astype(float)
-    return np.column_stack([dense, codes]) if config.n_code_features else dense
-
-
-def _event_times(config: ScenarioConfig, lin: np.ndarray, rng: np.random.Generator):
-    # cumulative hazard lambda0 * t^shape * exp(lin)
-    e = rng.exponential(size=len(lin))
-    return (e / (config.lambda0 * np.exp(lin))) ** (1.0 / config.shape)
 
 
 @dataclass
@@ -108,54 +101,72 @@ class SurvivalArrays:
 
 def gen_survival_arrays(config: ScenarioConfig, rng: np.random.Generator) -> SurvivalArrays:
     """Observational sample as plain arrays (no event-stream plumbing)."""
-    x = _draw_covariates(config, config.n_patients, rng)
+    n = config.n_patients
+    x = np.column_stack([rng.standard_normal((n, config.n_dense_features)),
+                         rng.random((n, config.n_code_features)) < config.code_prob])
     logit = x @ np.asarray(config.gamma)
-    treated = rng.random(config.n_patients) < 1.0 / (1.0 + np.exp(-logit))
+    treated = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
     if treated.all() or not treated.any():
         raise ValueError("degenerate scenario: single-arm assignment")
     lin = config.beta * treated + x @ np.asarray(config.eta)
-    t_event = _event_times(config, lin, rng)
+    # cumulative hazard lambda0 * t^shape * exp(lin)
+    t_event = (rng.exponential(size=n) / (config.lambda0 * np.exp(lin))) ** (1.0 / config.shape)
     if config.censoring_rate > 0:
-        t_cens = np.minimum(rng.exponential(1.0 / config.censoring_rate,
-                                            size=config.n_patients),
+        t_cens = np.minimum(rng.exponential(1.0 / config.censoring_rate, size=n),
                             config.horizon_days)
     else:
-        t_cens = np.full(config.n_patients, config.horizon_days)
+        t_cens = np.full(n, config.horizon_days)
     time = np.minimum(t_event, t_cens)
     event = t_event <= t_cens
     return SurvivalArrays(features=x, treated=treated, time=time, event=event,
                           latent_time=t_event)
 
 
-def ground_truth(config: ScenarioConfig, rng: np.random.Generator, n_mc: int) -> GroundTruth:
-    """Counterfactual Monte-Carlo estimate of the marginal estimands.
+def _root(fn, lo: float, hi: float) -> float:
+    """The root of the increasing function fn between lo and hi, by 100 bisections."""
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if fn(mid) < 0 else (lo, mid)
+    return hi
 
-    Simulates both arms for n_mc fresh patients under administrative
-    censoring at the configured horizon, then reads the marginal log-HR
-    off an unadjusted Cox fit to the pooled counterfactual arms. The RMST
-    difference is read at tau, the pooled event-time horizon under evaluate's
-    default tau_percentile.
-    """
-    x = _draw_covariates(config, n_mc, rng)
-    xeta = x @ np.asarray(config.eta)
-    t0 = _event_times(config, xeta, rng)
-    t1 = _event_times(config, config.beta + xeta, rng)
-    horizon = config.horizon_days
-    times = np.concatenate([np.minimum(t0, horizon), np.minimum(t1, horizon)])
-    events = np.concatenate([t0 <= horizon, t1 <= horizon])
-    arms = np.concatenate([np.zeros(n_mc), np.ones(n_mc)])
-    res = cox_fit(times, events, arms)
-    tau = (event_time_horizon(times, events, RunSettings.tau_percentile) if events.any()
-           else horizon)
-    rmst_diff = float(np.mean(np.minimum(t1, tau)) - np.mean(np.minimum(t0, tau)))
-    return GroundTruth(
-        conditional_log_hr=config.beta,
-        marginal_log_hr=res.beta,
-        marginal_log_hr_se=res.se,
-        tau=tau,
-        marginal_rmst_diff=rmst_diff,
-        n_mc=n_mc,
-    )
+
+def ground_truth(config: ScenarioConfig) -> GroundTruth:
+    """The population's marginal estimands, both arms censored at the horizon, by
+    quadrature: each arm's S(u), u = t^shape, mixes exponentials over the code offsets and
+    GH_NODES Gauss-Hermite nodes of the dense effect; integrals take LOG_NODES nodes in log
+    time. The log-HR is the root of the limiting score of an unadjusted Cox fit to equal
+    counterfactual arms, and tau the limit of event_time_horizon on them."""
+    strata = {0.0: 1.0}  # code offset -> probability, equal offsets merged
+    for eta in config.eta[config.n_dense_features:]:
+        merged = {}
+        for offset, p in strata.items():
+            merged[offset] = merged.get(offset, 0.0) + p * (1 - config.code_prob)
+            merged[offset + eta] = merged.get(offset + eta, 0.0) + p * config.code_prob
+        strata = merged
+    z, wz = np.polynomial.hermite_e.hermegauss(GH_NODES)
+    lin = np.add.outer(list(strata), math.hypot(*config.eta[:config.n_dense_features]) * z)
+    weight = np.outer(list(strata.values()), wz / wz.sum()).ravel()
+    rates = config.lambda0 * np.exp(np.add.outer([0.0, config.beta], lin.ravel()))  # (arm, mix)
+    y, wy = np.polynomial.legendre.leggauss(LOG_NODES)
+    grid, dlog = np.exp(-20.0 * (y + 1)), 20.0 * wy  # x = e^-y' and dy' for y' in [0, 40]
+
+    def curves(u):  # each arm's S(u) and u f(u) at each u
+        e = np.exp(np.multiply.outer(-rates, u))
+        return np.einsum("m,amn->an", weight, e), np.einsum("am,amn->an", weight * rates, e) * u
+
+    def events(u):  # F_0(u) + F_1(u)
+        return -weight @ np.expm1(-rates * u).sum(0)
+
+    horizon = config.horizon_days ** config.shape
+    s, uf = curves(horizon * grid)
+    bound = abs(config.beta) + float(np.ptp(lin))  # the log-HR at any time is within it
+    log_hr = _root(lambda b: dlog @ ((math.exp(b) * uf[0] * s[1] - uf[1] * s[0])
+                                     / (s[0] + math.exp(b) * s[1])), -bound, bound)
+    target = RunSettings.tau_percentile * events(horizon)
+    tau = _root(lambda u: events(u) - target, 0.0, horizon) ** (1 / config.shape)
+    s, _ = curves((tau * grid) ** config.shape)
+    return GroundTruth(conditional_log_hr=config.beta, marginal_log_hr=log_hr, tau=tau,
+                       marginal_rmst_diff=float((tau * grid * dlog) @ (s[1] - s[0])))
 
 
 def vocabulary(config: ScenarioConfig) -> list[str]:

@@ -11,9 +11,10 @@ a per-threshold rescan for report precision/recall, the skip-pointer
 propensity matcher that the plain-list match_pairs replaced, the claims
 table build that interned kinds and codes after parsing, which
 PatientDB.from_records replaced by numbering (kind, code) pairs while parsing,
-and cox_fit and km_curve as they were when each call sorted its times and
+cox_fit and km_curve as they were when each call sorted its times and
 found tie groups with np.unique and searchsorted, which reading tie groups off
-the sorted times replaced.
+the sorted times replaced, and a Monte-Carlo draw of a scenario's marginal
+estimands, which synth.ground_truth computes by quadrature.
 """
 
 from __future__ import annotations
@@ -452,3 +453,35 @@ def _interned(values) -> tuple[list, np.ndarray]:
     """The distinct values in first-appearance order, and each value's index among them."""
     index = {v: i for i, v in enumerate(dict.fromkeys(values))}
     return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def mc_marginal_truth(config, n: int, seed: int, tau: float) -> dict:
+    """{estimand: (Monte-Carlo value, its standard error)} for a synth scenario, from n
+    patients per arm, each arm with its own covariates, censored at the horizon:
+    log_hr from a two-arm Cox fit (Newton on the score; no ties), event_frac the share of
+    the events before the horizon that fall at or before tau, and rmst_diff the mean
+    min(T, tau) of arm 1 less that of arm 0."""
+    rng = np.random.default_rng(seed)
+    times = []
+    for arm in (0, 1):
+        x = np.column_stack([rng.standard_normal((n, config.n_dense_features)),
+                             rng.random((n, config.n_code_features)) < config.code_prob])
+        hazard = config.lambda0 * np.exp(arm * config.beta + x @ np.asarray(config.eta))
+        times.append((rng.exponential(size=n) / hazard) ** (1 / config.shape))
+    capped = [np.minimum(t, tau) for t in times]
+    rmst_diff = capped[1].mean() - capped[0].mean()
+    rmst_se = math.sqrt((capped[0].var() + capped[1].var()) / n)
+    order = np.argsort(np.concatenate(times))
+    t, arm = np.concatenate(times)[order], np.repeat([0.0, 1.0], n)[order]
+    event = t <= config.horizon_days
+    n1 = np.cumsum(arm[::-1])[::-1][event]  # arm-1 rows at risk at each event
+    n0 = np.arange(2 * n, 0, -1)[event] - n1
+    b = 0.0
+    for _ in range(30):
+        p1 = math.exp(b) * n1 / (n0 + math.exp(b) * n1)
+        info = float(np.sum(p1 * (1 - p1)))
+        b += float(np.sum(arm[event] - p1)) / info
+    frac = float(np.mean(t[event] <= tau))
+    return {"log_hr": (b, 1 / math.sqrt(info)),
+            "event_frac": (frac, math.sqrt(frac * (1 - frac) / event.sum())),
+            "rmst_diff": (float(rmst_diff), rmst_se)}

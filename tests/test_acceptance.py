@@ -208,7 +208,7 @@ def test_criterion_05_cox_recovery():
         times = np.minimum(t_event, t_cens)
         events = t_event <= t_cens
         cens_rates.append(1.0 - events.mean())
-        res = cox_fit(times, events, treated)
+        res = cox_fit(times, events, treated, None)
         hits += res.converged and abs(res.beta - math.log(2)) <= 0.05
     big_ok = hits >= 45 and 0.1 < float(np.mean(cens_rates)) < 0.3
 
@@ -224,7 +224,7 @@ def test_criterion_05_cox_recovery():
         best = golden_section_max(lambda b: breslow_loglik(b, times, events, x), -8, 8)
         if abs(best) > 6:
             continue
-        res = cox_fit(times, events, x)
+        res = cox_fit(times, events, x, None)
         worst = max(worst, abs(res.beta - best))
         checked += 1
     tiny_ok = worst < 1e-6
@@ -243,8 +243,7 @@ CONFOUNDED = ScenarioConfig(n_patients=4000, n_dense_features=2, n_code_features
 
 
 def test_criterion_06_confounding_correction():
-    truth = synth.ground_truth(CONFOUNDED, np.random.default_rng(1000),
-                               n_mc=200_000).marginal_log_hr
+    truth = synth.ground_truth(CONFOUNDED).marginal_log_hr
     unadjusted, overlap, standard = [], [], []
     for seed in range(50):
         arrays = gen_survival_arrays(CONFOUNDED, np.random.default_rng(seed))
@@ -320,7 +319,7 @@ def test_criterion_09_double_robustness():
     config = ScenarioConfig(n_patients=50_000, n_dense_features=1, n_code_features=0,
                             gamma=[0.8], beta=-1.0, eta=[0.8],
                             lambda0=0.002, censoring_rate=0.0005, horizon_days=2000)
-    gt = synth.ground_truth(config, np.random.default_rng(77), n_mc=1_000_000)
+    gt = synth.ground_truth(config)
     truth, tau = gt.marginal_rmst_diff, gt.tau
     arrays = gen_survival_arrays(config, np.random.default_rng(7))
     n = config.n_patients
@@ -417,7 +416,6 @@ PIPELINE_SCENARIO = {
         {"drug_a": "DRUG_A", "drug_b": "DRUG_B", "outcome": "OUTCOME",
          "p_a": 0.35, "p_b": 0.1, "n_a": 2000, "n_b": 2000, "n_trials": 2},
     ],
-    "mc_samples": 50_000,
 }
 
 

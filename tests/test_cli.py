@@ -27,7 +27,6 @@ SCENARIO = {
         {"drug_a": "DRUG_A", "drug_b": "DRUG_B", "outcome": "OUTCOME",
          "p_a": 0.35, "p_b": 0.1, "n_a": 2000, "n_b": 2000, "n_trials": 2},
     ],
-    "mc_samples": 20_000,
 }
 
 
@@ -435,13 +434,26 @@ def test_input_error_exit_codes(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("mc_samples", ["abc", -3, 0, True, 2.5])
 def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
+    # the truth is exact, so mc_samples is no longer a scenario key, whatever its value
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"claims": SCENARIO["claims"], "mc_samples": mc_samples}))
     capsys.readouterr()
     assert main(["simulate", "--scenario", str(scenario), "--seed", "1",
                  "--out-dir", str(tmp_path / "sim")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {scenario}: mc_samples ")
-    assert not (tmp_path / "sim" / "ground_truth.json").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: {scenario}: unknown scenario key 'mc_samples'")
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("key", ["bogus", "seed", "Claims"])
+def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**SCENARIO, key: 1}))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "1",
+                 "--out-dir", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: unknown scenario key {key!r}")
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("section, change", [
@@ -747,6 +759,69 @@ def test_parsing_exits_2(pipeline, tmp_path, capsys, case):
         argv += [name, str(path)]
     assert main(argv) == 2
     assert str(broken) in capsys.readouterr().err
+
+
+def _dense_row_for(patient_id):
+    """Edit for a dense-features JSONL text: one more row, the first row's features for
+    patient_id, an id no patient has."""
+    def edit(text):
+        row = json.loads(text.split("\n", 1)[0])
+        return text + json.dumps({**row, "patient_id": patient_id}) + "\n"
+    return edit
+
+
+# case -> (evaluate flag whose file is broken, edit of that file's text, the field the
+# message names); str() or float() read each of these values as another one
+COERCED_INPUTS = {
+    "null_patient_id": ("--db", _edit_record(lambda record: record.update(patient_id=None)),
+                        "patient_id"),
+    "numeric_patient_id": ("--db", _edit_record(lambda record: record.update(patient_id=7)),
+                           "patient_id"),
+    "null_dense_patient_id": ("--dense-features", _dense_row_for(None), "patient_id"),
+    "numeric_dense_patient_id": ("--dense-features", _dense_row_for(7), "patient_id"),
+    "refset_boolean_p_value": (
+        "--refset", _edit_record(lambda record: record.update(p_value=True), line=1), "p_value"),
+    "refset_string_q_value": (
+        "--refset", _edit_record(lambda record: record.update(q_value="0.01"), line=1),
+        "q_value"),
+    "refset_boolean_pooled_or": (
+        "--refset", _edit_record(lambda record: record.update(pooled_or=False), line=1),
+        "pooled_or"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCED_INPUTS))
+def test_coerced_inputs_exit_2(pipeline, tmp_path, capsys, case):
+    _, sim, refset_path, _, _ = pipeline
+    flag, edit, field = COERCED_INPUTS[case]
+    inputs = {"--refset": refset_path, "--db": sim / "claims.jsonl", "--vocab": sim / "vocab.txt"}
+    if flag == "--dense-features":
+        inputs[flag] = sim / "dense_features.jsonl"
+    broken = tmp_path / "broken_input"
+    broken.write_text(edit(inputs[flag].read_text()))
+    inputs[flag] = broken
+    argv = ["evaluate", "--seed", "1", "--out", str(tmp_path / "e.jsonl")]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and f" {field} " in err, err
+
+
+@pytest.mark.parametrize("field, value", [("drug_a", 7), ("drug_b", None),
+                                          ("outcome_code", ["OUTCOME"])])
+def test_report_rejects_codes_that_are_not_strings(pipeline, tmp_path, capsys, field, value):
+    # a number matched no entry and exited 0; a list exited 2 only through a TypeError
+    _, _, refset_path, estimates, _ = pipeline
+    broken = tmp_path / "estimates.jsonl"
+    broken.write_text(_edit_record(lambda record: record.update({field: value}), line=1)(
+        estimates.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--estimates", str(broken), "--refset", str(refset_path),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and f"{field} {value!r} is not a string" in err
 
 
 def test_invalid_claims_line_is_reported_once(pipeline, tmp_path, capsys):

@@ -167,7 +167,7 @@ def test_cox_matches_brute_force_on_tiny_data():
         best = golden_section_max(lambda b: breslow_loglik(b, times, events, x), -8, 8)
         if abs(best) > 6:  # near-monotone likelihood; skip boundary cases
             continue
-        res = cox_fit(times, events, x)
+        res = cox_fit(times, events, x, None)
         assert res.converged
         assert abs(res.beta - best) < 1e-6
         checked += 1
@@ -195,7 +195,7 @@ def test_cox_one_armed_events():
     times = np.array([1.0, 2.0, 3.0, 4.0])
     events = np.array([True, True, False, False])
     x = np.array([1.0, 1.0, 0.0, 0.0])
-    res = cox_fit(times, events, x)
+    res = cox_fit(times, events, x, None)
     assert not res.converged and res.beta == math.inf
 
 
@@ -203,7 +203,7 @@ def test_cox_robust_se_close_to_model_se_unweighted():
     rng = np.random.default_rng(3)
     config = ScenarioConfig(n_patients=4000, beta=0.5, censoring_rate=0.001)
     arrays = gen_survival_arrays(config, rng)
-    res = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float))
+    res = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float), None)
     robust = cox_fit(arrays.time, arrays.event, arrays.treated.astype(float),
                      np.ones(len(arrays.time)))
     assert res.converged
@@ -457,7 +457,7 @@ def test_rmst_regression_and_aipw_unconfounded():
                             gamma=[0.0], beta=-0.5, eta=[0.5], lambda0=0.002,
                             censoring_rate=0.0005)
     arrays = gen_survival_arrays(config, rng)
-    gt = ground_truth(config, np.random.default_rng(99), n_mc=200_000)
+    gt = ground_truth(config)
     truth = gt.marginal_rmst_diff
     model = aft_fit(arrays.features, arrays.treated, arrays.time, arrays.event)
     prop = fit_logistic(arrays.features, arrays.treated, RunSettings.ridge)

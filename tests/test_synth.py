@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oracles import mc_marginal_truth
+from trialbench import synth
 from trialbench.cohort import PatientDB, build_cohort
 from trialbench.estimators import RunSettings
 from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
 from trialbench.synth import (
+    MAX_CODE_FEATURES,
     PlantedComparison,
     ScenarioConfig,
     gen_claims,
@@ -46,28 +50,85 @@ def test_gen_survival_arrays_degenerate():
 
 
 def test_ground_truth_null_effect():
+    # both arms have the same population, so the truth is exactly null
     config = ScenarioConfig(n_patients=100, n_dense_features=1, n_code_features=0,
                             beta=0.0, eta=[0.8], lambda0=0.002)
-    truth = ground_truth(config, np.random.default_rng(0), n_mc=60_000)
-    assert truth.marginal_log_hr == pytest.approx(0.0, abs=4 * truth.marginal_log_hr_se)
-    assert truth.marginal_rmst_diff == pytest.approx(0.0, abs=5.0)
+    truth = ground_truth(config)
+    assert truth.marginal_log_hr == pytest.approx(0.0, abs=1e-12)
+    assert truth.marginal_rmst_diff == pytest.approx(0.0, abs=1e-12)
     assert truth.tau > 0
 
 
-def test_ground_truth_tau_falls_back_to_horizon():
-    # no event before the horizon, so there is no event-time percentile
-    silent = ScenarioConfig(n_patients=100, lambda0=1e-12, horizon_days=100.0)
-    assert ground_truth(silent, np.random.default_rng(0), n_mc=1_000).tau == 100.0
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+def test_ground_truth_tau_at_a_vanishing_hazard(shape):
+    # F(t) is proportional to t^shape, so the pooled percentile is p^(1/shape) of the horizon
+    silent = ScenarioConfig(n_patients=100, lambda0=1e-12, shape=shape, horizon_days=100.0)
+    expected = RunSettings.tau_percentile ** (1 / shape) * 100.0
+    assert ground_truth(silent).tau == pytest.approx(expected, rel=1e-9)
+
+
+def test_ground_truth_closed_form_without_covariates():
+    config = ScenarioConfig(n_patients=100, n_dense_features=0, n_code_features=0,
+                            beta=0.6, lambda0=0.003)
+    truth = ground_truth(config)
+    r0, r1 = config.lambda0, config.lambda0 * math.exp(config.beta)
+    assert truth.marginal_log_hr == pytest.approx(config.beta, abs=1e-10)
+
+    def events(t):  # pooled event probability by t, both arms exponential
+        return -math.expm1(-r0 * t) - math.expm1(-r1 * t)
+
+    assert events(truth.tau) == pytest.approx(
+        RunSettings.tau_percentile * events(config.horizon_days), rel=1e-10)
+    rmst_diff = -math.expm1(-r1 * truth.tau) / r1 + math.expm1(-r0 * truth.tau) / r0
+    assert truth.marginal_rmst_diff == pytest.approx(rmst_diff, rel=1e-10)
+
+
+# a Weibull shape other than 1; three codes with equal effects, so strata merge
+MC_CONFIGS = [
+    ScenarioConfig(n_patients=100, beta=-0.3, eta=[0.8, -0.4, 0.5, 0.3], lambda0=5e-4,
+                   shape=1.5, horizon_days=730),
+    ScenarioConfig(n_patients=100, n_dense_features=1, n_code_features=3, code_prob=0.4,
+                   beta=0.5, eta=[0.6, 0.4, 0.4, 0.4], lambda0=0.003),
+]
+
+
+@pytest.mark.parametrize("config", MC_CONFIGS)
+def test_ground_truth_matches_monte_carlo(config):
+    truth = ground_truth(config)
+    mc = mc_marginal_truth(config, n=500_000, seed=11, tau=truth.tau)
+    for (value, se), exact in ((mc["log_hr"], truth.marginal_log_hr),
+                               (mc["event_frac"], RunSettings.tau_percentile),
+                               (mc["rmst_diff"], truth.marginal_rmst_diff)):
+        assert abs(value - exact) <= 4 * se, (value, se, exact)
+
+
+NONCOLLAPSIBLE = ScenarioConfig(n_patients=100, n_dense_features=1, n_code_features=0,
+                                beta=1.0, eta=[1.5], lambda0=0.002)
+
+
+@pytest.mark.parametrize("config", [*MC_CONFIGS, NONCOLLAPSIBLE,
+                                    ScenarioConfig(n_patients=100, beta=0.7, shape=0.5,
+                                                   eta=[1.0, 0.5, 0.5, 0.5], lambda0=0.02)])
+def test_ground_truth_is_converged_in_the_nodes(config, monkeypatch):
+    truth = dataclasses.astuple(ground_truth(config))
+    monkeypatch.setattr(synth, "GH_NODES", 2 * synth.GH_NODES)
+    monkeypatch.setattr(synth, "LOG_NODES", 2 * synth.LOG_NODES)
+    assert dataclasses.astuple(ground_truth(config)) == pytest.approx(truth, rel=1e-6)
 
 
 def test_marginal_hr_non_collapsibility():
     # with strong covariate effects the marginal log-HR is attenuated
     # relative to the conditional coefficient
-    config = ScenarioConfig(n_patients=100, n_dense_features=1, n_code_features=0,
-                            beta=1.0, eta=[1.5], lambda0=0.002)
-    truth = ground_truth(config, np.random.default_rng(1), n_mc=60_000)
-    assert 0.2 < truth.marginal_log_hr < 1.0 - 4 * truth.marginal_log_hr_se
+    truth = ground_truth(NONCOLLAPSIBLE)
+    assert 0.2 < truth.marginal_log_hr < 0.9
     assert truth.conditional_log_hr == 1.0
+
+
+def test_code_features_are_bounded():
+    ScenarioConfig(n_patients=10, n_code_features=MAX_CODE_FEATURES)
+    for bad in (MAX_CODE_FEATURES + 1, -1, 2.0, True):
+        with pytest.raises(ValueError, match="n_code_features"):
+            ScenarioConfig(n_patients=10, n_code_features=bad)
 
 
 def test_gen_claims_round_trips_through_cohort():
