@@ -20,7 +20,8 @@ from .estimators import RunSettings
 from .formats import dump_json_line
 
 MAX_CODE_FEATURES = 6  # ground_truth's time and memory double with each distinct code effect
-GH_NODES = 100         # Gauss-Hermite nodes over the dense covariates' effect
+MAX_DENSE_EFFECT = 4.0  # the largest sigma = |eta_dense| at which Z_NODES keeps the truth exact
+Z_NODES = 145          # trapezoid nodes on [-9, 9] over the standardised dense effect
 LOG_NODES = 200        # Gauss-Legendre nodes in log time
 
 
@@ -62,10 +63,10 @@ class ScenarioConfig:
         if not (math.isfinite(self.censoring_rate) and self.censoring_rate >= 0):
             raise ValueError(f"censoring_rate must be finite and non-negative, "
                              f"got {self.censoring_rate!r}")
-        if (type(self.n_code_features) is not int
-                or not 0 <= self.n_code_features <= MAX_CODE_FEATURES):
-            raise ValueError(f"n_code_features must be an integer in [0, {MAX_CODE_FEATURES}], "
-                             f"got {self.n_code_features!r}")
+        for name, top in (("n_dense_features", math.inf), ("n_noise_codes", math.inf),
+                          ("n_code_features", MAX_CODE_FEATURES)):
+            if type(value := getattr(self, name)) is not int or not 0 <= value <= top:
+                raise ValueError(f"{name} must be an integer in [0, {top}], got {value!r}")
         p = self.n_dense_features + self.n_code_features
         if not self.gamma:
             self.gamma = [0.0] * p
@@ -76,6 +77,8 @@ class ScenarioConfig:
         for name, values in (("beta", [self.beta]), ("gamma", self.gamma), ("eta", self.eta)):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if math.hypot(*self.eta[:self.n_dense_features]) > MAX_DENSE_EFFECT:
+            raise ValueError(f"the dense eta's norm exceeds {MAX_DENSE_EFFECT}: {self.eta!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -133,8 +136,8 @@ def _root(fn, lo: float, hi: float) -> float:
 def ground_truth(config: ScenarioConfig) -> GroundTruth:
     """The population's marginal estimands, both arms censored at the horizon, by
     quadrature: each arm's S(u), u = t^shape, mixes exponentials over the code offsets and
-    GH_NODES Gauss-Hermite nodes of the dense effect; integrals take LOG_NODES nodes in log
-    time. The log-HR is the root of the limiting score of an unadjusted Cox fit to equal
+    Z_NODES trapezoid nodes of the dense effect; integrals take LOG_NODES nodes in log time.
+    The log-HR is the root of the limiting score of an unadjusted Cox fit to equal
     counterfactual arms, and tau the limit of event_time_horizon on them."""
     strata = {0.0: 1.0}  # code offset -> probability, equal offsets merged
     for eta in config.eta[config.n_dense_features:]:
@@ -143,7 +146,8 @@ def ground_truth(config: ScenarioConfig) -> GroundTruth:
             merged[offset] = merged.get(offset, 0.0) + p * (1 - config.code_prob)
             merged[offset + eta] = merged.get(offset + eta, 0.0) + p * config.code_prob
         strata = merged
-    z, wz = np.polynomial.hermite_e.hermegauss(GH_NODES)
+    z = np.linspace(-9.0, 9.0, Z_NODES)  # the trapezoid rule converges geometrically here
+    wz = np.exp(-z * z / 2)
     lin = np.add.outer(list(strata), math.hypot(*config.eta[:config.n_dense_features]) * z)
     weight = np.outer(list(strata.values()), wz / wz.sum()).ravel()
     rates = config.lambda0 * np.exp(np.add.outer([0.0, config.beta], lin.ravel()))  # (arm, mix)
@@ -161,7 +165,8 @@ def ground_truth(config: ScenarioConfig) -> GroundTruth:
     s, uf = curves(horizon * grid)
     bound = abs(config.beta) + float(np.ptp(lin))  # the log-HR at any time is within it
     log_hr = _root(lambda b: dlog @ ((math.exp(b) * uf[0] * s[1] - uf[1] * s[0])
-                                     / (s[0] + math.exp(b) * s[1])), -bound, bound)
+                                     / np.maximum(s[0] + math.exp(b) * s[1], 1e-300)),
+                   -bound, bound)  # 0, not 0/0, where both arms' S(u) underflow
     target = RunSettings.tau_percentile * events(horizon)
     tau = _root(lambda u: events(u) - target, 0.0, horizon) ** (1 / config.shape)
     s, _ = curves((tau * grid) ** config.shape)

@@ -432,20 +432,8 @@ def test_input_error_exit_codes(pipeline, tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mc_samples", ["abc", -3, 0, True, 2.5])
-def test_simulate_rejects_bad_mc_samples(tmp_path, capsys, mc_samples):
-    # the truth is exact, so mc_samples is no longer a scenario key, whatever its value
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"claims": SCENARIO["claims"], "mc_samples": mc_samples}))
-    capsys.readouterr()
-    assert main(["simulate", "--scenario", str(scenario), "--seed", "1",
-                 "--out-dir", str(tmp_path / "sim")]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {scenario}: unknown scenario key 'mc_samples'")
-    assert not (tmp_path / "sim").exists()
-
-
-@pytest.mark.parametrize("key", ["bogus", "seed", "Claims"])
+# the truth is exact, so mc_samples is no longer a scenario key
+@pytest.mark.parametrize("key", ["bogus", "seed", "Claims", "mc_samples"])
 def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({**SCENARIO, key: 1}))
@@ -473,6 +461,9 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
     ("claims", {"lambda0": math.nan}),
     ("claims", {"beta": math.nan}),
     ("claims", {"eta": [0.3, math.nan, 0.2, 0.2]}),
+    ("claims", {"eta": [3.0, 3.0, 0.2, 0.2]}),
+    ("claims", {"n_dense_features": -1}),
+    ("claims", {"n_noise_codes": True}),
     ("trials", {"drug_a": 5}),
     ("trials", {"outcome": 7}),
     ("trials", {"p_a": True}),
@@ -482,6 +473,7 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
         "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
         "infinite_shape", "infinite_gamma", "nan_lambda0", "nan_beta", "nan_eta_entry",
+        "dense_effect_above_bound", "negative_dense_features", "boolean_noise_codes",
         "numeric_trial_drug", "numeric_trial_outcome", "boolean_probability",
         "numeric_claims_drug", "numeric_claims_outcome"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):

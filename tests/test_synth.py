@@ -11,6 +11,7 @@ from trialbench.estimators import RunSettings
 from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
 from trialbench.synth import (
     MAX_CODE_FEATURES,
+    MAX_DENSE_EFFECT,
     PlantedComparison,
     ScenarioConfig,
     gen_claims,
@@ -83,6 +84,15 @@ def test_ground_truth_closed_form_without_covariates():
     assert truth.marginal_rmst_diff == pytest.approx(rmst_diff, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta", [0.5, -0.5])
+@pytest.mark.parametrize("shape", [0.5, 2.0])
+def test_ground_truth_log_hr_without_covariate_effects_at_any_shape(shape, beta):
+    # the hazards are proportional at any shape; at shape 2 both arms' S(u) underflow to 0
+    # long before the horizon, where the score's integrand must read 0, not 0/0
+    config = ScenarioConfig(n_patients=100, beta=beta, shape=shape)
+    assert ground_truth(config).marginal_log_hr == pytest.approx(beta, abs=1e-10)
+
+
 # a Weibull shape other than 1; three codes with equal effects, so strata merge
 MC_CONFIGS = [
     ScenarioConfig(n_patients=100, beta=-0.3, eta=[0.8, -0.4, 0.5, 0.3], lambda0=5e-4,
@@ -108,10 +118,13 @@ NONCOLLAPSIBLE = ScenarioConfig(n_patients=100, n_dense_features=1, n_code_featu
 
 @pytest.mark.parametrize("config", [*MC_CONFIGS, NONCOLLAPSIBLE,
                                     ScenarioConfig(n_patients=100, beta=0.7, shape=0.5,
-                                                   eta=[1.0, 0.5, 0.5, 0.5], lambda0=0.02)])
+                                                   eta=[1.0, 0.5, 0.5, 0.5], lambda0=0.02),
+                                    ScenarioConfig(n_patients=100, n_code_features=0,
+                                                   beta=0.5, eta=[0.0, MAX_DENSE_EFFECT],
+                                                   shape=2.0, lambda0=2e-6)])
 def test_ground_truth_is_converged_in_the_nodes(config, monkeypatch):
     truth = dataclasses.astuple(ground_truth(config))
-    monkeypatch.setattr(synth, "GH_NODES", 2 * synth.GH_NODES)
+    monkeypatch.setattr(synth, "Z_NODES", 2 * synth.Z_NODES - 1)  # halves the spacing
     monkeypatch.setattr(synth, "LOG_NODES", 2 * synth.LOG_NODES)
     assert dataclasses.astuple(ground_truth(config)) == pytest.approx(truth, rel=1e-6)
 
@@ -129,6 +142,20 @@ def test_code_features_are_bounded():
     for bad in (MAX_CODE_FEATURES + 1, -1, 2.0, True):
         with pytest.raises(ValueError, match="n_code_features"):
             ScenarioConfig(n_patients=10, n_code_features=bad)
+
+
+def test_dense_effect_is_bounded():
+    ScenarioConfig(n_patients=10, n_code_features=0, eta=[0.0, MAX_DENSE_EFFECT])
+    with pytest.raises(ValueError, match="dense eta"):
+        ScenarioConfig(n_patients=10, n_code_features=0, eta=[0.1, MAX_DENSE_EFFECT])
+
+
+@pytest.mark.parametrize("name", ["n_dense_features", "n_noise_codes"])
+def test_feature_counts_are_non_negative_integers(name):
+    ScenarioConfig(n_patients=10, n_code_features=0, **{name: 0}, eta=[], gamma=[])
+    for bad in (-1, 2.5, True, "2", None):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(n_patients=10, **{name: bad})
 
 
 def test_gen_claims_round_trips_through_cohort():
