@@ -23,8 +23,8 @@ from . import refset as refset_mod
 from . import synth
 from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimates,
                          run_all_methods)
-from .formats import (InputError, dump_json_line, parsing, read_jsonl, read_kv_config,
-                      sha256_file, write_jsonl, write_lines)
+from .formats import (InputError, dump_json_line, json_list, json_object, json_str, parsing,
+                      read_jsonl, read_kv_config, sha256_file, write_jsonl, write_lines)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,10 +47,7 @@ def cmd_build_refset(args) -> int:
     dump = _require_file(args.dump)
     drug_dict = _require_file(args.drug_dict)
     outcome_dict = _require_file(args.outcome_dict)
-    built, drops, parsed = refset_mod.build(
-        dump, drug_dict, outcome_dict,
-        alpha=args.alpha, use_prefilter=not args.no_prefilter,
-    )
+    built, drops, parsed = refset_mod.build(dump, drug_dict, outcome_dict, alpha=args.alpha)
     refset_mod.save(built, args.out)
     refset_mod.save_drop_report(drops, str(args.out) + ".drops.tsv")
     if parsed.diagnostics:
@@ -68,9 +65,9 @@ def cmd_simulate(args) -> int:
         if unknown:
             raise InputError(f"{scenario_path}: unknown scenario key {unknown[0]!r}; "
                              f"the keys are ['claims', 'trials']")
-        config = (synth.ScenarioConfig.from_dict(scenario["claims"])
+        config = (synth.ScenarioConfig.from_dict(json_object(scenario, "claims"))
                   if "claims" in scenario else None)
-        planted = ([synth.PlantedComparison(**comp) for comp in scenario["trials"]]
+        planted = ([synth.PlantedComparison(**comp) for comp in json_list(scenario, "trials")]
                    if "trials" in scenario else None)
         if config is None and not planted:
             raise ValueError("scenario defines neither 'claims' nor 'trials'")
@@ -116,7 +113,7 @@ def _holds_group(rows, entries, methods) -> bool:
         return False
     try:
         metrics_mod.effects_by_method(rows)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return False
     return (sorted(map(_row_key, rows)) == sorted((*e.key, m) for e in entries for m in methods)
             and all(row["scale"] == METHOD_REGISTRY[row["method_id"]].scale for row in rows))
@@ -249,18 +246,17 @@ def cmd_report(args) -> int:
                                   metrics_mod.SCALE_RMST_DAYS)
     estimates_path = _require_file(args.estimates)
     refset_path = _require_file(args.refset)
-    with parsing(estimates_path):
+    with parsing(estimates_path):  # the reference set's own errors name it
         header, records = read_jsonl(estimates_path)
-    if header is None or header.get("kind") != "estimates":
-        raise InputError(f"{estimates_path}: not an estimates file")
-    if not records:
-        raise InputError(f"{estimates_path}: no estimate rows")
-    if header.get("refset_sha256") != sha256_file(refset_path):
-        raise ProvenanceError("estimates were produced against a different reference set")
-    reference = refset_mod.load(refset_path)
-    if not reference.entries:
-        raise InputError(f"{refset_path}: no reference entries to score against")
-    with parsing(estimates_path):
+        if header is None or header.get("kind") != "estimates":
+            raise InputError(f"{estimates_path}: line 1 is no header of kind 'estimates'")
+        if not records:
+            raise InputError(f"{estimates_path}: no estimate rows")
+        if json_str(header, "refset_sha256") != sha256_file(refset_path):
+            raise ProvenanceError("estimates were produced against a different reference set")
+        reference = refset_mod.load(refset_path)
+        if not reference.entries:
+            raise InputError(f"{refset_path}: no reference entries to score against")
         by_method = metrics_mod.effects_by_method(records)
 
     metric_columns = "precision\trecall\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"
@@ -318,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drug-dict", required=True)
     p.add_argument("--outcome-dict", required=True)
     p.add_argument("--alpha", type=alpha_value, default=refset_mod.DEFAULT_ALPHA)
-    p.add_argument("--no-prefilter", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_refset)
 

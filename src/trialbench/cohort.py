@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 # read_jsonl is unused here, but perfbench/tracer.py hooks cohort.read_jsonl by name
-from .formats import iter_jsonl, json_str, parsing, read_jsonl  # noqa: F401
+from .formats import iter_jsonl, json_list, json_str, parsing, read_jsonl  # noqa: F401
 
 KIND_DRUG = "drug_claim"
 KIND_DIAGNOSIS = "diagnosis"
@@ -44,26 +44,32 @@ class PatientDB:
         """Build the table in one pass over claims records in any order, keeping only
         their values in flat columns, in file order; each (kind, code) pair is numbered
         in the order parsing first meets it, and an event keeps only that number. Raises
-        ValueError on a duplicate id, a day or observation bound that is not an integer,
-        a kind or code that is not a string, or an event out of day order or outside its
-        patient's observation window, where of several patients that break a rule the
-        error names the smallest id; raises TypeError at the first id that is not a
-        string."""
+        ValueError on a duplicate id, an event that is not a [day, kind, code] list, a
+        day or observation bound that is not an integer, a kind or code that is not a
+        string, or an event out of day order or outside its patient's observation window,
+        where of several patients that break a rule the error names the smallest id;
+        raises TypeError at the first id that is not a string, or events not a list."""
         patients, start, end, count, day, pair = [], [], [], [], [], []
         numbers = {}  # (kind, code) -> its number, in file order
         for rec in records:
             patients.append(rec["patient_id"])
             start.append(rec["observation_start"])
             end.append(rec["observation_end"])
-            count.append(len(rec["events"]))
-            for d, k, c in rec["events"]:
-                day.append(d)
-                pair.append(numbers.setdefault((k, c), len(numbers)))
-        if set(map(type, patients)) - {str}:  # one pass in C, cheaper than a call per record
+            events = json_list(rec, "events")
+            count.append(len(events))
+            try:
+                for d, k, c in events:
+                    day.append(d)
+                    pair.append(numbers.setdefault((k, c), len(numbers)))
+            except (TypeError, ValueError):  # not three values, or a list or object kind or code
+                raise ValueError("each event must be a [day, kind, code] list") from None
+        # the rules of formats.json_str and json_int, tested a column at a time in C
+        if set(map(type, patients)) - {str}:
             bad = next(p for p in patients if type(p) is not str)
             raise TypeError(f"patient_id {bad!r} is not a string")
         owner = np.repeat(np.arange(len(patients)), np.array(count, dtype=np.intp))
-        day, start, end = _integers(day), _integers(start), _integers(end)
+        day, start = _integers(day, "event days"), _integers(start, "observation_start")
+        end = _integers(end, "observation_end")
         if not all(type(k) is str and type(c) is str for k, c in numbers):
             raise ValueError("event kinds and codes must be strings")
         if len(set(patients)) < len(patients):
@@ -84,9 +90,9 @@ class PatientDB:
     def with_dense_features(self, rows) -> PatientDB:
         """Attach one feature row per patient from {patient_id, features} records in any
         order, each written straight into its patient's row of the matrix; rows of ids
-        not in the table are checked, then dropped. Raises ValueError on a duplicate id,
-        a feature that is not a finite JSON number (a boolean is not), rows of unequal
-        length or a patient without a row, and TypeError on an id that is not a string."""
+        not in the table are checked, then dropped. Raises ValueError on a duplicate id, a
+        feature that is not a finite JSON number (json_number's rule, a row at a time),
+        rows of unequal length or a patient without a row, and TypeError on a non-string id."""
         row_of = {pid: i for i, pid in enumerate(self.patients)}
         matrix = np.empty((len(self.patients), 0))
         seen = set()
@@ -131,9 +137,9 @@ def _first_day(n, owner, day) -> np.ndarray:
     return first
 
 
-def _integers(values) -> np.ndarray:
-    """values as int64; ValueError unless each is a JSON integer (a boolean is not) that fits."""
-    message = "event days and observation bounds must be JSON integers"
+def _integers(values, name) -> np.ndarray:
+    """values as int64; ValueError naming them unless each is a JSON integer that fits."""
+    message = f"{name} must be JSON integers"
     if set(map(type, values)) - {int}:
         raise ValueError(message)
     try:

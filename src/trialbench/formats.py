@@ -77,12 +77,44 @@ def _load_line(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
+# One check per JSON kind of a field, by type (true is no number, 2.0 no integer, {} no
+# list): each returns rec[key], and raises TypeError naming key for any other kind.
+
 def json_str(rec: dict, key: str) -> str:
-    """rec[key], which must be a JSON string: null, a number, a list or an object raises
-    TypeError naming key (str() would read 7 as "7" and null as "None")."""
-    value = rec[key]
-    if type(value) is not str:
+    """A JSON string (str() would read 7 as "7" and null as "None")."""
+    if type(value := rec[key]) is not str:
         raise TypeError(f"{key} {value!r} is not a string")
+    return value
+
+
+def json_int(rec: dict, key: str) -> int:
+    if type(value := rec[key]) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
+def json_number(rec: dict, key: str) -> float:
+    """A JSON number, as a float: NaN and Infinity are, true and "0.5" are not."""
+    if type(value := rec[key]) is not float and type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not a number")
+    return float(value)
+
+
+def json_bool(rec: dict, key: str) -> bool:
+    if type(value := rec[key]) is not bool:
+        raise TypeError(f"{key} {value!r} is not a boolean")
+    return value
+
+
+def json_list(rec: dict, key: str) -> list:
+    if type(value := rec[key]) is not list:
+        raise TypeError(f"{key} {value!r} is not a list")
+    return value
+
+
+def json_object(rec: dict, key: str) -> dict:
+    if type(value := rec[key]) is not dict:
+        raise TypeError(f"{key} {value!r} is not an object")
     return value
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .formats import _load_line, json_str, parsing
+from .formats import _load_line, json_int, json_list, json_str, parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
@@ -151,19 +151,12 @@ def _read_delimited(path, columns):
     return rows
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:  # rejects floats, strings and bools
-        raise TypeError(f"count {value!r} is not an integer")
-    return value
-
-
 def parse_dump(lines) -> ParseResult:
     """Parse line-delimited arm records; collect per-line diagnostics.
 
-    Malformed lines are reported, never silently dropped; a count that
-    is not a JSON integer, or an id, name, drug text or event term that is
-    not a JSON string, is a schema violation. Each event count, and
-    each repeated term's sum, is checked against [0, participant_count].
+    Malformed lines are reported, never silently dropped; a field of the wrong
+    JSON kind is a schema violation. Each event count, and each repeated
+    term's sum, is checked against [0, participant_count].
     A duplicate (trial_id, arm_id) raises ValueError.
     """
     arms: list[Arm] = []
@@ -179,9 +172,9 @@ def parse_dump(lines) -> ParseResult:
             arm_id = json_str(rec, "arm_id")
             arm_name = json_str(rec, "arm_name")
             drug_text = json_str(rec, "drug_text")
-            count = _json_int(rec["participant_count"])
-            events = [(json_str(ev, "term"), _json_int(ev["count"]))
-                      for ev in rec["outcome_events"]]
+            count = json_int(rec, "participant_count")
+            events = [(json_str(ev, "term"), json_int(ev, "count"))
+                      for ev in json_list(rec, "outcome_events")]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))
             continue

@@ -9,13 +9,12 @@ table at 2 / 1.5 / 1.25.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators.methods import SCALE_LOG_HR, SCALE_RMST_DAYS
-from .formats import json_str
+from .formats import json_bool, json_number, json_str
 from .refset import DIRECTION_A, DIRECTION_B, DIRECTION_NONE, LABEL_STRONG
 
 # Hazard-ratio thresholds for the fixed summary table.
@@ -72,28 +71,23 @@ def effects_by_method(records) -> dict[str, tuple[str, dict[tuple, ScoredEffect]
     """Group estimate records into {method_id: (scale, {entry key: scored effect})}.
 
     A later record for the same entry replaces the earlier one. A record is
-    available when it converged with a point estimate. Raises TypeError
-    unless each drug and outcome code is a string, and ValueError unless each
-    method_id is a string, each point null or a finite number, each converged
-    flag a boolean, and each method's records share one known scale.
+    available when it converged with a point estimate. Raises TypeError unless
+    each drug and outcome code and method_id is a string, each point null or a
+    number and each converged flag a boolean, and ValueError unless each point
+    is finite and each method's records share one known scale.
     """
     grouped: dict[str, tuple[str, dict]] = {}
     for rec in records:
         key = (json_str(rec, "drug_a"), json_str(rec, "drug_b"), json_str(rec, "outcome_code"))
-        method_id, point, converged = rec["method_id"], rec["point"], rec["converged"]
-        if type(method_id) is not str:
-            raise ValueError(f"method_id {method_id!r} is not a string")
+        method_id, converged = json_str(rec, "method_id"), json_bool(rec, "converged")
+        point = None if rec["point"] is None else json_number(rec, "point")
         scale, effects = grouped.setdefault(method_id, (rec["scale"], {}))
         if rec["scale"] != scale:
             raise ValueError(f"{method_id}: rows on both {scale!r} and {rec['scale']!r}")
         if scale not in (SCALE_LOG_HR, SCALE_RMST_DAYS):
             raise ValueError(f"{method_id}: unknown scale {scale!r}")
-        # abs() compares exactly, so an integer beyond the float range fails too
-        if point is not None and (type(point) not in (int, float)
-                                  or not abs(point) <= sys.float_info.max):
+        if point is not None and not math.isfinite(point):
             raise ValueError(f"{method_id}: point {point!r} is not null or a finite number")
-        if type(converged) is not bool:
-            raise ValueError(f"{method_id}: converged {converged!r} is not a boolean")
         if converged and point is not None:
             effects[key] = ScoredEffect(True, direction_of(scale, point), abs(point))
         else:

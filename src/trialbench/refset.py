@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import exact, ingest
 from .exact import WEAK_OR_LOW, WEAK_OR_HIGH
-from .formats import (InputError, json_str, parsing, read_jsonl, sha256_file, write_jsonl,
-                      write_lines)
+from .formats import (InputError, json_number, json_object, json_str, parsing, read_jsonl,
+                      sha256_file, write_jsonl, write_lines)
 
 DEFAULT_ALPHA = 0.05
 
@@ -72,7 +72,7 @@ def prefilter(candidates, family: str, alpha: float, drop_report: Counter) -> li
 
     One composite p-value vector per table gives both the floor over every
     realizable cell and the observed cell's p-value. Returns (table,
-    p_value) pairs; alpha=math.inf keeps every table.
+    p_value) pairs.
     """
     kept = []
     for table in candidates:
@@ -114,13 +114,12 @@ def _entries_for_family(tested, family: str, alpha: float) -> list[ReferenceEntr
     return entries
 
 
-def build_from_tables(tables, alpha: float, provenance: dict, drop_report: Counter,
-                      use_prefilter: bool) -> ReferenceSet:
+def build_from_tables(tables, alpha: float, provenance: dict,
+                      drop_report: Counter) -> ReferenceSet:
     """Bucket, pre-filter, test, and BH-control pooled tables into a set."""
     strong_cand, weak_cand = bucket(tables)
-    floor_alpha = alpha if use_prefilter else math.inf
-    strong = prefilter(strong_cand, LABEL_STRONG, floor_alpha, drop_report)
-    weak = prefilter(weak_cand, LABEL_WEAK, floor_alpha, drop_report)
+    strong = prefilter(strong_cand, LABEL_STRONG, alpha, drop_report)
+    weak = prefilter(weak_cand, LABEL_WEAK, alpha, drop_report)
     entries = _entries_for_family(strong, LABEL_STRONG, alpha)
     entries += _entries_for_family(weak, LABEL_WEAK, alpha)
     entries.sort(key=lambda e: e.key)
@@ -129,7 +128,7 @@ def build_from_tables(tables, alpha: float, provenance: dict, drop_report: Count
         "n_strong_candidates": len(strong), "n_weak_candidates": len(weak)})
 
 
-def build(dump_path, drug_dict_path, outcome_dict_path, alpha: float, use_prefilter: bool):
+def build(dump_path, drug_dict_path, outcome_dict_path, alpha: float):
     """Full pipeline from files: returns (ReferenceSet, drop counts per rule, ParseResult).
     A malformed dump or dictionary raises InputError naming the file."""
     drug_dict = ingest.DrugDictionary.load(drug_dict_path)
@@ -152,8 +151,7 @@ def build(dump_path, drug_dict_path, outcome_dict_path, alpha: float, use_prefil
         "n_parse_diagnostics": len(parsed.diagnostics),
         "n_tables": len(tables),
     }
-    refset = build_from_tables(tables, alpha=alpha, provenance=provenance,
-                               drop_report=drops, use_prefilter=use_prefilter)
+    refset = build_from_tables(tables, alpha=alpha, provenance=provenance, drop_report=drops)
     return refset, drops, parsed
 
 
@@ -169,14 +167,13 @@ def load(path) -> ReferenceSet:
     entry; missing direction defaults to a_higher for strong entries and
     none for weak, missing statistics to NaN. A strong entry's direction
     must be a_higher or b_higher and a weak entry's none. Drug and outcome
-    codes must be strings, statistics JSON numbers (NaN and Infinity are, true is
-    not), and the header's provenance an object.
+    codes must be JSON strings, statistics numbers and the provenance an object.
     """
     entries = []
     with parsing(path):
         header, records = read_jsonl(path)
         if header is None or header.get("kind") != "reference_set":
-            raise InputError(f"{path}: missing reference_set header line")
+            raise InputError(f"{path}: line 1 is no header of kind 'reference_set'")
         for rec in records:
             label = rec["label"]
             if label not in (LABEL_STRONG, LABEL_WEAK):
@@ -186,15 +183,10 @@ def load(path) -> ReferenceSet:
             if direction not in allowed:
                 raise ValueError(f"bad direction {direction!r} for a {label} entry")
             codes = {key: json_str(rec, key) for key in ("drug_a", "drug_b", "outcome_code")}
-            stats = {key: rec.get(key, math.nan) for key in ("pooled_or", "p_value", "q_value")}
-            for key, value in stats.items():
-                if type(value) not in (int, float):  # float() would read true as 1.0
-                    raise TypeError(f"{key} {value!r} is not a number")
-            entries.append(ReferenceEntry(**codes, label=label, direction=direction,
-                                          **{key: float(v) for key, v in stats.items()}))
-        provenance = header.get("provenance", {})
-        if type(provenance) is not dict:
-            raise ValueError(f"provenance must be an object, got {provenance!r}")
+            stats = {key: json_number(rec, key) if key in rec else math.nan
+                     for key in ("pooled_or", "p_value", "q_value")}
+            entries.append(ReferenceEntry(**codes, label=label, direction=direction, **stats))
+        provenance = json_object(header, "provenance") if "provenance" in header else {}
     return ReferenceSet(entries=entries, provenance=provenance)
 
 

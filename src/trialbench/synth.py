@@ -17,19 +17,16 @@ import numpy as np
 
 from .cohort import KIND_DIAGNOSIS, KIND_DRUG, KIND_PROCEDURE
 from .estimators import RunSettings
-from .formats import dump_json_line
+from .formats import dump_json_line, json_int, json_list, json_number, json_str
+from .ingest import MAX_POOLED_ARM
 
 MAX_CODE_FEATURES = 6  # ground_truth's time and memory double with each distinct code effect
 MAX_DENSE_EFFECT = 4.0  # the largest sigma = |eta_dense| at which Z_NODES keeps the truth exact
+# the largest log of the fastest code stratum's mean cumulative hazard at the horizon: at
+# most e^(MAX_LOG_HAZARD - 40) of its events precede ground_truth's window [e^-40, 1] * H^shape
+MAX_LOG_HAZARD = 20
 Z_NODES = 145          # trapezoid nodes on [-9, 9] over the standardised dense effect
 LOG_NODES = 200        # Gauss-Legendre nodes in log time
-
-
-def _require_strings(config, *names):
-    """Raise ValueError naming the first of the fields names that is not a str."""
-    for name in names:
-        if type(getattr(config, name)) is not str:
-            raise ValueError(f"{name} must be a string, got {getattr(config, name)!r}")
 
 
 @dataclass
@@ -51,34 +48,41 @@ class ScenarioConfig:
     n_noise_codes: int = 2
 
     def __post_init__(self):
-        if type(self.n_patients) is not int or self.n_patients < 1:
-            raise ValueError(f"n_patients must be a positive integer, got {self.n_patients!r}")
-        _require_strings(self, "drug_a", "drug_b", "outcome_code")
-        if not 0 <= self.code_prob <= 1:
-            raise ValueError(f"code_prob must lie in [0, 1], got {self.code_prob!r}")
-        for name in ("lambda0", "shape", "horizon_days"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.censoring_rate) and self.censoring_rate >= 0):
-            raise ValueError(f"censoring_rate must be finite and non-negative, "
-                             f"got {self.censoring_rate!r}")
-        for name, top in (("n_dense_features", math.inf), ("n_noise_codes", math.inf),
-                          ("n_code_features", MAX_CODE_FEATURES)):
-            if type(value := getattr(self, name)) is not int or not 0 <= value <= top:
-                raise ValueError(f"{name} must be an integer in [0, {top}], got {value!r}")
+        fields = vars(self)  # the scenario's JSON values by key; numbers become floats
+        for name in ("drug_a", "drug_b", "outcome_code"):
+            json_str(fields, name)
+        for name in ("n_patients", "n_dense_features", "n_code_features", "n_noise_codes"):
+            json_int(fields, name)
+        for name in ("code_prob", "beta", "lambda0", "shape", "censoring_rate", "horizon_days"):
+            fields[name] = json_number(fields, name)
         p = self.n_dense_features + self.n_code_features
-        if not self.gamma:
-            self.gamma = [0.0] * p
-        if not self.eta:
-            self.eta = [0.0] * p
-        if len(self.gamma) != p or len(self.eta) != p:
-            raise ValueError(f"gamma/eta must have length {p}")
-        for name, values in (("beta", [self.beta]), ("gamma", self.gamma), ("eta", self.eta)):
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if math.hypot(*self.eta[:self.n_dense_features]) > MAX_DENSE_EFFECT:
+        for name in ("gamma", "eta"):  # [] is p zeros
+            values = json_list(fields, name)
+            fields[name] = [json_number({name: v}, name) for v in values] or [0.0] * p
+        for names, rule, in_range in [
+                (("n_patients", "lambda0", "shape", "horizon_days"), "finite and positive",
+                 lambda v: 0 < v < math.inf),
+                (("n_dense_features", "n_noise_codes", "censoring_rate"),
+                 "finite and non-negative", lambda v: 0 <= v < math.inf),
+                (("n_code_features",), f"in [0, {MAX_CODE_FEATURES}]",
+                 lambda v: 0 <= v <= MAX_CODE_FEATURES),
+                (("code_prob",), "in [0, 1]", lambda v: 0 <= v <= 1),
+                (("beta",), "finite", math.isfinite),
+                (("gamma", "eta"), f"finite, of length {p}",
+                 lambda v: len(v) == p and all(map(math.isfinite, v)))]:
+            for name in names:
+                if not in_range(fields[name]):
+                    raise ValueError(f"{name} must be {rule}, got {fields[name]!r}")
+        sigma = math.hypot(*self.eta[:self.n_dense_features])
+        if sigma > MAX_DENSE_EFFECT:
             raise ValueError(f"the dense eta's norm exceeds {MAX_DENSE_EFFECT}: {self.eta!r}")
+        # the dense factor of the hazard is lognormal, of mean e^(sigma^2 / 2)
+        log_hazard = (math.log(self.lambda0) + self.shape * math.log(self.horizon_days)
+                      + max(self.beta, 0.0) + sigma * sigma / 2
+                      + sum(max(e, 0.0) for e in self.eta[self.n_dense_features:]))
+        if log_hazard > MAX_LOG_HAZARD:
+            raise ValueError(f"lambda0 * horizon_days^shape * e^(beta + eta) of the fastest "
+                             f"stratum is e^{log_hazard:.4g} > e^{MAX_LOG_HAZARD}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -237,15 +241,16 @@ class PlantedComparison:
     n_trials: int = 1
 
     def __post_init__(self):
-        _require_strings(self, "drug_a", "drug_b", "outcome")
-        # a JSON true is not a probability
-        if not all(type(p) is not bool and 0 <= p <= 1 for p in (self.p_a, self.p_b)):
-            raise ValueError("event probabilities must lie in [0, 1]")
-        if not all(type(n) is int and n >= 0 for n in (self.n_a, self.n_b)):
-            raise ValueError(f"arm sizes must be non-negative integers, got {self.n_a!r}, "
-                             f"{self.n_b!r}")
-        if type(self.n_trials) is not int or self.n_trials < 1:
-            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+        fields = vars(self)
+        for name in ("drug_a", "drug_b", "outcome"):
+            json_str(fields, name)
+        for name in ("p_a", "p_b"):
+            if not 0 <= json_number(fields, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {fields[name]!r}")
+        for name, low, high in (("n_a", 0, MAX_POOLED_ARM), ("n_b", 0, MAX_POOLED_ARM),
+                                ("n_trials", 1, math.inf)):
+            if not low <= json_int(fields, name) <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}], got {fields[name]!r}")
 
 
 def gen_trial_dump(planted, seed: int) -> list[str]:

@@ -407,17 +407,22 @@ def interned_patient_db(records, vocabulary) -> PatientDB:
         start.append(rec["observation_start"])
         end.append(rec["observation_end"])
         count.append(len(rec["events"]))
-        for d, k, c in rec["events"]:
-            day.append(d)
-            kind.append(k)
-            code.append(c)
+        try:
+            for d, k, c in rec["events"]:
+                hash((k, c))
+                day.append(d)
+                kind.append(k)
+                code.append(c)
+        except (TypeError, ValueError):
+            raise ValueError("each event must be a [day, kind, code] list") from None
     order = sorted(range(len(ids)), key=ids.__getitem__)  # record index per row, id order
     patients = [ids[i] for i in order]
     unsorted = np.repeat(np.argsort(order), np.array(count, dtype=np.intp))  # event -> row
     by_patient = np.argsort(unsorted, kind="stable")  # a patient's events keep file order
     owner = unsorted[by_patient]
-    day = _json_integers(day)[by_patient]
-    start, end = _json_integers(start)[order], _json_integers(end)[order]
+    day = _json_integers(day, "event days")[by_patient]
+    start = _json_integers(start, "observation_start")[order]
+    end = _json_integers(end, "observation_end")[order]
     (kinds, kind), (codes, code) = _interned(kind), _interned(code)
     if not all(type(v) is str for v in kinds + codes):
         raise ValueError("event kinds and codes must be strings")
@@ -441,11 +446,11 @@ def interned_patient_db(records, vocabulary) -> PatientDB:
                      list(vocabulary))
 
 
-def _json_integers(values) -> np.ndarray:
+def _json_integers(values, name) -> np.ndarray:
     """values as int64; ValueError unless each is a JSON integer (a boolean is not) that fits."""
     if set(map(type, values)) - {int} or not (-1 << 63 <= min(values, default=0)
                                               and max(values, default=0) < 1 << 63):
-        raise ValueError("event days and observation bounds must be JSON integers")
+        raise ValueError(f"{name} must be JSON integers")
     return np.array(values, dtype=np.int64)
 
 

@@ -175,7 +175,7 @@ def test_criterion_04_refset_fdr_and_recovery():
         strong_cand, _ = bucket(tables)
         if not strong_cand:
             continue
-        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter(), use_prefilter=True)
+        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter())
         calls = sum(1 for e in refset.entries if e.label == LABEL_STRONG)
         fractions.append(calls / len(strong_cand))
     mean_fraction = float(np.mean(fractions))
@@ -185,7 +185,7 @@ def test_criterion_04_refset_fdr_and_recovery():
     for seed in range(200):
         tables = _refset_from_dump(synth.gen_trial_dump(planted, seed=10_000 + seed),
                                    drug_dict, outcome_dict)
-        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter(), use_prefilter=True)
+        refset = build_from_tables(tables, DEFAULT_ALPHA, {}, Counter())
         recovered += any(e.label == LABEL_STRONG and e.direction == DIRECTION_A
                          for e in refset.entries)
     ok = mean_fraction <= 0.075 and recovered >= 0.95 * 200

@@ -469,13 +469,24 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
     ("trials", {"p_a": True}),
     ("claims", {"drug_a": 5}),
     ("claims", {"outcome_code": 7}),
+    ("claims", {"beta": True}),
+    ("claims", {"lambda0": True}),
+    ("claims", {"code_prob": True}),
+    ("claims", {"gamma": [True, 0, 0, 0]}),
+    ("claims", {"eta": [0.3, 0.3, False, 0.2]}),
+    ("claims", {"lambda0": 1e30}),
+    ("claims", {"eta": [0.3, 0.3, 800, 0.2]}),
+    ("trials", {"n_a": 10**30}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
         "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
         "infinite_shape", "infinite_gamma", "nan_lambda0", "nan_beta", "nan_eta_entry",
         "dense_effect_above_bound", "negative_dense_features", "boolean_noise_codes",
         "numeric_trial_drug", "numeric_trial_outcome", "boolean_probability",
-        "numeric_claims_drug", "numeric_claims_outcome"])
+        "numeric_claims_drug", "numeric_claims_outcome", "boolean_beta", "boolean_lambda0",
+        "boolean_code_prob", "boolean_gamma_entry", "boolean_eta_entry",
+        "hazard_too_fast_for_the_truth", "code_effect_too_fast_for_the_truth",
+        "arm_size_beyond_a_pooled_arm"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
@@ -489,6 +500,8 @@ def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, cha
     (key, value), = change.items()
     if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
         assert f"{key} must be finite" in err  # a non-finite value is named by its field
+    if change != {"n_patients": 1}:  # a draw that leaves one arm empty is no field's fault
+        assert key in err
     assert not (tmp_path / "sim").exists()  # nothing written before the scenario is checked
 
 

@@ -7,12 +7,12 @@ under a `min_per_arm` that skips the cohort, which pins the
 failed-estimate rows and the report of a method without available
 estimates. A mismatch names the method ids whose rows moved.
 
-The files under tests/golden/refset/ come from `build-refset` on the
-trial dump of REFSET_SCENARIO (simulate seed 5), with and without the
-pre-filter. The scenario has strong comparisons in both directions,
-weak comparisons with large arms, comparisons split over several trials,
-a table the pre-filter keeps but BH does not reject, small tables the
-pre-filter drops from each family, and an arm below the enrollment floor.
+The files under tests/golden/refset/default/ come from `build-refset` on
+the trial dump of REFSET_SCENARIO (simulate seed 5). The scenario has
+strong comparisons in both directions, weak comparisons with large arms,
+comparisons split over several trials, a table the pre-filter keeps but
+BH does not reject, small tables the pre-filter drops from each family,
+and an arm below the enrollment floor.
 
 Regenerate only for an intended output change:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -31,7 +31,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = ("estimates.jsonl", "report.table.tsv", "report.pr_curve.tsv")
 VARIANTS = ("dense", "counts", "skipped")
 REFSET_OUTPUTS = ("refset.jsonl", "refset.jsonl.drops.tsv")
-REFSET_VARIANTS = {"default": [], "no_prefilter": ["--no-prefilter"]}
 
 REFSET_SCENARIO = {"trials": [
     {"drug_a": "DRUG_C", "drug_b": "DRUG_D", "outcome": "NAUSEA",        # strong, a_higher
@@ -87,18 +86,17 @@ def _evaluate_and_report(sim: Path, variant: str, out_dir: Path) -> None:
                  "--rmst-thresholds", "30", "--out", str(out_dir / "report")]) == 0
 
 
-def _build_refsets(root: Path) -> None:
-    """Simulate REFSET_SCENARIO's dump and build one reference set per variant."""
+def _build_refset(root: Path) -> None:
+    """Simulate REFSET_SCENARIO's dump and build its reference set under root."""
     scenario = root / "refset_scenario.json"
     scenario.write_text(json.dumps(REFSET_SCENARIO))
     sim = root / "refset_sim"
     assert main(["simulate", "--scenario", str(scenario), "--seed", "5",
                  "--out-dir", str(sim)]) == 0
-    for variant, extra in REFSET_VARIANTS.items():
-        assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
-                     "--drug-dict", str(sim / "drug_dict.tsv"),
-                     "--outcome-dict", str(sim / "outcome_dict.tsv"),
-                     *extra, "--out", str(root / variant / "refset.jsonl")]) == 0
+    assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
+                 "--drug-dict", str(sim / "drug_dict.tsv"),
+                 "--outcome-dict", str(sim / "outcome_dict.tsv"),
+                 "--out", str(root / "refset.jsonl")]) == 0
 
 
 def _method_of(name: str, line: str) -> str:
@@ -148,10 +146,9 @@ def test_unused_vocabulary_codes_change_no_estimate(sim, tmp_path):
 
 
 def test_refset_matches_golden(tmp_path):
-    _build_refsets(tmp_path)
-    moved = [f"{variant}/{name}" for variant in REFSET_VARIANTS for name in REFSET_OUTPUTS
-             if (tmp_path / variant / name).read_text(encoding="utf-8")
-             != (GOLDEN / "refset" / variant / name).read_text(encoding="utf-8")]
+    _build_refset(tmp_path)
+    moved = [name for name in REFSET_OUTPUTS if (tmp_path / name).read_text(encoding="utf-8")
+             != (GOLDEN / "refset" / "default" / name).read_text(encoding="utf-8")]
     assert not moved, f"build-refset outputs moved: {moved}"
 
 
@@ -166,8 +163,6 @@ if __name__ == "__main__":
             (GOLDEN / v).mkdir(parents=True, exist_ok=True)
             for name in OUTPUTS:
                 shutil.copyfile(Path(tmp) / v / name, GOLDEN / v / name)
-        _build_refsets(Path(tmp))
-        for v in REFSET_VARIANTS:
-            (GOLDEN / "refset" / v).mkdir(parents=True, exist_ok=True)
-            for name in REFSET_OUTPUTS:
-                shutil.copyfile(Path(tmp) / v / name, GOLDEN / "refset" / v / name)
+        _build_refset(Path(tmp))
+        for name in REFSET_OUTPUTS:
+            shutil.copyfile(Path(tmp) / name, GOLDEN / "refset" / "default" / name)

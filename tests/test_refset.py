@@ -51,8 +51,7 @@ def test_build_from_tables_labels_and_directions():
         _table(500, 5000, 500, 5000, outcome="FLAT"),   # OR 1, huge n: weak
         _table(3, 120, 2, 120, outcome="NOISE"),        # small: certifies nothing
     ]
-    refset = build_from_tables(tables, alpha=0.05, provenance={}, drop_report=Counter(),
-                               use_prefilter=True)
+    refset = build_from_tables(tables, alpha=0.05, provenance={}, drop_report=Counter())
     by_outcome = {e.outcome_code: e for e in refset.entries}
     assert set(by_outcome) == {"UP", "DOWN", "FLAT"}
     assert by_outcome["UP"].label == LABEL_STRONG
@@ -69,19 +68,22 @@ def test_build_from_tables_labels_and_directions():
 
 
 def test_bh_is_per_family():
-    # the weak family's p-values must not dilute the strong family's BH
-    strong = [_table(80, 400, 10, 400, outcome=f"S{i}") for i in range(2)]
-    weak = [_table(3, 300, 3, 300, outcome=f"W{i}") for i in range(40)]
-    refset = build_from_tables(strong + weak, alpha=0.05, provenance={}, drop_report=Counter(),
-                               use_prefilter=False)
+    # the weak family's p-values must not dilute the strong family's BH: each strong table
+    # has p = 0.018, which BH over the two strong tables rejects and BH pooled with the 40
+    # weak tables' p = 0.45 does not; the weak tables' margins pass the pre-filter
+    strong = [_table(32, 200, 15, 200, outcome=f"S{i}") for i in range(2)]
+    weak = [_table(240, 2000, 200, 2000, outcome=f"W{i}") for i in range(40)]
+    refset = build_from_tables(strong + weak, alpha=0.05, provenance={}, drop_report=Counter())
+    assert refset.provenance["n_weak_candidates"] == 40
     strong_calls = [e for e in refset.entries if e.label == LABEL_STRONG]
-    assert len(strong_calls) == 2
+    assert [e.outcome_code for e in strong_calls] == ["S0", "S1"]
+    assert strong_calls[0].p_value == pytest.approx(0.0184, abs=1e-4)
+    assert not [e for e in refset.entries if e.label == LABEL_WEAK]
 
 
 def test_save_load_round_trip(tmp_path):
     refset = build_from_tables([_table(80, 400, 10, 400)], alpha=DEFAULT_ALPHA,
-                               provenance={"source": "unit"}, drop_report=Counter(),
-                               use_prefilter=True)
+                               provenance={"source": "unit"}, drop_report=Counter())
     path = tmp_path / "refset.jsonl"
     save(refset, path)
     loaded = load(path)

@@ -12,6 +12,7 @@ from trialbench.ingest import DrugDictionary, OutcomeDictionary, parse_dump
 from trialbench.synth import (
     MAX_CODE_FEATURES,
     MAX_DENSE_EFFECT,
+    MAX_LOG_HAZARD,
     PlantedComparison,
     ScenarioConfig,
     gen_claims,
@@ -129,6 +130,17 @@ def test_ground_truth_is_converged_in_the_nodes(config, monkeypatch):
     assert dataclasses.astuple(ground_truth(config)) == pytest.approx(truth, rel=1e-6)
 
 
+@pytest.mark.parametrize("beta", [0.5, -0.5])
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+def test_ground_truth_is_exact_up_to_the_hazard_bound(shape, beta):
+    # the faster arm's cumulative hazard at the horizon is just below e^MAX_LOG_HAZARD;
+    # above it ScenarioConfig rejects the scenario (test_cli's too-fast cases)
+    lambda0 = 0.9999 * math.exp(MAX_LOG_HAZARD - max(beta, 0.0)) / 1000.0 ** shape
+    config = ScenarioConfig(n_patients=100, n_dense_features=0, n_code_features=0,
+                            beta=beta, lambda0=lambda0, shape=shape)
+    assert ground_truth(config).marginal_log_hr == pytest.approx(beta, abs=1e-10)
+
+
 def test_marginal_hr_non_collapsibility():
     # with strong covariate effects the marginal log-HR is attenuated
     # relative to the conditional coefficient
@@ -139,8 +151,11 @@ def test_marginal_hr_non_collapsibility():
 
 def test_code_features_are_bounded():
     ScenarioConfig(n_patients=10, n_code_features=MAX_CODE_FEATURES)
-    for bad in (MAX_CODE_FEATURES + 1, -1, 2.0, True):
+    for bad in (MAX_CODE_FEATURES + 1, -1):
         with pytest.raises(ValueError, match="n_code_features"):
+            ScenarioConfig(n_patients=10, n_code_features=bad)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match="n_code_features"):
             ScenarioConfig(n_patients=10, n_code_features=bad)
 
 
@@ -153,8 +168,10 @@ def test_dense_effect_is_bounded():
 @pytest.mark.parametrize("name", ["n_dense_features", "n_noise_codes"])
 def test_feature_counts_are_non_negative_integers(name):
     ScenarioConfig(n_patients=10, n_code_features=0, **{name: 0}, eta=[], gamma=[])
-    for bad in (-1, 2.5, True, "2", None):
-        with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(n_patients=10, **{name: -1})
+    for bad in (2.5, True, "2", None):
+        with pytest.raises(TypeError, match=name):
             ScenarioConfig(n_patients=10, **{name: bad})
 
 
