@@ -23,7 +23,7 @@ from . import refset as refset_mod
 from . import synth
 from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimates,
                          run_all_methods)
-from .formats import (InputError, dump_json_line, json_list, json_object, json_str, parsing,
+from .formats import (InputError, dump_json_line, json_object, json_objects, json_str, parsing,
                       read_jsonl, read_kv_config, sha256_file, write_jsonl, write_lines)
 
 EXIT_OK = 0
@@ -67,7 +67,7 @@ def cmd_simulate(args) -> int:
                              f"the keys are ['claims', 'trials']")
         config = (synth.ScenarioConfig.from_dict(json_object(scenario, "claims"))
                   if "claims" in scenario else None)
-        planted = ([synth.PlantedComparison(**comp) for comp in json_list(scenario, "trials")]
+        planted = ([synth.PlantedComparison(**comp) for comp in json_objects(scenario, "trials")]
                    if "trials" in scenario else None)
         if config is None and not planted:
             raise ValueError("scenario defines neither 'claims' nor 'trials'")

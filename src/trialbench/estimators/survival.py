@@ -77,10 +77,9 @@ def _event_tie_groups(t, d):
     new = np.empty(len(t), dtype=bool)
     new[:1] = True
     np.not_equal(t[1:], t[:-1], out=new[1:])
-    start = np.flatnonzero(new)[np.cumsum(new) - 1]  # per row, the first row of its tie group
-    opens = np.zeros(len(t), dtype=bool)  # the first row of each tie group holding an event
-    opens[start[d]] = True
-    return np.cumsum(opens), np.flatnonzero(opens)
+    starts = new.nonzero()[0]
+    opens = np.logical_or.reduceat(d, starts)  # each tie group holding an event
+    return np.repeat(opens.cumsum(), np.diff(starts, append=len(t))), starts[opens]
 
 
 def cox_fit(times, events, treatment, row_weights) -> CoxResult:
@@ -104,22 +103,28 @@ def cox_fit(times, events, treatment, row_weights) -> CoxResult:
     # upto: per row, the distinct event times <= t_i; pos: first row of each of them
     upto, pos = _event_tie_groups(t, d)
     own = upto[event_idx] - 1            # each death's distinct event time
-    first = pos[own]                     # each death counts from the start of its tie group
+    # per distinct event time: weighted deaths, treated deaths and each arm's weight at
+    # risk; with a binary covariate the risk set at beta is e^beta * at_risk1 + at_risk0
+    w_x = w * x
+    deaths = np.bincount(own, weights=w[event_idx], minlength=len(pos))
+    deaths1 = np.bincount(own, weights=w_x[event_idx], minlength=len(pos))
+    at_risk1 = np.cumsum(w_x[::-1])[::-1][pos]  # sum over t_j >= the event time
+    at_risk0 = np.cumsum((w - w_x)[::-1])[::-1][pos]
 
-    def suffix_sums(beta):
-        r = np.exp(beta * x)
-        s0 = np.cumsum((w * r)[::-1])[::-1]          # sum over t_j >= t_i
-        s1 = np.cumsum((w * r * x)[::-1])[::-1]
-        return r, s0, s1
+    def risk_sets(beta):
+        """The weight at risk and its treated share at each distinct event time."""
+        s1 = math.exp(beta) * at_risk1
+        s0 = s1 + at_risk0
+        return s0, s1 / s0
 
     beta = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, COX_MAX_ITER + 1):
-        _, s0, s1 = suffix_sums(beta)
-        mbar = s1[first] / s0[first]
-        score = float(np.sum(w[event_idx] * (x[event_idx] - mbar)))
-        info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))  # x binary: S2 = S1
+        _, mbar = risk_sets(beta)
+        # differences first: totals first cancel to 0 once mbar rounds away
+        score = float(np.sum(deaths1 - deaths * mbar))
+        info = float(np.sum(deaths * (mbar - mbar * mbar)))  # x binary: S2 = S1
         if info <= 0:
             break
         step = score / info
@@ -129,24 +134,21 @@ def cox_fit(times, events, treatment, row_weights) -> CoxResult:
             converged = True
             break
 
-    r, s0, s1 = suffix_sums(beta)
-    mbar = s1[first] / s0[first]
-    info = float(np.sum(w[event_idx] * (mbar - mbar ** 2)))
+    s0, mbar = risk_sets(beta)
+    info = float(np.sum(deaths * (mbar - mbar * mbar)))
     if row_weights is None or not info > 0:  # a NaN information too has an infinite se
         return CoxResult(beta=float(beta), se=math.sqrt(1.0 / info) if info > 0 else math.inf,
                          converged=converged, iterations=iterations, n_used=n)
 
     # Lin-Wei robust variance from weighted score residuals
-    dws = np.bincount(own, weights=w[event_idx], minlength=len(pos))
-    s0e, mbe = s0[pos], s1[pos] / s0[pos]
-    c1 = np.cumsum(dws / s0e)          # sum of d_w / S0 over event times
-    c2 = np.cumsum(dws * mbe / s0e)    # sum of d_w * mbar / S0
+    c1 = np.cumsum(deaths / s0)          # sum of d_w / S0 over event times
+    c2 = np.cumsum(deaths * mbar / s0)   # sum of d_w * mbar / S0
     # cumulative values at each subject's own time (event times <= t_i)
     c1_i = np.concatenate([[0.0], c1])[upto]
     c2_i = np.concatenate([[0.0], c2])[upto]
     m_at_own = np.zeros(n)
-    m_at_own[event_idx] = mbe[own]
-    resid = d * (x - m_at_own) - r * (x * c1_i - c2_i)
+    m_at_own[event_idx] = mbar[own]
+    resid = d * (x - m_at_own) - np.exp(beta * x) * (x * c1_i - c2_i)
     bread = 1.0 / info
     meat = float(np.sum((w * resid) ** 2))
     return CoxResult(beta=float(beta), se=math.sqrt(bread * meat * bread),

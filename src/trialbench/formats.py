@@ -118,6 +118,11 @@ def json_object(rec: dict, key: str) -> dict:
     return value
 
 
+def json_objects(rec: dict, key: str) -> list[dict]:
+    """A JSON list of objects; an element that is not one names the list."""
+    return [json_object({key: value}, key) for value in json_list(rec, key)]
+
+
 def iter_jsonl(path):
     """Yield the object on each non-blank line; a line that is not a JSON object raises
     InputError."""

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .formats import _load_line, json_int, json_list, json_str, parsing
+from .formats import _load_line, json_int, json_objects, json_str, parsing
 
 MIN_MATCH_SCORE = 51
 MIN_ARM_PARTICIPANTS = 100
@@ -174,7 +174,7 @@ def parse_dump(lines) -> ParseResult:
             drug_text = json_str(rec, "drug_text")
             count = json_int(rec, "participant_count")
             events = [(json_str(ev, "term"), json_int(ev, "count"))
-                      for ev in json_list(rec, "outcome_events")]
+                      for ev in json_objects(rec, "outcome_events")]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             diagnostics.append(LineDiagnostic(lineno, f"schema violation: {exc}"))
             continue

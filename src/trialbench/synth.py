@@ -112,7 +112,8 @@ def gen_survival_arrays(config: ScenarioConfig, rng: np.random.Generator) -> Sur
     x = np.column_stack([rng.standard_normal((n, config.n_dense_features)),
                          rng.random((n, config.n_code_features)) < config.code_prob])
     logit = x @ np.asarray(config.gamma)
-    treated = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
+    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the exact limit 0
+        treated = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
     if treated.all() or not treated.any():
         raise ValueError("degenerate scenario: single-arm assignment")
     lin = config.beta * treated + x @ np.asarray(config.eta)
@@ -247,8 +248,10 @@ class PlantedComparison:
         for name in ("p_a", "p_b"):
             if not 0 <= json_number(fields, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {fields[name]!r}")
-        for name, low, high in (("n_a", 0, MAX_POOLED_ARM), ("n_b", 0, MAX_POOLED_ARM),
-                                ("n_trials", 1, math.inf)):
+        for name in ("n_a", "n_b", "n_trials"):
+            # a part past the larger arm would hold no participant in either arm
+            low, high = ((1, max(1, self.n_a, self.n_b)) if name == "n_trials"
+                         else (0, MAX_POOLED_ARM))
             if not low <= json_int(fields, name) <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}], got {fields[name]!r}")
 

@@ -13,8 +13,10 @@ table build that interned kinds and codes after parsing, which
 PatientDB.from_records replaced by numbering (kind, code) pairs while parsing,
 cox_fit and km_curve as they were when each call sorted its times and
 found tie groups with np.unique and searchsorted, which reading tie groups off
-the sorted times replaced, and a Monte-Carlo draw of a scenario's marginal
-estimands, which synth.ground_truth computes by quadrature.
+the sorted times replaced, the tie groups as two cumsums and a scatter over
+every row, which building them from the group start rows replaced, and a
+Monte-Carlo draw of a scenario's marginal estimands, which synth.ground_truth
+computes by quadrature.
 """
 
 from __future__ import annotations
@@ -270,6 +272,18 @@ def searchsorted_cox_fit(times, events, treatment, row_weights=None) -> CoxResul
     se = se_model if row_weights is None else se_robust
     return CoxResult(beta=float(beta), se=se, converged=converged, iterations=iterations,
                      n_used=n)
+
+
+def scatter_event_tie_groups(t, d):
+    """survival._event_tie_groups as it was when it numbered every row's tie group with
+    a cumsum and scattered the event flags onto each group's first row."""
+    new = np.empty(len(t), dtype=bool)
+    new[:1] = True
+    np.not_equal(t[1:], t[:-1], out=new[1:])
+    start = np.flatnonzero(new)[np.cumsum(new) - 1]  # per row, the first row of its tie group
+    opens = np.zeros(len(t), dtype=bool)  # the first row of each tie group holding an event
+    opens[start[d]] = True
+    return np.cumsum(opens), np.flatnonzero(opens)
 
 
 def searchsorted_km_curve(times, events, row_weights=None) -> SurvivalCurve:

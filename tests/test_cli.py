@@ -477,6 +477,7 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
     ("claims", {"lambda0": 1e30}),
     ("claims", {"eta": [0.3, 0.3, 800, 0.2]}),
     ("trials", {"n_a": 10**30}),
+    ("trials", {"n_trials": 10**9}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
         "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
@@ -486,7 +487,7 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
         "numeric_claims_drug", "numeric_claims_outcome", "boolean_beta", "boolean_lambda0",
         "boolean_code_prob", "boolean_gamma_entry", "boolean_eta_entry",
         "hazard_too_fast_for_the_truth", "code_effect_too_fast_for_the_truth",
-        "arm_size_beyond_a_pooled_arm"])
+        "arm_size_beyond_a_pooled_arm", "trials_past_the_larger_arm"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
@@ -503,6 +504,18 @@ def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, cha
     if change != {"n_patients": 1}:  # a draw that leaves one arm empty is no field's fault
         assert key in err
     assert not (tmp_path / "sim").exists()  # nothing written before the scenario is checked
+
+
+def test_simulate_takes_a_treatment_logit_whose_exp_overflows(tmp_path, capsys):
+    """exp(-logit) = inf gives a treatment probability of exactly 0, without a warning."""
+    scenario = json.loads(json.dumps(SCENARIO))
+    scenario["claims"]["gamma"] = [800, 0, 0, 0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "sim")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_build_refset_checks_summed_counts_against_participants(tmp_path, capsys):

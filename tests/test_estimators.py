@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import gammainc
 
-from oracles import (breslow_loglik, golden_section_max, km_recursive, searchsorted_cox_fit,
-                     searchsorted_km_curve, skip_pointer_match_pairs)
+from oracles import (breslow_loglik, golden_section_max, km_recursive, scatter_event_tie_groups,
+                     searchsorted_cox_fit, searchsorted_km_curve, skip_pointer_match_pairs)
 from test_acceptance import PIPELINE_SCENARIO
 from trialbench import synth
 from trialbench.cohort import Cohort, PatientDB, build_cohort
@@ -31,6 +31,7 @@ from trialbench.estimators import survival as survival_mod
 from trialbench.estimators.survival import (
     AFTModel,
     SurvivalCurve,
+    _event_tie_groups,
     _lower_gamma_p,
     aft_fit,
     cox_fit,
@@ -249,12 +250,19 @@ def _survival_case(rng, kind):
     return times, events, treated
 
 
+# Newton steps on per-time totals sum in another order than the per-row oracle: seen at
+# most 9e-15 relative over 14,000 seeded cases, so 1e-10 leaves room and still catches
+# a wrong term
+COX_ORACLE_TOL = 1e-10
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("presorted", [False, True], ids=["shuffled", "presorted"])
 @pytest.mark.parametrize("kind", SURVIVAL_CASES)
 def test_cox_fit_and_km_curve_equal_the_searchsorted_oracles(kind, presorted, weighted):
-    """Tie groups read off the sorted times give bit for bit the fits and curves of
-    the argsort, np.unique and searchsorted forms, on input in any order."""
+    """Tie groups read off the sorted times give bit for bit the curves of the argsort,
+    np.unique and searchsorted forms, on input in any order, and the converged fits of
+    those forms up to COX_ORACLE_TOL: the Newton steps sum per distinct event time."""
     rng = np.random.default_rng(SURVIVAL_CASES.index(kind) * 4 + presorted * 2 + weighted)
     for _ in range(20):
         times, events, treated = _survival_case(rng, kind)
@@ -262,12 +270,53 @@ def test_cox_fit_and_km_curve_equal_the_searchsorted_oracles(kind, presorted, we
         order = np.argsort(times, kind="stable") if presorted else rng.permutation(len(times))
         times, events, treated = times[order], events[order], treated[order]
         weights = None if weights is None else weights[order]
-        assert cox_fit(times, events, treated, weights) == searchsorted_cox_fit(
-            times, events, treated, weights)
+        fit = cox_fit(times, events, treated, weights)
+        expected = searchsorted_cox_fit(times, events, treated, weights)
+        assert (fit.converged, fit.n_used) == (expected.converged, expected.n_used)
+        if expected.converged:  # an unconverged beta is wherever the steps stopped
+            assert fit.iterations == expected.iterations
+            for field in ("beta", "se"):
+                got, want = getattr(fit, field), getattr(expected, field)
+                assert got == want or abs(got - want) <= COX_ORACLE_TOL * max(1.0, abs(want))
         curve = km_curve(times, events, weights)
         expected = searchsorted_km_curve(times, events, weights)
         for field in ("times", "survival", "deaths", "at_risk"):
             assert np.array_equal(getattr(curve, field), getattr(expected, field)), field
+
+
+def test_cox_monotone_likelihood_is_not_converged():
+    """Once the treated share of a risk set rounds to 0, its deaths still pull beta down:
+    the score sums each event time's difference, not two totals that cancel."""
+    res = cox_fit(np.array([6.0, 1.0]), np.array([True, True]), np.array([True, False]), None)
+    assert not res.converged and res.iterations == survival_mod.COX_MAX_ITER
+
+
+def _tie_group_case(rng, kind):
+    """Seeded non-decreasing times and event flags of one kind."""
+    n = {"empty": 0, "single_row": 1, "large": 36_000}.get(kind, int(rng.integers(2, 300)))
+    times = np.sort(rng.integers(0, int(rng.integers(1, 12)), n).astype(float))
+    events = rng.random(n) < rng.uniform(0.2, 0.9)
+    if kind == "one_group":
+        times[:] = 3.0
+    elif kind in ("all_censored", "all_events"):
+        events[:] = kind == "all_events"
+    elif kind == "inf":
+        times[rng.random(n) < 0.15] = math.inf
+        times.sort()
+    return times, events
+
+
+@pytest.mark.parametrize("kind", ["empty", "single_row", "one_group", "all_censored",
+                                  "all_events", "inf", "ties", "large"])
+def test_event_tie_groups_equal_the_scatter_oracle(kind):
+    """Tie groups built from their start rows give the arrays and dtypes of the two
+    cumsums and the scatter."""
+    rng = np.random.default_rng(len(kind))
+    for _ in range(1 if kind == "large" else 30):
+        times, events = _tie_group_case(rng, kind)
+        got, expected = _event_tie_groups(times, events), scatter_event_tie_groups(times, events)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _claims_cohort(seed, dense):
@@ -285,8 +334,8 @@ def _claims_cohort(seed, dense):
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "counts"])
 def test_run_all_methods_in_time_order_equals_the_cohort_order_oracles(monkeypatch, dense):
     """The matched set, each arm and each weighting, taken in the outcome's one stable
-    time order, give the rows of the cohort-order subsets that the searchsorted
-    oracles sorted per call."""
+    time order, give the rows of the cohort-order subsets, which cox_fit and the
+    searchsorted Kaplan-Meier oracle sort stably per call."""
     def rows():
         return [repr(run_all_methods(_claims_cohort(seed, dense), RunSettings(seed=seed)))
                 for seed in (3, 4)]
@@ -299,7 +348,6 @@ def test_run_all_methods_in_time_order_equals_the_cohort_order_oracles(monkeypat
     assert not any("nan" in run for run in in_time_order)  # every method has an estimate
     monkeypatch.setattr(methods_mod._OutcomeFits, "arms", cohort_order_arms)
     monkeypatch.setattr(methods_mod._OutcomeFits, "in_time_order", lambda nz, values: values)
-    monkeypatch.setattr(methods_mod, "cox_fit", searchsorted_cox_fit)
     monkeypatch.setattr(methods_mod, "km_curve", searchsorted_km_curve)
     assert rows() == in_time_order
 

@@ -11,7 +11,8 @@ not take, or dropped, and the stage that reads the file is run again:
 - except for the mutations in TOLERATED, which exit 0 and write the same bytes.
 
 No mutation may exit 4 or leave a *.tmp file. A field is a key of an object, or a number
-or code inside a list (a gamma entry, a dense feature, an event's day, kind or code).
+or code inside a list (a gamma entry, a dense feature, an event's day, kind or code), or an
+object inside a list (a trials entry, a dump outcome_events entry).
 """
 
 import json
@@ -35,6 +36,7 @@ SCENARIO = {  # every optional key at its default, so dropping it changes no byt
 KINDS = {"string": "7", "integer": 7, "float": 7.5, "boolean": True, "null": None,
          "list": [7], "object": {"7": 7}, "dropped": ...}
 NUMBER = {"integer", "float"}
+LIST_ELEMENT = {"dropped"}  # a list of any length takes one element fewer
 
 # file -> [(path into the record, the kinds the field takes, the name its errors use)];
 # a path starts with the line index of a JSONL file
@@ -49,6 +51,7 @@ FIELDS = {
             ("censoring_rate", NUMBER), ("horizon_days", NUMBER), ("gamma", {"list"}),
             ("eta", {"list"}), ("drug_a", {"string"}), ("drug_b", {"string"}),
             ("outcome_code", {"string"})]],
+        (("trials", 0), {"object"} | LIST_ELEMENT, "trials"),
         (("claims", "gamma", 0), NUMBER, "gamma"),
         (("claims", "eta", 3), NUMBER, "eta"),
         *[(("trials", 0, key), kinds, key) for key, kinds in [
@@ -61,6 +64,7 @@ FIELDS = {
             ("trial_id", {"string"}), ("arm_id", {"string"}), ("arm_name", {"string"}),
             ("drug_text", {"string"}), ("participant_count", {"integer"}),
             ("outcome_events", {"list"})]],
+        ((0, "outcome_events", 0), {"object"} | LIST_ELEMENT, "outcome_events"),
         ((0, "outcome_events", 0, "term"), {"string"}, "term"),
         ((0, "outcome_events", 0, "count"), {"integer"}, "count"),
     ],
