@@ -120,7 +120,11 @@ def json_object(rec: dict, key: str) -> dict:
 
 def json_objects(rec: dict, key: str) -> list[dict]:
     """A JSON list of objects; an element that is not one names the list."""
-    return [json_object({key: value}, key) for value in json_list(rec, key)]
+    values = json_list(rec, key)
+    for value in values:
+        if type(value) is not dict:
+            raise TypeError(f"{key} {value!r} is not an object")
+    return values
 
 
 def iter_jsonl(path):
