@@ -248,12 +248,13 @@ class PlantedComparison:
         for name in ("p_a", "p_b"):
             if not 0 <= json_number(fields, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {fields[name]!r}")
-        for name in ("n_a", "n_b", "n_trials"):
-            # a part past the larger arm would hold no participant in either arm
-            low, high = ((1, max(1, self.n_a, self.n_b)) if name == "n_trials"
-                         else (0, MAX_POOLED_ARM))
+        for name, low, high in (("n_a", 0, MAX_POOLED_ARM), ("n_b", 0, MAX_POOLED_ARM)):
             if not low <= json_int(fields, name) <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}], got {fields[name]!r}")
+        # a part past the larger arm would hold no participant in either arm
+        high = max(1, self.n_a, self.n_b)
+        if not 1 <= json_int(fields, "n_trials") <= high:
+            raise ValueError(f"n_trials must lie in [1, {high}], got {self.n_trials!r}")
 
 
 def gen_trial_dump(planted, seed: int) -> list[str]:
