@@ -274,6 +274,9 @@ def run_all_methods(cohort, settings: RunSettings) -> list[list[EffectEstimate]]
         for method_id in wanted:
             method = METHOD_REGISTRY[method_id]
             try:
+                # a mean restricted to [0, 0] is 0 in both arms, however it is estimated
+                if method.scale == SCALE_RMST_DAYS and not tau > 0:
+                    raise _MethodFailure(f"tau must be positive, got {tau:g}")
                 fit = method.estimate(nuisance)
             except _MethodFailure as exc:
                 out += failed_estimates([method_id], n, str(exc))

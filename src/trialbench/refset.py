@@ -168,8 +168,10 @@ def load(path) -> ReferenceSet:
     none for weak, missing statistics to NaN. A strong entry's direction
     must be a_higher or b_higher and a weak entry's none. Drug and outcome
     codes must be JSON strings, statistics numbers and the provenance an object.
+    Each (drug_a, drug_b, outcome_code) key appears once: a copy would be scored
+    once more against the same estimate.
     """
-    entries = []
+    entries, keys = [], set()
     with parsing(path):
         header, records = read_jsonl(path)
         if header is None or header.get("kind") != "reference_set":
@@ -185,7 +187,11 @@ def load(path) -> ReferenceSet:
             codes = {key: json_str(rec, key) for key in ("drug_a", "drug_b", "outcome_code")}
             stats = {key: json_number(rec, key) if key in rec else math.nan
                      for key in ("pooled_or", "p_value", "q_value")}
-            entries.append(ReferenceEntry(**codes, label=label, direction=direction, **stats))
+            entry = ReferenceEntry(**codes, label=label, direction=direction, **stats)
+            if entry.key in keys:
+                raise ValueError(f"duplicate entry {entry.key!r}")
+            keys.add(entry.key)
+            entries.append(entry)
         provenance = json_object(header, "provenance") if "provenance" in header else {}
     return ReferenceSet(entries=entries, provenance=provenance)
 

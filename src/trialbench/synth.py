@@ -21,6 +21,7 @@ from .formats import dump_json_line, json_int, json_list, json_number, json_str
 from .ingest import MAX_POOLED_ARM
 
 MAX_CODE_FEATURES = 6  # ground_truth's time and memory double with each distinct code effect
+MAX_PATIENTS = 1_000_000  # simulate holds about 1.3 KB per patient
 MAX_DENSE_EFFECT = 4.0  # the largest sigma = |eta_dense| at which Z_NODES keeps the truth exact
 # the largest log of the fastest code stratum's mean cumulative hazard at the horizon: at
 # most e^(MAX_LOG_HAZARD - 40) of its events precede ground_truth's window [e^-40, 1] * H^shape
@@ -60,7 +61,8 @@ class ScenarioConfig:
             values = json_list(fields, name)
             fields[name] = [json_number({name: v}, name) for v in values] or [0.0] * p
         for names, rule, in_range in [
-                (("n_patients", "lambda0", "shape", "horizon_days"), "finite and positive",
+                (("n_patients",), f"in [1, {MAX_PATIENTS}]", lambda v: 0 < v <= MAX_PATIENTS),
+                (("lambda0", "shape", "horizon_days"), "finite and positive",
                  lambda v: 0 < v < math.inf),
                 (("n_dense_features", "n_noise_codes", "censoring_rate"),
                  "finite and non-negative", lambda v: 0 <= v < math.inf),

@@ -123,6 +123,7 @@ def test_pipeline_runs_with_scipy_blocked(pipeline, tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv[0]\n", json.dumps(stages))
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""  # a warning on stderr would go unexplained
     written = [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()]
     assert {"sim/claims.jsonl", "refset.jsonl", "estimates.jsonl",
             "report.table.tsv"} <= {p.as_posix() for p in written}
@@ -394,17 +395,21 @@ def test_evaluate_writes_parts_inside_the_parts_dir(pipeline, tmp_path):
 
 
 def test_evaluate_method_filters(pipeline, tmp_path):
-    root, sim, refset_path, _, _ = pipeline
-    out = tmp_path / "ipw.jsonl"
+    """A method subset writes, byte for byte, the full run's rows of those methods."""
+    _, sim, refset_path, estimates, _ = pipeline
+    methods = ["cox_ipw_overlap", "cox_ipw_standard", "cox_psm", "rmst_aipw"]
+    out = tmp_path / "subset.jsonl"
     assert main(["evaluate", "--refset", str(refset_path),
                  "--db", str(sim / "claims.jsonl"),
                  "--vocab", str(sim / "vocab.txt"),
                  "--dense-features", str(sim / "dense_features.jsonl"),
-                 "--seed", "23", "--methods", "cox_ipw_overlap,cox_ipw_standard",
+                 "--seed", "23", "--methods", ",".join(methods),
                  "--out", str(out)]) == 0
     _, records = read_jsonl(out)
-    assert sorted({r["method_id"] for r in records}) == [
-        "cox_ipw_overlap", "cox_ipw_standard"]
+    assert sorted({r["method_id"] for r in records}) == methods
+    full = [line for line in estimates.read_text().splitlines()[1:]
+            if json.loads(line)["method_id"] in methods]
+    assert out.read_text().splitlines()[1:] == full
 
 
 def test_input_error_exit_codes(pipeline, tmp_path, capsys):
@@ -478,6 +483,8 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
     ("claims", {"eta": [0.3, 0.3, 800, 0.2]}),
     ("trials", {"n_a": 10**30}),
     ("trials", {"n_trials": 10**9}),
+    ("trials", {"n_trials": 2001}),
+    ("claims", {"n_patients": 10**12}),
 ], ids=["negative_arm_size", "fractional_arm_size", "zero_trials", "negative_patients",
         "code_prob_above_one", "unknown_claims_key", "single_arm_draw", "negative_horizon",
         "zero_horizon", "negative_censoring_rate", "infinite_censoring_rate",
@@ -487,7 +494,8 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, capsys, key):
         "numeric_claims_drug", "numeric_claims_outcome", "boolean_beta", "boolean_lambda0",
         "boolean_code_prob", "boolean_gamma_entry", "boolean_eta_entry",
         "hazard_too_fast_for_the_truth", "code_effect_too_fast_for_the_truth",
-        "arm_size_beyond_a_pooled_arm", "trials_past_the_larger_arm"])
+        "arm_size_beyond_a_pooled_arm", "trials_past_the_larger_arm",
+        "one_trial_past_the_larger_arm", "patients_past_the_bound"])
 def test_simulate_checks_the_whole_scenario_first(tmp_path, capsys, section, change):
     scenario = json.loads(json.dumps(SCENARIO))
     (scenario["trials"][0] if section == "trials" else scenario["claims"]).update(change)
@@ -667,6 +675,32 @@ def test_report_rejects_empty_reference_set(pipeline, tmp_path, capsys):
     assert main(["report", "--estimates", str(matching), "--refset", str(empty),
                  "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {empty}: ")
+
+
+def test_a_repeated_reference_key_exits_2(pipeline, tmp_path, capsys):
+    """A key given twice would be scored twice against its one estimate, so evaluate and
+    report exit 2 naming the file and the key, and write nothing."""
+    _, sim, refset_path, estimates, _ = pipeline
+    header, [strong] = read_jsonl(refset_path)
+    repeated = tmp_path / "repeated_refset.jsonl"
+    write_jsonl(repeated, [strong, strong, {**strong, "label": "weak", "direction": "none"}],
+                header=header)
+    key = (strong["drug_a"], strong["drug_b"], strong["outcome_code"])
+    estimates_header, rows = read_jsonl(estimates)
+    estimates_header["refset_sha256"] = sha256_file(repeated)
+    matching = tmp_path / "estimates.jsonl"
+    write_jsonl(matching, rows, header=estimates_header)
+    for argv in (["evaluate", "--refset", str(repeated), "--db", str(sim / "claims.jsonl"),
+                  "--vocab", str(sim / "vocab.txt"), "--seed", "23",
+                  "--out", str(tmp_path / "e.jsonl")],
+                 ["report", "--estimates", str(matching), "--refset", str(repeated),
+                  "--out", str(tmp_path / "r")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {repeated}: ") and repr(key) in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["estimates.jsonl",
+                                                          "repeated_refset.jsonl"]
 
 
 def _edit_record(change, line=0):

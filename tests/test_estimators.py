@@ -730,6 +730,23 @@ def test_run_all_methods_no_events():
     assert all("no observed events" in e.note for e in estimates)
 
 
+def test_run_all_methods_horizon_at_day_0():
+    """Half the rows have their event on day 0 and the rest are censored, so tau is 0:
+    every RMST-scale method records the same failure, and the Cox methods run."""
+    class DayZero:
+        event = np.arange(600) % 4 < 2
+        time = np.where(event, 0.0, np.random.default_rng(8).integers(1, 1000, 600))
+        treated = np.arange(600) % 2 == 0
+        features = np.random.default_rng(9).standard_normal((600, 2))
+
+    estimates = run_all_methods(_pair(DayZero()), RunSettings(seed=5))[0]
+    rmst_rows = [e for e in estimates if e.scale == "rmst_difference_days"]
+    assert len(rmst_rows) == 5 and not any(e.converged for e in rmst_rows), rmst_rows
+    assert all(math.isnan(e.point) and math.isnan(e.std_error) for e in rmst_rows)
+    assert {e.note for e in rmst_rows} == {"tau must be positive, got 0"}
+    assert all(e.converged and e.note == "" for e in estimates if e.scale == "log_hazard_ratio")
+
+
 def test_run_all_methods_subset_and_isolation():
     class Broken:
         time = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "trialbench"
 
 # Reached only by tests, but hooked by name in perfbench/tracer.py, whose
-# bench-smoke check fails on a missing hook; ROADMAP item 4 retires those hooks.
+# bench-smoke check fails on a missing hook; ROADMAP item 3 retires those hooks.
 TRACER_PINNED = {("exact", "min_achievable_p"), ("exact", "p_strong"), ("exact", "p_weak")}
 
 
