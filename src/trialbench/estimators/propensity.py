@@ -30,7 +30,9 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
 
     The intercept is unpenalized. Converged when the max absolute
     coefficient change drops below LOGISTIC_TOL. Separation yields a flagged
-    non-converged fit whose clipped scores remain usable.
+    non-converged fit whose clipped scores remain usable. At ridge 0 a
+    duplicated, constant or all-zero feature column can make the Hessian
+    singular; such a step is taken by least squares, as in aft_fit.
     """
     X = np.column_stack([np.ones(len(treatment_labels)), np.asarray(features, dtype=float)])
     y = np.asarray(treatment_labels, dtype=float)
@@ -51,7 +53,7 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            break
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         beta = beta + step
         if np.max(np.abs(step)) < LOGISTIC_TOL:
             converged = True

@@ -70,11 +70,11 @@ class ScoredEffect:
 def effects_by_method(records) -> dict[str, tuple[str, dict[tuple, ScoredEffect]]]:
     """Group estimate records into {method_id: (scale, {entry key: scored effect})}.
 
-    A later record for the same entry replaces the earlier one. A record is
-    available when it converged with a point estimate. Raises TypeError unless
-    each drug and outcome code and method_id is a string, each point null or a
-    number and each converged flag a boolean, and ValueError unless each point
-    is finite and each method's records share one known scale.
+    A record is available when it converged with a point estimate. Raises
+    TypeError unless each drug and outcome code and method_id is a string, each
+    point null or a number and each converged flag a boolean, and ValueError
+    unless each point is finite, each method's records share one known scale and
+    no two records share an entry and method.
     """
     grouped: dict[str, tuple[str, dict]] = {}
     for rec in records:
@@ -88,6 +88,8 @@ def effects_by_method(records) -> dict[str, tuple[str, dict[tuple, ScoredEffect]
             raise ValueError(f"{method_id}: unknown scale {scale!r}")
         if point is not None and not math.isfinite(point):
             raise ValueError(f"{method_id}: point {point!r} is not null or a finite number")
+        if key in effects:
+            raise ValueError(f"{method_id}: two rows for the entry {key!r}")
         if converged and point is not None:
             effects[key] = ScoredEffect(True, direction_of(scale, point), abs(point))
         else:

@@ -65,6 +65,18 @@ def test_logistic_handles_separation():
     assert fit.scores[y].min() > fit.scores[~y].max()
 
 
+def test_logistic_fits_a_duplicated_column_at_ridge_0():
+    """A column given twice makes the unpenalized Hessian singular; the fit takes a
+    least-squares step, so it gives the scores of the design without the copy rather
+    than stopping at all-zero coefficients."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2000, 2))
+    y = rng.random(2000) < 1 / (1 + np.exp(0.5 - x @ [1.0, -0.7]))
+    single, doubled = fit_logistic(x, y, 0.0), fit_logistic(x[:, [0, 0, 1]], y, 0.0)
+    assert single.converged and doubled.converged
+    assert np.allclose(doubled.scores, single.scores, rtol=0, atol=1e-12)
+
+
 def test_logistic_requires_both_arms():
     with pytest.raises(ValueError):
         fit_logistic(np.zeros((5, 1)), np.ones(5, dtype=bool), RunSettings.ridge)
@@ -156,22 +168,6 @@ def _tiny_cox_case(rng):
     events = rng.random(n) < 0.7
     x = (rng.random(n) < 0.5).astype(float)
     return times, events, x
-
-
-def test_cox_matches_brute_force_on_tiny_data():
-    rng = np.random.default_rng(9)
-    checked = 0
-    while checked < 30:
-        times, events, x = _tiny_cox_case(rng)
-        if not ((events & (x > 0)).any() and (events & (x == 0)).any()):
-            continue
-        best = golden_section_max(lambda b: breslow_loglik(b, times, events, x), -8, 8)
-        if abs(best) > 6:  # near-monotone likelihood; skip boundary cases
-            continue
-        res = cox_fit(times, events, x, None)
-        assert res.converged
-        assert abs(res.beta - best) < 1e-6
-        checked += 1
 
 
 def test_cox_weighted_partial_loglik_matches_oracle():

@@ -11,7 +11,6 @@ from oracles import (
     lgamma_family_p_all,
     lgamma_log_pmf,
     masked_window_family_p_all,
-    naive_bh,
 )
 from trialbench import exact
 from trialbench.exact import (
@@ -246,15 +245,6 @@ def test_invalid_margins_raise(n1, n2, m):
             min_achievable_p(n1, n2, m, family)
     with pytest.raises(ValueError):
         _log_binomials(n1, n2, m)
-
-
-def test_bh_matches_naive_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        m = int(rng.integers(1, 60))
-        p = rng.random(m) ** rng.uniform(0.5, 3.0)
-        alpha = float(rng.uniform(0.01, 0.2))
-        assert bh_reject(p, alpha) == naive_bh(p.tolist(), alpha)
 
 
 def test_bh_edge_cases():

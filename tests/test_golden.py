@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from test_acceptance import PIPELINE_SCENARIO
+from test_acceptance import _evaluate_and_report, _simulate
 from trialbench.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,36 +54,6 @@ REFSET_SCENARIO = {"trials": [
     {"drug_a": "DRUG_C", "drug_b": "DRUG_F", "outcome": "RASH",          # arm below 100
      "p_a": 0.10, "p_b": 0.10, "n_a": 60, "n_b": 200},
 ]}
-
-
-def _simulate(root: Path) -> Path:
-    scenario = root / "scenario.json"
-    scenario.write_text(json.dumps(PIPELINE_SCENARIO))
-    sim = root / "sim"
-    assert main(["simulate", "--scenario", str(scenario), "--seed", "99",
-                 "--out-dir", str(sim)]) == 0
-    assert main(["build-refset", "--dump", str(sim / "trial_dump.jsonl"),
-                 "--drug-dict", str(sim / "drug_dict.tsv"),
-                 "--outcome-dict", str(sim / "outcome_dict.tsv"),
-                 "--out", str(sim / "refset.jsonl")]) == 0
-    return sim
-
-
-def _evaluate_and_report(sim: Path, variant: str, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    extra = []
-    if variant == "dense":
-        extra = ["--dense-features", str(sim / "dense_features.jsonl")]
-    elif variant == "skipped":
-        config = out_dir / "run.cfg"
-        config.write_text("min_per_arm = 2000\n")
-        extra = ["--config", str(config)]
-    estimates = out_dir / "estimates.jsonl"
-    assert main(["evaluate", "--refset", str(sim / "refset.jsonl"),
-                 "--db", str(sim / "claims.jsonl"), "--vocab", str(sim / "vocab.txt"),
-                 *extra, "--seed", "7", "--out", str(estimates)]) == 0
-    assert main(["report", "--estimates", str(estimates), "--refset", str(sim / "refset.jsonl"),
-                 "--rmst-thresholds", "30", "--out", str(out_dir / "report")]) == 0
 
 
 def _build_refset(root: Path) -> None:

@@ -6,8 +6,8 @@ not take, or dropped, and the stage that reads the file is run again:
 
 - a trial dump line with a bad field is a line diagnostic naming the field (the run goes
   on, as for any malformed dump line);
-- any other file makes the stage exit 2 with a message naming the file and the field,
-  and write no output;
+- any other file makes the stage exit 2 with a message that starts `error: <file>: `
+  and names the field, and write no output;
 - except for the mutations in TOLERATED, which exit 0 and write the same bytes.
 
 No mutation may exit 4 or leave a *.tmp file. A field is a key of an object, or a number
@@ -253,7 +253,8 @@ def test_every_type_swap_exits_2_naming_the_field_or_is_a_documented_tolerance(
                     if status != 0 or not written or written != expect:
                         failures.append(f"{case}: exit {status}, tolerated ({reason}) but "
                                         f"the outputs moved: {err!r}")
-                elif status != 2 or written or str(work / name) not in err or field not in err:
+                elif (status != 2 or written or not err.startswith(f"error: {work / name}: ")
+                      or field not in err):
                     failures.append(f"{case}: exit {status}: {err.strip()!r}")
     assert not failures, "\n".join(failures)
     assert seen_tolerated == set(TOLERATED)

@@ -63,7 +63,6 @@ def test_effects_by_method():
         _record("E3", "cox", SCALE_LOG_HR, 0.4, converged=False),   # unavailable
         _record("E4", "cox", SCALE_LOG_HR, None, converged=True),   # no point
         _record("E1", "km", SCALE_RMST_DAYS, -12.0),
-        _record("E1", "km", SCALE_RMST_DAYS, 7.0),                  # replaces the first
     ]
     grouped = effects_by_method(records)
     assert list(grouped) == ["cox", "km"]
@@ -79,7 +78,10 @@ def test_effects_by_method():
         assert math.isnan(unavailable.magnitude)
     scale, effects = grouped["km"]
     assert scale == SCALE_RMST_DAYS
-    assert effects == {("A", "B", "E1"): ScoredEffect(True, DIRECTION_B, 7.0)}
+    assert effects == {("A", "B", "E1"): ScoredEffect(True, DIRECTION_A, 12.0)}
+    # a second row for an (entry, method) would silently replace the first
+    with pytest.raises(ValueError, match=r"km: two rows for the entry \('A', 'B', 'E1'\)"):
+        effects_by_method(records + [_record("E1", "km", SCALE_RMST_DAYS, 7.0)])
 
 
 def _hand_fixture():

@@ -210,6 +210,10 @@ def test_gen_trial_dump_split():
                    for c in a.outcome_events.values())
     # binomial draws per part: 300 expected, SD 14.5
     assert abs(events_a - 300) < 4 * math.sqrt(1000 * 0.3 * 0.7)
+    # an arm of no participants writes no line
+    empty_a = [PlantedComparison("A", "B", "E1", p_a=0.3, p_b=0.1, n_a=0, n_b=3, n_trials=3)]
+    arms = parse_dump(gen_trial_dump(empty_a, seed=0)).arms
+    assert [(a.drug_text, a.participant_count) for a in arms] == [("B", 1)] * 3
 
 
 def test_gen_trial_dump_seeded():
