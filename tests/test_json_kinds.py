@@ -215,46 +215,52 @@ def _base_outputs(name: str, base: Path) -> dict:
     return written
 
 
+CASES = [(name, path, kinds, field) for name, fields in FIELDS.items()
+         for path, kinds, field in fields]
+
+
+@pytest.mark.parametrize("name,path,kinds,field", CASES,
+                         ids=[f"{name}:{'/'.join(map(str, path))}" for name, path, _, _ in CASES])
 def test_every_type_swap_exits_2_naming_the_field_or_is_a_documented_tolerance(
-        base, tmp_path, capsys):
+        base, tmp_path, capsys, name, path, kinds, field):
+    text = (base / name).read_text(encoding="utf-8")
+    jsonl = name.endswith(".jsonl")
+    records = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    want = _base_outputs(name, base)
     failures = []
-    seen_tolerated = set()
-    for name, fields in FIELDS.items():
-        text = (base / name).read_text(encoding="utf-8")
-        jsonl = name.endswith(".jsonl")
-        records = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
-        want = _base_outputs(name, base)
-        for path, kinds, field in fields:
-            for kind, value in KINDS.items():
-                if kind in kinds:
-                    continue
-                work = tmp_path / str(len(list(tmp_path.iterdir())))  # names no field
-                work.mkdir()
-                mutated = _mutated(records, path, value)
-                (work / name).write_text("\n".join(map(json.dumps, mutated)) + "\n" if jsonl
-                                         else json.dumps(mutated), encoding="utf-8")
-                capsys.readouterr()
-                status, written = _stage(name, base, work)
-                err = capsys.readouterr().err
-                case = f"{name} {'/'.join(map(str, path))} -> {kind}"
-                if list(work.rglob("*.tmp")):
-                    failures.append(f"{case}: left a .tmp file")
-                reason = TOLERATED.get((name, path, kind))
-                if name == "trial_dump.jsonl":
-                    diagnostics = written.get("refset.jsonl.diagnostics.tsv", b"").decode()
-                    if status != 0 or not any(line.startswith("1\t") and field in line
-                                              for line in diagnostics.splitlines()):
-                        failures.append(f"{case}: exit {status}, diagnostics {diagnostics!r}")
-                elif reason is not None:
-                    seen_tolerated.add((name, path, kind))
-                    # a dropped section writes the other section's outputs alone
-                    expect = want if len(path) > 1 else {
-                        k: want.get(k) for k in written}
-                    if status != 0 or not written or written != expect:
-                        failures.append(f"{case}: exit {status}, tolerated ({reason}) but "
-                                        f"the outputs moved: {err!r}")
-                elif (status != 2 or written or not err.startswith(f"error: {work / name}: ")
-                      or field not in err):
-                    failures.append(f"{case}: exit {status}: {err.strip()!r}")
+    for kind, value in KINDS.items():
+        if kind in kinds:
+            continue
+        work = tmp_path / kind  # names no field
+        work.mkdir()
+        mutated = _mutated(records, path, value)
+        (work / name).write_text("\n".join(map(json.dumps, mutated)) + "\n" if jsonl
+                                 else json.dumps(mutated), encoding="utf-8")
+        capsys.readouterr()
+        status, written = _stage(name, base, work)
+        err = capsys.readouterr().err
+        case = f"{name} {'/'.join(map(str, path))} -> {kind}"
+        if list(work.rglob("*.tmp")):
+            failures.append(f"{case}: left a .tmp file")
+        reason = TOLERATED.get((name, path, kind))
+        if name == "trial_dump.jsonl":
+            diagnostics = written.get("refset.jsonl.diagnostics.tsv", b"").decode()
+            if status != 0 or not any(line.startswith("1\t") and field in line
+                                      for line in diagnostics.splitlines()):
+                failures.append(f"{case}: exit {status}, diagnostics {diagnostics!r}")
+        elif reason is not None:
+            # a dropped section writes the other section's outputs alone
+            expect = want if len(path) > 1 else {k: want.get(k) for k in written}
+            if status != 0 or not written or written != expect:
+                failures.append(f"{case}: exit {status}, tolerated ({reason}) but "
+                                f"the outputs moved: {err!r}")
+        elif (status != 2 or written or not err.startswith(f"error: {work / name}: ")
+              or field not in err):
+            failures.append(f"{case}: exit {status}: {err.strip()!r}")
     assert not failures, "\n".join(failures)
-    assert seen_tolerated == set(TOLERATED)
+
+
+def test_every_tolerance_is_a_swap_that_a_case_makes():
+    made = {(name, path, kind) for name, path, kinds, _ in CASES
+            if name != "trial_dump.jsonl" for kind in KINDS if kind not in kinds}
+    assert set(TOLERATED) <= made
