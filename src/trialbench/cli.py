@@ -23,8 +23,8 @@ from . import refset as refset_mod
 from . import synth
 from .estimators import (EffectEstimate, METHOD_REGISTRY, RunSettings, failed_estimates,
                          run_all_methods)
-from .formats import (InputError, dump_json_line, json_object, json_objects, json_str, parsing,
-                      read_jsonl, read_kv_config, sha256_file, write_jsonl, write_lines)
+from .formats import (InputError, dump_json_line, json_list, json_object, json_objects, json_str,
+                      parsing, read_jsonl, read_kv_config, sha256_file, write_jsonl, write_lines)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,6 +106,15 @@ _ROW_FIELDS = {*EffectEstimate._fields, "drug_a", "drug_b", "outcome_code"}
 _row_key = operator.itemgetter("drug_a", "drug_b", "outcome_code", "method_id")
 
 
+def _unmatched_rows(rows, entries, methods) -> tuple[set, set]:
+    """The (drug_a, drug_b, outcome_code, method_id) keys of entries x methods that no row
+    has, and the row keys of no entry and method; a repeated row is effects_by_method's to
+    reject."""
+    want = {(*entry.key, method) for entry in entries for method in methods}
+    have = set(map(_row_key, rows))
+    return want - have, have - want
+
+
 def _holds_group(rows, entries, methods) -> bool:
     """Whether rows are one whole estimate row for each (entry, method) of a group, each
     on its method's scale and read by report."""
@@ -115,7 +124,7 @@ def _holds_group(rows, entries, methods) -> bool:
         metrics_mod.effects_by_method(rows)
     except (KeyError, TypeError, ValueError, OverflowError):
         return False
-    return (sorted(map(_row_key, rows)) == sorted((*e.key, m) for e in entries for m in methods)
+    return (not any(_unmatched_rows(rows, entries, methods))
             and all(row["scale"] == METHOD_REGISTRY[row["method_id"]].scale for row in rows))
 
 
@@ -258,6 +267,12 @@ def cmd_report(args) -> int:
         if not reference.entries:
             raise InputError(f"{refset_path}: no reference entries to score against")
         by_method = metrics_mod.effects_by_method(records)
+        # a row lost or added would drop or add a method's call silently
+        missing, extra = _unmatched_rows(records, reference.entries, json_list(header, "methods"))
+        if missing or extra:
+            raise InputError(f"{estimates_path}: " + (
+                f"no row for {min(missing, key=repr)!r}" if missing else
+                f"a row for {min(extra, key=repr)!r}, of no reference entry and header method"))
 
     metric_columns = "precision\trecall\trecall_evaluable\ttp\tfp\tfn\tn_evaluable"
     table_lines = [f"method_id\tscale\tthreshold\tthreshold_magnitude\t{metric_columns}"]

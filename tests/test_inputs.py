@@ -195,6 +195,7 @@ FIELDS = {
     "estimates.jsonl": [
         ((0, "kind"), {"string"}, "kind"),
         ((0, "refset_sha256"), {"string"}, "refset_sha256"),
+        ((0, "methods"), {"list"}, "methods"),
         *[((1, key), kinds, key) for key, kinds in [
             ("drug_a", {"string"}), ("drug_b", {"string"}), ("outcome_code", {"string"}),
             ("method_id", {"string"}), ("scale", {"string"}), ("point", NUMBER | {"null"}),
@@ -515,6 +516,12 @@ CASES = {
     # the later row would replace the first, which it contradicts
     "estimates_row_twice": ("report", {"--estimates": _first_row_again_negated},
                             ["cox_unadjusted", repr(KEY)]),
+    "estimates_row_dropped": ("report", {"--estimates": lambda text: "".join(
+        line for i, line in enumerate(text.splitlines(keepends=True)) if i != 1)},
+        ["no row", repr((*KEY, "cox_unadjusted"))]),
+    "estimates_row_of_no_reference_entry": ("report", {"--estimates": lambda text: text + (
+        text.splitlines()[1].replace('"OUTCOME"', '"OTHER_OUTCOME"') + "\n")},
+        [repr(("DRUG_A", "DRUG_B", "OTHER_OUTCOME", "cox_unadjusted"))]),
     **{f"not_utf8_{command}_{flag[2:]}": (command, {flag: lambda _: b"\xff\n"}, ["utf-8"])
        for command, flags in INPUTS.items() for flag in flags},
     "thresholds_not_a_number": ("report", {"--thresholds": "abc"}, []),
