@@ -36,18 +36,9 @@ class ProvenanceError(Exception):
     pass
 
 
-def _require_file(path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing input file: {p}")
-    return p
-
-
 def cmd_build_refset(args) -> int:
-    dump = _require_file(args.dump)
-    drug_dict = _require_file(args.drug_dict)
-    outcome_dict = _require_file(args.outcome_dict)
-    built, drops, parsed = refset_mod.build(dump, drug_dict, outcome_dict, alpha=args.alpha)
+    built, drops, parsed = refset_mod.build(args.dump, args.drug_dict, args.outcome_dict,
+                                            alpha=args.alpha)
     refset_mod.save(built, args.out)
     refset_mod.save_drop_report(drops, str(args.out) + ".drops.tsv")
     if parsed.diagnostics:
@@ -58,7 +49,7 @@ def cmd_build_refset(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario_path = _require_file(args.scenario)
+    scenario_path = Path(args.scenario)
     with parsing(scenario_path):  # the whole scenario is checked before any output
         scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
         unknown = [key for key in scenario if key not in ("claims", "trials")]
@@ -142,12 +133,11 @@ def _estimate_record(entry, est: EffectEstimate) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    refset_path = _require_file(args.refset)
-    db_path = _require_file(args.db)
-    vocab_path = _require_file(args.vocab)
-    dense_path = _require_file(args.dense_features) if args.dense_features else None
-    reference = refset_mod.load(refset_path)
-    db = cohort_mod.load_patient_db(db_path, vocab_path, dense_features_path=dense_path)
+    out_path = Path(args.out)
+    if out_path.is_dir():  # found before the estimation work, not after it
+        raise InputError(f"{out_path}: is a directory")
+    reference = refset_mod.load(args.refset)
+    db = cohort_mod.load_patient_db(args.db, args.vocab, dense_features_path=args.dense_features)
 
     methods = tuple(METHOD_REGISTRY) if args.methods is None else tuple(args.methods.split(","))
     unknown = [m for m in methods if m not in METHOD_REGISTRY]
@@ -157,7 +147,7 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"--methods {args.methods!r}: a method id is repeated")
 
     with parsing(args.config):
-        settings_kv = read_kv_config(_require_file(args.config)) if args.config else {}
+        settings_kv = read_kv_config(args.config) if args.config else {}
         default = {f.name: f.default for f in dataclasses.fields(RunSettings)
                    if f.name != "methods"}  # the config keys; methods come from --methods
         unknown = [key for key in settings_kv if key not in default]
@@ -173,7 +163,7 @@ def cmd_evaluate(args) -> int:
     if seed is None:
         raise InputError("an explicit --seed (or seed= in the run config) is required")
 
-    vocab_sha256 = sha256_file(vocab_path)
+    vocab_sha256 = sha256_file(args.vocab)
     expected_vocab = reference.provenance.get("db_vocab_sha256")
     if expected_vocab is not None and expected_vocab != vocab_sha256:
         raise ProvenanceError("reference set was built against a different db vocabulary")
@@ -181,7 +171,7 @@ def cmd_evaluate(args) -> int:
     header = {
         "kind": "estimates",
         "tool_version": __version__,
-        "refset_sha256": sha256_file(refset_path),
+        "refset_sha256": sha256_file(args.refset),
         "config_sha256": sha256_file(args.config) if args.config else None,
         "seed": seed,
         "methods": list(methods),
@@ -189,11 +179,10 @@ def cmd_evaluate(args) -> int:
     # A part is reused on --resume only if it was written under this exact header.
     part_header = {
         **header,
-        "db_sha256": sha256_file(db_path),
+        "db_sha256": sha256_file(args.db),
         "vocab_sha256": vocab_sha256,
-        "dense_features_sha256": sha256_file(dense_path) if dense_path else None,
+        "dense_features_sha256": sha256_file(args.dense_features) if args.dense_features else None,
     }
-    out_path = Path(args.out)
     parts_dir = Path(str(out_path) + ".parts")
 
     groups: dict[tuple, list] = {}  # the entries by drug pair
@@ -253,24 +242,22 @@ def cmd_report(args) -> int:
                      or list(metrics_mod.FIXED_HR_THRESHOLDS))
     rmst_thresholds = _thresholds("--rmst-thresholds", args.rmst_thresholds,
                                   metrics_mod.SCALE_RMST_DAYS)
-    estimates_path = _require_file(args.estimates)
-    refset_path = _require_file(args.refset)
-    with parsing(estimates_path):  # the reference set's own errors name it
-        header, records = read_jsonl(estimates_path)
+    with parsing(args.estimates):  # the reference set's own errors name it
+        header, records = read_jsonl(args.estimates)
         if header is None or header.get("kind") != "estimates":
-            raise InputError(f"{estimates_path}: line 1 is no header of kind 'estimates'")
+            raise InputError(f"{args.estimates}: line 1 is no header of kind 'estimates'")
         if not records:
-            raise InputError(f"{estimates_path}: no estimate rows")
-        if json_str(header, "refset_sha256") != sha256_file(refset_path):
+            raise InputError(f"{args.estimates}: no estimate rows")
+        if json_str(header, "refset_sha256") != sha256_file(args.refset):
             raise ProvenanceError("estimates were produced against a different reference set")
-        reference = refset_mod.load(refset_path)
+        reference = refset_mod.load(args.refset)
         if not reference.entries:
-            raise InputError(f"{refset_path}: no reference entries to score against")
+            raise InputError(f"{args.refset}: no reference entries to score against")
         by_method = metrics_mod.effects_by_method(records)
         # a row lost or added would drop or add a method's call silently
         missing, extra = _unmatched_rows(records, reference.entries, json_list(header, "methods"))
         if missing or extra:
-            raise InputError(f"{estimates_path}: " + (
+            raise InputError(f"{args.estimates}: " + (
                 f"no row for {min(missing, key=repr)!r}" if missing else
                 f"a row for {min(extra, key=repr)!r}, of no reference entry and header method"))
 
@@ -368,8 +355,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a path that cannot be read or written; a rename names its target
+        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except ProvenanceError as exc:
         print(f"provenance error: {exc}", file=sys.stderr)

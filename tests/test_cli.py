@@ -393,12 +393,6 @@ def test_evaluate_method_filters(pipeline, tmp_path):
     assert out.read_text().splitlines()[1:] == full
 
 
-def test_missing_input_exits_2(tmp_path):
-    assert main(["build-refset", "--dump", str(tmp_path / "nope.jsonl"),
-                 "--drug-dict", "x", "--outcome-dict", "y",
-                 "--out", str(tmp_path / "o")]) == 2
-
-
 def test_an_unexpected_exception_exits_4(pipeline, tmp_path, capsys, monkeypatch):
     """An exception that is no input error exits 4, naming its type."""
     from trialbench import metrics as metrics_mod

@@ -54,6 +54,7 @@ FLAGS = {
                  "--out": "estimates.jsonl"},
     "report": {"--out": "report"},
 }
+OUT_FLAGS = ("--out", "--out-dir")
 OUTPUTS = {
     "simulate": ("claims.jsonl", "dense_features.jsonl", "vocab.txt", "ground_truth.json",
                  "trial_dump.jsonl", "drug_dict.tsv", "outcome_dict.tsv"),
@@ -67,7 +68,7 @@ def _main(command, inputs, out, changes) -> int:
     """main() on command with each input file from inputs and each output under out, the
     values in changes put in (None leaves a flag out)."""
     values = {**{flag: inputs / name for flag, name in INPUTS[command].items()},
-              **{flag: out / value if flag.startswith("--out") else value
+              **{flag: out / value if flag in OUT_FLAGS else value
                  for flag, value in FLAGS[command].items()}, **changes}
     return main([command, *(part for flag, value in values.items() if value is not None
                             for part in (flag, str(value)))])
@@ -87,11 +88,16 @@ def base(tmp_path_factory):
 def _stage(command, changes, base, work):
     """Run command with changes made to its inputs, each other input coming from base and
     each output going under work/out. changes maps an input flag to an edit of its file's
-    valid text, giving the broken text or bytes; any other flag to its value. The broken
-    files are written in work; report's --refset gets base's estimates, headed with the
-    broken set's SHA-256. Returns (exit code, the first broken file, or None for a flag)."""
+    valid text, giving the broken text or bytes (None: no file); an output flag to a
+    function that makes an obstacle in the output directory and returns (the flag's value,
+    the path the error names); any other flag to its value. The broken files are written
+    in work; report's --refset gets base's estimates, headed with the broken set's SHA-256.
+    Returns (exit code, the path the error names, or None for a flag)."""
     values, path = {}, None
     for flag, change in changes.items():
+        if flag in OUT_FLAGS:  # the output path, and the path its error names
+            values[flag], path = change(work / "out")
+            continue
         if flag not in INPUTS[command]:
             values[flag] = change
             continue
@@ -100,10 +106,10 @@ def _stage(command, changes, base, work):
         values[flag] = work / name
         if isinstance(broken, bytes):
             values[flag].write_bytes(broken)
-        else:
+        elif broken is not None:
             values[flag].write_text(broken, encoding="utf-8")
         path = path or values[flag]
-    if command == "report" and "--refset" in changes and "--estimates" not in changes:
+    if command == "report" and "--refset" in changes and values["--refset"].exists():
         header, rows = read_jsonl(base / "estimates.jsonl")
         values["--estimates"] = work / "estimates.jsonl"
         write_jsonl(values["--estimates"], rows,
@@ -123,13 +129,16 @@ def _outputs(command, directory) -> dict:
 
 def _assert_input_error(status, err, work, path, names):
     """Exit 2 with a message that starts `error: <path>: ` (any message for a flag, path
-    None) and holds each of names; nothing under work/out; no *.tmp under work."""
+    None) and holds each of names; nothing under work/out but an output path's obstacle,
+    the path at fault or a directory above it; no *.tmp under work."""
     prefix = "" if path is None else f"error: {path}: "
     assert status == 2, f"exit {status}: {err!r}"
     assert err.startswith(prefix), err
     message = err if path else err.strip().split("\n")[-1]  # a usage text names every flag
     assert [name for name in names if name not in message] == [], err
-    assert not (work / "out").exists(), sorted((work / "out").rglob("*"))
+    out = work / "out"
+    assert [p for p in [out, *out.rglob("*")] if p.exists()
+            and not (path and (p == path or p in path.parents))] == []
     assert list(work.rglob("*.tmp")) == []
 
 
@@ -315,6 +324,22 @@ def _record(change, line=0):
     return edit
 
 
+def _first_line_again(text):
+    return text + text.split("\n", 1)[0] + "\n"
+
+
+def _first_line_dropped(text):
+    return text.split("\n", 1)[1]
+
+
+def _header_only(text):
+    return text.split("\n", 1)[0] + "\n"
+
+
+def _header_a_list(text):
+    return "[1]\n" + text.split("\n", 1)[1]
+
+
 def _first_dense_feature_as(literal):
     """Edit of a dense-features text: the first row's first value written as the JSON
     text literal."""
@@ -389,6 +414,24 @@ def _term_added(term, count):
     return _record(lambda arm: arm["outcome_events"].append({"term": term, "count": count}))
 
 
+def _under_a_file(value, at_fault="afile"):
+    """Change of an output flag: value under afile, a regular file in the output
+    directory; the error names at_fault."""
+    def change(out):
+        out.mkdir()
+        (out / "afile").write_text("a file, not a directory\n")
+        return out / "afile" / value, out / at_fault
+    return change
+
+
+def _a_directory(value, made):
+    """Change of an output flag: value, where made, a file the stage writes, is a directory."""
+    def change(out):
+        (out / made).mkdir(parents=True)
+        return out / value, out / made
+    return change
+
+
 # case -> (subcommand, {flag: edit of its file's text, or the flag's value}, the names the
 # message holds); the first file changed is the one the message names
 CASES = {
@@ -440,23 +483,21 @@ CASES = {
         "text_pattern\tingredient_id\tmatch_score\nalphazine\tALPHA\n")}, ["bad row"]),
     "truncated_claims_line": ("evaluate", {"--db": lambda text: text.rstrip("\n")[:-5] + "\n"},
                               ["line 400", "invalid JSON"]),
-    "duplicate_patient_id": ("evaluate", {"--db": lambda text: text + text.split("\n", 1)[0] + "\n"},
-                             ["P0000000"]),
+    "duplicate_patient_id": ("evaluate", {"--db": _first_line_again}, ["P0000000"]),
     # without events, a true read as day 1 would still hold a valid window
     "boolean_observation_end": ("evaluate", {"--db": _record(
         lambda record: record.update(observation_end=True, events=[]))}, ["observation_end"]),
-    "patient_without_dense_row": ("evaluate", {"--dense-features": lambda text: text.split("\n", 1)[1]},
+    "patient_without_dense_row": ("evaluate", {"--dense-features": _first_line_dropped},
                                   ["no dense-feature row", "P0000000"]),
     "dense_rows_of_unequal_length": ("evaluate", {"--dense-features": _record(
         lambda record: record["features"].append(0.0))}, ["P0000001", "dense features"]),
-    "duplicate_dense_row": ("evaluate", {"--dense-features": lambda text: (
-        text + text.split("\n", 1)[0] + "\n")}, ["P0000000", "duplicate patient_id"]),
+    "duplicate_dense_row": ("evaluate", {"--dense-features": _first_line_again},
+                            ["P0000000", "duplicate patient_id"]),
     "nan_dense_feature": ("evaluate", {"--dense-features": _first_dense_feature_as("NaN")},
                           ["P0000000", "dense features"]),
-    "overflowing_dense_feature": ("evaluate", {"--dense-features": _first_dense_feature_as("1e400")},
-                                  ["P0000000", "dense features"]),
-    "infinite_dense_feature": ("evaluate", {"--dense-features": _first_dense_feature_as("-Infinity")},
-                               ["P0000000", "dense features"]),
+    **{f"{name}_dense_feature": ("evaluate", {"--dense-features": _first_dense_feature_as(
+        literal)}, ["P0000000", "dense features"])
+       for name, literal in (("overflowing", "1e400"), ("infinite", "-Infinity"))},
     "integer_dense_feature_beyond_float": (
         "evaluate", {"--dense-features": _first_dense_feature_as("9" * 400)}, []),
     # a string of digits given as each whole row reads as one number per row
@@ -490,20 +531,18 @@ CASES = {
     # the run passes --seed too, which must not keep the config seed from being checked
     "negative_config_seed": ("evaluate", {"--config": lambda _: "seed = -1\n"}, ["seed"]),
     "non_numeric_config_seed": ("evaluate", {"--config": lambda _: "seed = abc\n"}, ["abc"]),
-    "refset_header_a_list": ("evaluate", {"--refset": lambda text: "[1]\n" + text.split("\n", 1)[1]},
-                             ["line 1"]),
+    "refset_header_a_list": ("evaluate", {"--refset": _header_a_list}, ["line 1"]),
     "refset_strong_entry_direction_up": ("evaluate", {"--refset": _record(
         lambda record: record.update(direction="up"), line=1)}, ["direction", "'up'"]),
     **{f"repeated_reference_key_in_{command}": (command, {"--refset": _key_repeated}, [repr(KEY)])
        for command in ("evaluate", "report")},
-    "reference_set_without_entries": ("report", {"--refset": lambda text: text.split("\n", 1)[0] + "\n"},
+    "reference_set_without_entries": ("report", {"--refset": _header_only},
                                       ["no reference entries"]),
     "estimates_of_another_kind": ("report", {"--estimates": lambda _: (
         '{"kind": "something_else"}\n{"x": 1}\n')}, ["kind 'estimates'"]),
-    "estimates_header_a_list": ("report", {"--estimates": lambda text: "[1]\n" + text.split("\n", 1)[1]},
-                                ["line 1"]),
-    "estimates_header_without_rows": (
-        "report", {"--estimates": lambda text: text.split("\n", 1)[0] + "\n"}, ["no estimate rows"]),
+    "estimates_header_a_list": ("report", {"--estimates": _header_a_list}, ["line 1"]),
+    "estimates_header_without_rows": ("report", {"--estimates": _header_only},
+                                      ["no estimate rows"]),
     "nan_point": ("report", {"--estimates": _record(
         lambda record: record.update(point=math.nan), line=1)}, ["point"]),
     "infinite_point": ("report", {"--estimates": _record(
@@ -524,6 +563,19 @@ CASES = {
         [repr(("DRUG_A", "DRUG_B", "OTHER_OUTCOME", "cox_unadjusted"))]),
     **{f"not_utf8_{command}_{flag[2:]}": (command, {flag: lambda _: b"\xff\n"}, ["utf-8"])
        for command, flags in INPUTS.items() for flag in flags},
+    **{f"missing_{command}_{flag[2:]}": (command, {flag: lambda _: None}, ["No such file"])
+       for command, flags in INPUTS.items() for flag in flags},
+    "simulate_out_dir_a_file": ("simulate", {"--out-dir": _under_a_file("")}, ["File exists"]),
+    "build_refset_out_under_a_file": ("build-refset", {"--out": _under_a_file("refset.jsonl")},
+                                      ["File exists"]),
+    "evaluate_out_under_a_file": ("evaluate", {"--out": _under_a_file(
+        "estimates.jsonl", "afile/estimates.jsonl.parts")}, ["Not a directory"]),
+    "report_out_under_a_file": ("report", {"--out": _under_a_file("report")}, ["File exists"]),
+    # found before the estimation work, not after it
+    "evaluate_out_a_directory": ("evaluate", {"--out": _a_directory(
+        "estimates.jsonl", "estimates.jsonl")}, ["directory"]),
+    "report_table_a_directory": ("report", {"--out": _a_directory("report", "report.table.tsv")},
+                                 ["Is a directory"]),
     "thresholds_not_a_number": ("report", {"--thresholds": "abc"}, []),
     "hr_threshold_below_one": ("report", {"--thresholds": "0.5"}, []),
     "nan_threshold": ("report", {"--thresholds": "2,nan"}, []),
