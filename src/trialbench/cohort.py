@@ -92,16 +92,17 @@ class PatientDB:
         order, each written straight into its patient's row of the matrix; rows of ids
         not in the table are checked, then dropped. Raises ValueError on a duplicate id, a
         feature that is not a finite JSON number (json_number's rule, a row at a time),
-        rows of unequal length or a patient without a row, and TypeError on a non-string id."""
+        rows of unequal length or a patient without a row, and TypeError on a non-string id
+        or features that are not a list."""
         row_of = {pid: i for i, pid in enumerate(self.patients)}
         matrix = np.empty((len(self.patients), 0))
         seen = set()
         for n, r in enumerate(rows):
-            pid, features = json_str(r, "patient_id"), r["features"]
+            pid, features = json_str(r, "patient_id"), json_list(r, "features")
             if pid in seen:
                 raise ValueError(f"{pid}: duplicate patient_id")
             seen.add(pid)
-            kinds = set(map(type, features)) if type(features) is list else {type(features)}
+            kinds = set(map(type, features))
             if bool in kinds:
                 raise ValueError(f"{pid}: dense features must be numbers, not booleans")
             if not kinds <= {int, float} or not all(map(math.isfinite, features)):

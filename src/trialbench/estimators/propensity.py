@@ -31,14 +31,23 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
     The intercept is unpenalized. Converged when the max absolute
     coefficient change drops below LOGISTIC_TOL. Separation yields a flagged
     non-converged fit whose clipped scores remain usable. At ridge 0 a
-    duplicated, constant or all-zero feature column can make the Hessian
-    singular; such a step is taken by least squares, as in aft_fit.
+    feature column that the others span (a duplicated, constant or all-zero
+    one) would make the Hessian singular, so a design of lower rank is fitted
+    on an orthonormal basis of its row space: the scores are those of the
+    design without that column, and the coefficients the least-norm ones.
     """
     X = np.column_stack([np.ones(len(treatment_labels)), np.asarray(features, dtype=float)])
     y = np.asarray(treatment_labels, dtype=float)
     n, p = X.shape
     if y.sum() < 1 or (1 - y).sum() < 1:
         raise ValueError("need at least one row in each arm")
+    basis = None
+    if ridge == 0:  # unpenalized, a column the others span makes the Hessian singular
+        _, sv, vt = np.linalg.svd(X, full_matrices=False)
+        rank = int(np.sum(sv > sv[0] * max(n, p) * np.finfo(float).eps))  # matrix_rank's rule
+        if rank < p:
+            basis = vt[:rank].T
+            X, p = X @ basis, rank
     penalty = np.full(p, ridge)
     penalty[0] = 0.0
     beta = np.zeros(p)
@@ -50,10 +59,7 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
         w = np.maximum(e * (1.0 - e), 1e-12)
         grad = X.T @ (y - e) - penalty * beta
         hess = (X.T * w) @ X + np.diag(penalty)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step = np.linalg.solve(hess, grad)
         beta = beta + step
         if np.max(np.abs(step)) < LOGISTIC_TOL:
             converged = True
@@ -61,8 +67,8 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
     eta = X @ beta
     scores = 1.0 / (1.0 + np.exp(-np.clip(eta, -35, 35)))
     scores = np.clip(scores, SCORE_CLIP, 1.0 - SCORE_CLIP)
-    return PropensityFit(coefficients=beta, scores=scores, converged=converged,
-                         iterations=iterations)
+    return PropensityFit(coefficients=beta if basis is None else basis @ beta, scores=scores,
+                         converged=converged, iterations=iterations)
 
 
 def match_pairs(scores, treatment_labels, caliper_sd_logit: float,

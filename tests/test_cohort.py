@@ -199,24 +199,25 @@ def test_dense_rows_in_any_order_fill_the_matrix_in_patient_order():
     assert _in_id_order(db).dense_features.tolist() == [[0.5, 2.0], [3.0, -1.0]]
 
 
-@pytest.mark.parametrize("features, message", [
-    ([1.5, True], "p1: dense features must be numbers, not booleans"),
-    ([1.5, "2.0"], "p1: dense features must be a list of finite numbers"),
-    ([1.5, float("nan")], "p1: dense features must be a list of finite numbers"),
-    ([float("-inf"), 2.0], "p1: dense features must be a list of finite numbers"),
-    ([[1.5], [2.0]], "p1: dense features must be a list of finite numbers"),
-    ("12", "p1: dense features must be a list of finite numbers"),
-    ({"a": 1.0}, "p1: dense features must be a list of finite numbers"),
-    ([1.5], "p1: 1 dense features, but the first row has 2"),
-    (None, "no dense-feature row for 1 patients, first p1"),
-], ids=["boolean", "string", "nan", "infinite", "nested", "string_row", "object", "shorter",
-        "missing"])
-def test_with_dense_features_names_the_bad_row(features, message):
+@pytest.mark.parametrize("features, error, message", [
+    ([1.5, True], ValueError, "p1: dense features must be numbers, not booleans"),
+    ([1.5, "2.0"], ValueError, "p1: dense features must be a list of finite numbers"),
+    ([1.5, float("nan")], ValueError, "p1: dense features must be a list of finite numbers"),
+    ([float("-inf"), 2.0], ValueError, "p1: dense features must be a list of finite numbers"),
+    ([[1.5], [2.0]], ValueError, "p1: dense features must be a list of finite numbers"),
+    ("12", TypeError, "features '12' is not a list"),
+    ({"a": 1.0}, TypeError, "features {'a': 1.0} is not a list"),
+    (7, TypeError, "features 7 is not a list"),
+    ([1.5], ValueError, "p1: 1 dense features, but the first row has 2"),
+    (None, ValueError, "no dense-feature row for 1 patients, first p1"),
+], ids=["boolean", "string", "nan", "infinite", "nested", "string_row", "object", "number_row",
+        "shorter", "missing"])
+def test_with_dense_features_names_the_bad_row(features, error, message):
     db = _db([_patient("p1", []), _patient("p2", [])])
     rows = [{"patient_id": "p2", "features": [0.5, 1.0]}]
     if features is not None:
         rows.append({"patient_id": "p1", "features": features})
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{message}$"):
         db.with_dense_features(rows)
     with pytest.raises(ValueError, match="^p2: duplicate patient_id$"):
         db.with_dense_features(rows[:1] * 2)

@@ -65,16 +65,21 @@ def test_logistic_handles_separation():
     assert fit.scores[y].min() > fit.scores[~y].max()
 
 
-def test_logistic_fits_a_duplicated_column_at_ridge_0():
-    """A column given twice makes the unpenalized Hessian singular; the fit takes a
-    least-squares step, so it gives the scores of the design without the copy rather
-    than stopping at all-zero coefficients."""
+@pytest.mark.parametrize("column", [
+    lambda x: x[:, 0], lambda x: np.full(len(x), 3.0), lambda x: np.full(len(x), 0.3),
+    lambda x: np.ones(len(x)), lambda x: np.zeros(len(x)), lambda x: 2 * x[:, 0] - x[:, 1],
+], ids=["duplicated", "constant_3", "constant_0.3", "constant_1", "all_zero", "combination"])
+def test_logistic_fits_a_column_the_others_span_at_ridge_0(column):
+    """Such a column makes the unpenalized Hessian singular; the fit gives the scores of
+    the design without it, in as many iterations, rather than stopping at all-zero
+    coefficients or running to the iteration limit."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2000, 2))
     y = rng.random(2000) < 1 / (1 + np.exp(0.5 - x @ [1.0, -0.7]))
-    single, doubled = fit_logistic(x, y, 0.0), fit_logistic(x[:, [0, 0, 1]], y, 0.0)
-    assert single.converged and doubled.converged
-    assert np.allclose(doubled.scores, single.scores, rtol=0, atol=1e-12)
+    single, spanned = fit_logistic(x, y, 0.0), fit_logistic(np.column_stack([x, column(x)]), y, 0.0)
+    assert single.converged and spanned.converged
+    assert spanned.iterations == single.iterations
+    assert np.allclose(spanned.scores, single.scores, rtol=0, atol=1e-12)
 
 
 def test_logistic_requires_both_arms():

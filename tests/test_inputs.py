@@ -134,7 +134,8 @@ def _assert_input_error(status, err, work, path, names):
     prefix = "" if path is None else f"error: {path}: "
     assert status == 2, f"exit {status}: {err!r}"
     assert err.startswith(prefix), err
-    message = err if path else err.strip().split("\n")[-1]  # a usage text names every flag
+    # a name must follow the prefix, whose path may hold it too; a usage text names every flag
+    message = err[len(prefix):] if path else err.strip().split("\n")[-1]
     assert [name for name in names if name not in message] == [], err
     out = work / "out"
     assert [p for p in [out, *out.rglob("*")] if p.exists()
