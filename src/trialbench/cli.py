@@ -251,8 +251,6 @@ def cmd_report(args) -> int:
         if json_str(header, "refset_sha256") != sha256_file(args.refset):
             raise ProvenanceError("estimates were produced against a different reference set")
         reference = refset_mod.load(args.refset)
-        if not reference.entries:
-            raise InputError(f"{args.refset}: no reference entries to score against")
         by_method = metrics_mod.effects_by_method(records)
         # a row lost or added would drop or add a method's call silently
         missing, extra = _unmatched_rows(records, reference.entries, json_list(header, "methods"))

@@ -169,7 +169,8 @@ def load(path) -> ReferenceSet:
     must be a_higher or b_higher and a weak entry's none. Drug and outcome
     codes must be JSON strings, statistics numbers and the provenance an object.
     Each (drug_a, drug_b, outcome_code) key appears once: a copy would be scored
-    once more against the same estimate.
+    once more against the same estimate. A set of no entries gives evaluate nothing
+    to estimate and report nothing to score, so it raises InputError.
     """
     entries, keys = [], set()
     with parsing(path):
@@ -192,6 +193,8 @@ def load(path) -> ReferenceSet:
                 raise ValueError(f"duplicate entry {entry.key!r}")
             keys.add(entry.key)
             entries.append(entry)
+        if not entries:
+            raise InputError(f"{path}: no reference entries")
         provenance = json_object(header, "provenance") if "provenance" in header else {}
     return ReferenceSet(entries=entries, provenance=provenance)
 

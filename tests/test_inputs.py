@@ -13,6 +13,9 @@ Two tables hold the cases:
   TOLERATED exit 0 and write the same bytes.
 - CASES: wrong values and structures, one row each.
 
+Each JSONL input, and evaluate's --resume part file, is also run with its last line
+repeated, dropped, or cut in the middle (LINE_EDITS); the cases in LINE_TOLERATED exit 0.
+
 A field is a key of an object, or a number or code inside a list (a gamma entry, a dense
 feature, an event's day, kind or code), or an object inside a list (a trials entry, a dump
 outcome_events entry).
@@ -66,12 +69,12 @@ OUTPUTS = {
 
 def _main(command, inputs, out, changes) -> int:
     """main() on command with each input file from inputs and each output under out, the
-    values in changes put in (None leaves a flag out)."""
+    values in changes put in (None leaves a flag out, True gives it alone)."""
     values = {**{flag: inputs / name for flag, name in INPUTS[command].items()},
               **{flag: out / value if flag in OUT_FLAGS else value
                  for flag, value in FLAGS[command].items()}, **changes}
     return main([command, *(part for flag, value in values.items() if value is not None
-                            for part in (flag, str(value)))])
+                            for part in ((flag,) if value is True else (flag, str(value))))])
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +91,8 @@ def base(tmp_path_factory):
 def _stage(command, changes, base, work):
     """Run command with changes made to its inputs, each other input coming from base and
     each output going under work/out. changes maps an input flag to an edit of its file's
-    valid text, giving the broken text or bytes (None: no file); an output flag to a
+    valid text, giving the broken text or bytes (None: no file); --resume to such an edit
+    of the valid run's part file, put in the output directory; an output flag to a
     function that makes an obstacle in the output directory and returns (the flag's value,
     the path the error names); any other flag to its value. The broken files are written
     in work; report's --refset gets base's estimates, headed with the broken set's SHA-256.
@@ -97,6 +101,13 @@ def _stage(command, changes, base, work):
     for flag, change in changes.items():
         if flag in OUT_FLAGS:  # the output path, and the path its error names
             values[flag], path = change(work / "out")
+            continue
+        if flag == "--resume":  # base's part file, changed, where the run looks for it
+            [part] = (base / "estimates.jsonl.parts").iterdir()
+            path = work / "out" / "estimates.jsonl.parts" / part.name
+            path.parent.mkdir(parents=True)
+            path.write_text(change(part.read_text(encoding="utf-8")), encoding="utf-8")
+            values[flag] = True
             continue
         if flag not in INPUTS[command]:
             values[flag] = change
@@ -621,3 +632,41 @@ def test_a_term_reported_twice_is_summed_on_its_line(base, tmp_path):
     assert _stage("build-refset", {"--dump": _term_added("OUTCOME", 300)}, base, tmp_path)[0] == 0
     diagnostics = (tmp_path / "out" / "refset.jsonl.diagnostics.tsv").read_text().splitlines()
     assert diagnostics[1].startswith("1\t") and "participant_count" in diagnostics[1]
+
+
+# ---- Line mutations: a JSONL input, or a --resume part, with its last line repeated or lost
+
+LINE_EDITS = {
+    "line_again": lambda text: text + text.splitlines(keepends=True)[-1],
+    "cut_at_a_line": lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+    "cut_mid_line": lambda text: text[:len(text) - len(text.splitlines()[-1]) // 2 - 1],
+}
+LINE_CASES = [(command, flag, edit) for command, files in INPUTS.items()
+              for flag, name in files.items() if name.endswith(".jsonl") for edit in LINE_EDITS]
+LINE_CASES += [("evaluate", "--resume", edit) for edit in LINE_EDITS]
+# (subcommand, flag, edit) -> why it exits 0, writing other bytes unless it is a part's edit
+LINE_TOLERATED = {
+    ("build-refset", "--dump", "cut_at_a_line"): "a trial of one arm compares nothing",
+    ("build-refset", "--dump", "cut_mid_line"): "a malformed dump line is a line diagnostic",
+    ("evaluate", "--db", "cut_at_a_line"):
+        "the claims may hold any patients; a dense row of none is checked, then dropped",
+    **{("evaluate", "--resume", edit): "a part that is not whole is recomputed"
+       for edit in LINE_EDITS},
+}
+
+
+@pytest.mark.parametrize("command,flag,edit", LINE_CASES,
+                         ids=[f"{c}_{f[2:]}_{e}" for c, f, e in LINE_CASES])
+def test_a_line_repeated_or_lost_exits_2_or_is_a_documented_tolerance(
+        base, tmp_path, capsys, command, flag, edit):
+    capsys.readouterr()
+    status, path = _stage(command, {flag: LINE_EDITS[edit]}, base, tmp_path)
+    err = capsys.readouterr().err
+    reason = LINE_TOLERATED.get((command, flag, edit))
+    if reason is None:
+        _assert_input_error(status, err, tmp_path, path, [])
+        return
+    assert status == 0, f"tolerated ({reason}), but exit {status}: {err!r}"
+    assert list(tmp_path.rglob("*.tmp")) == []
+    if flag == "--resume":
+        assert _outputs(command, tmp_path / "out") == _outputs(command, base)
