@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import pytest
 
 from trialbench.cli import main
 from trialbench.formats import iter_jsonl, read_jsonl, sha256_file, write_jsonl
-from trialbench.ingest import MAX_POOLED_ARM
 from trialbench.refset import load as load_refset
 
 SCENARIO = {

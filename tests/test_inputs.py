@@ -133,7 +133,7 @@ def _outputs(command, directory) -> dict:
     which holds the reference set's SHA-256."""
     written = {name: (directory / name).read_bytes() for name in OUTPUTS[command]
                if (directory / name).exists()}
-    if "estimates.jsonl" in written and command == "evaluate":
+    if command == "evaluate" and written:
         written["estimates.jsonl"] = written["estimates.jsonl"].split(b"\n", 1)[1]
     return written
 
