@@ -356,13 +356,14 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:  # a path that cannot be read or written; a rename names its target
-        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
     except ProvenanceError as exc:
         print(f"provenance error: {exc}", file=sys.stderr)
         return EXIT_PROVENANCE
     except Exception as exc:  # noqa: BLE001
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a path that cannot be read or written; a rename names its target
+            print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

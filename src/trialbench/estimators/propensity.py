@@ -34,7 +34,9 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
     feature column that the others span (a duplicated, constant or all-zero
     one) would make the Hessian singular, so a design of lower rank is fitted
     on an orthonormal basis of its row space: the scores are those of the
-    design without that column, and the coefficients the least-norm ones.
+    design without that column, and the coefficients the least-norm ones. A
+    positive penalty too small to make such a Hessian invertible has its
+    step taken by least squares.
     """
     X = np.column_stack([np.ones(len(treatment_labels)), np.asarray(features, dtype=float)])
     y = np.asarray(treatment_labels, dtype=float)
@@ -59,7 +61,10 @@ def fit_logistic(features, treatment_labels, ridge: float) -> PropensityFit:
         w = np.maximum(e * (1.0 - e), 1e-12)
         grad = X.T @ (y - e) - penalty * beta
         hess = (X.T * w) @ X + np.diag(penalty)
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:  # a penalty too small to lift a spanned column
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         beta = beta + step
         if np.max(np.abs(step)) < LOGISTIC_TOL:
             converged = True

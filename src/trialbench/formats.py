@@ -44,7 +44,8 @@ def dump_json_line(obj) -> str:
 def write_lines(path, lines):
     """Write each line and a newline, in UTF-8, to <path>.tmp and rename it over path, so
     a write that fails or is stopped leaves the previous file whole; a write that raises
-    removes its .tmp. Missing parent directories are made."""
+    removes its .tmp, and a system error of no file (a full disk) is given path. Missing
+    parent directories are made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -53,8 +54,10 @@ def write_lines(path, lines):
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno and exc.filename is None:
+            exc.filename = str(path)
         raise
 
 

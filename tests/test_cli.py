@@ -391,20 +391,23 @@ def test_evaluate_method_filters(pipeline, tmp_path):
     assert out.read_text().splitlines()[1:] == full
 
 
-def test_an_unexpected_exception_exits_4(pipeline, tmp_path, capsys, monkeypatch):
-    """An exception that is no input error exits 4, naming its type."""
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), BrokenPipeError(32, "Broken pipe")],
+                         ids=["runtime_error", "os_error_of_no_file"])
+def test_an_unexpected_exception_exits_4(pipeline, tmp_path, capsys, monkeypatch, exc):
+    """An exception that is no input error, or an OSError that names no path, exits 4,
+    naming its type."""
     from trialbench import metrics as metrics_mod
 
     _, _, refset_path, estimates, _ = pipeline
 
     def fail(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise exc
 
     monkeypatch.setattr(metrics_mod, "pr_curve", fail)
     capsys.readouterr()
     assert main(["report", "--estimates", str(estimates), "--refset", str(refset_path),
                  "--out", str(tmp_path / "r")]) == 4
-    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_simulate_takes_a_treatment_logit_whose_exp_overflows(tmp_path, capsys):

@@ -82,6 +82,17 @@ def test_logistic_fits_a_column_the_others_span_at_ridge_0(column):
     assert np.allclose(spanned.scores, single.scores, rtol=0, atol=1e-12)
 
 
+def test_logistic_steps_by_least_squares_when_the_ridge_cannot_lift_a_spanned_column():
+    """A penalty lost in the Hessian's diagonal leaves a duplicated column singular."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2000, 2))
+    y = rng.random(2000) < 1 / (1 + np.exp(0.5 - x @ [1.0, -0.7]))
+    single = fit_logistic(x, y, 0.0)
+    spanned = fit_logistic(np.column_stack([x, x[:, 0]]), y, 1e-300)
+    assert spanned.converged
+    assert np.allclose(spanned.scores, single.scores, rtol=0, atol=1e-9)
+
+
 def test_logistic_requires_both_arms():
     with pytest.raises(ValueError):
         fit_logistic(np.zeros((5, 1)), np.ones(5, dtype=bool), RunSettings.ridge)

@@ -21,11 +21,14 @@ feature, an event's day, kind or code), or an object inside a list (a trials ent
 outcome_events entry).
 """
 
+import errno
 import json
 import math
+import os
 
 import pytest
 
+from trialbench import formats
 from trialbench.cli import main
 from trialbench.formats import read_jsonl, sha256_file, write_jsonl
 from trialbench.ingest import MAX_POOLED_ARM
@@ -138,16 +141,22 @@ def _outputs(command, directory) -> dict:
     return written
 
 
+class Leading(str):
+    """A name that the message must start with, right after its `error: <path>: ` prefix."""
+
+
 def _assert_input_error(status, err, work, path, names):
     """Exit 2 with a message that starts `error: <path>: ` (any message for a flag, path
-    None) and holds each of names; nothing under work/out but an output path's obstacle,
-    the path at fault or a directory above it; no *.tmp under work."""
+    None) and holds each of names, a Leading one right after the prefix; nothing under
+    work/out but an output path's obstacle, the path at fault or a directory above it; no
+    *.tmp under work."""
     prefix = "" if path is None else f"error: {path}: "
     assert status == 2, f"exit {status}: {err!r}"
     assert err.startswith(prefix), err
     # a name must follow the prefix, whose path may hold it too; a usage text names every flag
     message = err[len(prefix):] if path else err.strip().split("\n")[-1]
     assert [name for name in names if name not in message] == [], err
+    assert all(message.startswith(name) for name in names if isinstance(name, Leading)), err
     out = work / "out"
     assert [p for p in [out, *out.rglob("*")] if p.exists()
             and not (path and (p == path or p in path.parents))] == []
@@ -445,7 +454,7 @@ def _a_directory(value, made):
 
 
 # case -> (subcommand, {flag: edit of its file's text, or the flag's value}, the names the
-# message holds); the first file changed is the one the message names
+# message holds, a Leading one first); the first file changed is the one the message names
 CASES = {
     "scenario_not_json": ("simulate", {"--scenario": lambda _: "{broken"}, []),
     "scenario_of_no_section": ("simulate", {"--scenario": lambda _: "{}"},
@@ -453,7 +462,8 @@ CASES = {
     # the truth is exact, so mc_samples is no longer a scenario key
     **{f"unknown_scenario_key_{key}": (
         "simulate", {"--scenario": lambda text, key=key: json.dumps({**json.loads(text), key: 1})},
-        [f"unknown scenario key {key!r}"]) for key in ("bogus", "seed", "Claims", "mc_samples")},
+        [Leading(f"unknown scenario key {key!r}")])
+       for key in ("bogus", "seed", "Claims", "mc_samples")},
     "negative_arm_size": _scenario_case("trials", n_a=-100),
     "zero_trials": _scenario_case("trials", n_trials=0),
     "negative_patients": _scenario_case("claims", n_patients=-1),
@@ -624,6 +634,23 @@ def test_invalid_claims_line_is_reported_once(base, tmp_path, capsys):
     assert err.count("invalid JSON") == 1
     assert f"{path}: line 400: invalid JSON" in err
     assert "malformed content" not in err
+
+
+def test_a_write_that_fails_of_no_file_names_the_output(base, tmp_path, capsys, monkeypatch):
+    """A full disk raises an OSError that names no file; the message names the output."""
+    def no_space(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_disk_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        fh.write = no_space
+        return fh
+
+    monkeypatch.setattr(formats, "open", full_disk_open, raising=False)
+    capsys.readouterr()
+    status, _ = _stage("report", {}, base, tmp_path)
+    _assert_input_error(status, capsys.readouterr().err, tmp_path,
+                        tmp_path / "out" / "report.table.tsv", [Leading("No space left on device")])
 
 
 def test_a_term_reported_twice_is_summed_on_its_line(base, tmp_path):
